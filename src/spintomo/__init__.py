@@ -19,7 +19,7 @@ from .dynamics import (
     tact_hamiltonian,
     zeeman_hamiltonian,
 )
-from .errors import ConvergenceError, PhysicalityError
+from .errors import ConvergenceError, PhysicalityError, SweepPointError
 from .experiment import (
     ExperimentConfig,
     SweepResult,

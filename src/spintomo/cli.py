@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConvergenceError, PhysicalityError
+from .errors import ConvergenceError, PhysicalityError, SweepPointError
 from .experiment import ExperimentConfig, evolved_state, point_record, run_sweep
 from .probe import record_from_csv, record_to_csv
 from .squeezing import husimi, tact_optimum
@@ -228,12 +228,16 @@ def main(argv=None) -> int:
     except _ConfigNotFound as exc:
         print(f"config not found: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (PhysicalityError, ConvergenceError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        # a failed sweep point is classified by the error it wraps
+        cause = exc.__cause__ if isinstance(exc, SweepPointError) else exc
+        if isinstance(cause, (ValueError, OSError)):
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(cause, (PhysicalityError, ConvergenceError, np.linalg.LinAlgError)):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 1
+        raise
     return 0
 
 

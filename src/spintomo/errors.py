@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Usage errors (bad arguments, malformed files) raise plain ``ValueError`` /
-``OSError``; the classes below mark failures of physics or numerics that can
-only be detected from the data itself.
+``OSError``; ``PhysicalityError`` and ``ConvergenceError`` mark failures of
+physics or numerics that can only be detected from the data itself.
+``SweepPointError`` wraps either kind with the sweep point it came from.
 """
 
 
@@ -11,9 +12,25 @@ class PhysicalityError(Exception):
 
     Raised for non-unit traces, negative eigenvalues beyond tolerance,
     covariances below the Heisenberg floor, unresolvable calibrations, and
-    integrator steps that left the physical state space.
+    ill-conditioned propagators.
     """
 
 
 class ConvergenceError(Exception):
     """An iterative estimator failed to make progress."""
+
+
+class SweepPointError(Exception):
+    """One point of a drive-duration sweep failed.
+
+    ``t_r`` is the drive duration in ms; the original exception is chained
+    as ``__cause__`` and decides whether the failure is a usage or a
+    numerical one.
+    """
+
+    def __init__(self, t_r: float, cause: BaseException):
+        super().__init__(t_r, cause)  # both in args, so the error pickles
+        self.t_r = t_r
+
+    def __str__(self) -> str:
+        return f"sweep point t_r={self.t_r:g} ms: {self.args[1]}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dynamics import DecayChannels, compensated_hamiltonian, lindblad_trajectory
-from .errors import PhysicalityError
+from .errors import PhysicalityError, SweepPointError
 from .probe import MeasurementRecord, canonical_moments, simulate_records
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
 from .squeezing import squeezing_report
@@ -77,7 +77,8 @@ class ExperimentConfig:
         kappa2                 probe coupling strength (default 0.8)
         n_shots                shots per sweep point (default 10000)
         seed                   master seed (default 12345)
-        dt                     integrator step, ms (default 1e-3)
+
+    Unknown keys are rejected with ``ValueError``.
     """
 
     f: float = 4.0
@@ -94,7 +95,6 @@ class ExperimentConfig:
     kappa2: float = 0.8
     n_shots: int = 10000
     seed: int = 12345
-    dt: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.twisting_rate is None and self.beta is None:
@@ -108,8 +108,8 @@ class ExperimentConfig:
         durations = tuple(float(t) for t in self.raman_durations)
         object.__setattr__(self, "raman_durations", durations)
         SpinQuantumNumber.coerce(self.f)  # validates integer/half-integer
-        if not (self.t1 > 0 and self.t2 > 0 and self.dt > 0):
-            raise ValueError("t1, t2 and dt must be positive")
+        if not (self.t1 > 0 and self.t2 > 0):
+            raise ValueError("t1 and t2 must be positive")
         if not (0.0 < self.pump_fraction <= 1.0):
             raise ValueError(f"pump_fraction must be in (0, 1], got {self.pump_fraction}")
         if any(t < 0 for t in durations):
@@ -229,7 +229,7 @@ def _evolved_states(config: ExperimentConfig, durations) -> list[QuantumState]:
         ops, beta=2.0 * config.twisting_rate, residual=config.compensation_residual
     )
     state0 = prepare_initial_state(config)
-    return lindblad_trajectory(state0, h, config.decay, durations, dt=config.dt)
+    return lindblad_trajectory(state0, h, config.decay, durations)
 
 
 def evolved_state(config: ExperimentConfig, t_r: float) -> QuantumState:
@@ -336,7 +336,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     zeta2_true / chi2_true / xi2_true come from the evolved density matrix;
     zeta2_reconstructed applies the covariance correction to the synthesized
-    records, with its propagated 1-sigma sampling error.
+    records, with its propagated 1-sigma sampling error.  A failure while
+    probing or reconstructing one point raises :class:`SweepPointError`
+    naming its duration, chained to the original exception.
     """
     durations = config.raman_durations
     states = _evolved_states(config, durations)
@@ -352,7 +354,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             zeta2_rec = 2.0 * corrected.min_variance
             zeta2_err = _zeta2_error(corrected, config.kappa2)
         except Exception as exc:
-            raise type(exc)(f"sweep point t_r={t_r:g} ms: {exc}") from exc
+            raise SweepPointError(t_r, exc) from exc
         rows.append(
             SweepRow(
                 t_r=t_r,

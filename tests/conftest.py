@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spintomo import QuantumState, coherent_spin_state, spin_operators
+from spintomo import QuantumState, coherent_spin_state, correct_covariance, spin_operators
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +19,16 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> QuantumState:
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     return QuantumState((rho + rho.conj().T) / 2.0)
+
+
+def fail_at_call(n: int, exc: BaseException):
+    """Stand-in for correct_covariance that raises ``exc`` on its n-th call."""
+    calls = []
+
+    def wrapped(record):
+        calls.append(record)
+        if len(calls) == n:
+            raise exc
+        return correct_covariance(record)
+
+    return wrapped

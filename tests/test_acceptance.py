@@ -167,7 +167,7 @@ def test_criterion_6_physics_invariant_suite():
     css = coherent_spin_state(4, np.pi / 2.0, 0.0)
     decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
     h = compensated_hamiltonian(ops, 0.24, residual=0.15)
-    evolved = evolve_lindblad(css, h, decay, 6.0, dt=1e-3)
+    evolved = evolve_lindblad(css, h, decay, 6.0)
     trace_dev = abs(np.trace(evolved.rho).real - 1.0)
     min_eig = float(np.linalg.eigvalsh(evolved.rho).min())
     if trace_dev > 1e-8:
@@ -178,7 +178,7 @@ def test_criterion_6_physics_invariant_suite():
     # Heisenberg floor on evolved states
     h_tact = tact_hamiltonian(ops, 1.0)
     states = [evolve_unitary(css, h_tact, tau) for tau in (0.05, 0.1375, 0.25)]
-    states += [evolve_lindblad(css, h, decay, t, dt=1e-3) for t in (0.8, 3.0)]
+    states += [evolve_lindblad(css, h, decay, t) for t in (0.8, 3.0)]
     for state in states:
         report = squeezing_report(state)
         floor = report.mean_spin_length**2 / 4.0

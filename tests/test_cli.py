@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from spintomo import PhysicalityError, experiment
 from spintomo.cli import main
+from conftest import fail_at_call
 
 
 @pytest.fixture()
@@ -97,6 +99,29 @@ class TestSweep:
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
         assert not out.exists()
         assert not list(tmp_path.glob(".spintomo-*"))
+
+    def test_retired_dt_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("raman_durations = 0.5\nn_shots = 100\ndt = 1e-3\n")
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+        assert "unknown config keys: ['dt']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "injected, code, prefix",
+        [
+            (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2, "usage error"),
+            (PhysicalityError("covariance below the Heisenberg floor"), 1, "numerical failure"),
+        ],
+        ids=["unicode-decode", "physicality"],
+    )
+    def test_point_failure_exit_code(self, config_path, tmp_path, capsys, monkeypatch,
+                                     injected, code, prefix):
+        monkeypatch.setattr(experiment, "correct_covariance", fail_at_call(2, injected))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", config_path, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert err == f"{prefix}: sweep point t_r=0.8 ms: {injected}\n"
+        assert not out.exists()
 
     def test_unwritable_output_dir(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "missing_dir" / "sweep.csv")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from spintomo import (
     DecayChannels,
@@ -19,6 +20,7 @@ from spintomo import (
     tact_hamiltonian,
     zeeman_hamiltonian,
 )
+from spintomo import dynamics
 from conftest import random_density_matrix
 
 HALF_STEPS = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
@@ -223,7 +225,7 @@ class TestLindblad:
         h0 = Hamiltonian(np.zeros((9, 9)), "zero")
         state = coherent_spin_state(4, 0.0, 0.0)  # stretched along z: rich x-coherences
         t = 2.0
-        evolved = evolve_lindblad(state, h0, decay, t, dt=1e-3)
+        evolved = evolve_lindblad(state, h0, decay, t)
         w, v = np.linalg.eigh(np.asarray(ops4.fx))
         m = np.round(w).astype(int)
         r0 = v.conj().T @ state.rho @ v
@@ -235,44 +237,47 @@ class TestLindblad:
         expected = r0 * factor
         idx = np.arange(9)
         expected[idx, idx] = 1.0 / 9.0 + (np.diag(r0) - 1.0 / 9.0) * np.exp(-gamma_d * t)
-        assert np.abs(rt - expected).max() <= 1e-8
+        assert np.abs(rt - expected).max() <= 1e-12
 
     def test_nearest_neighbour_rate_is_one_over_t2(self, ops4):
         decay = DecayChannels(t1=80.0, t2=20.0)
         h0 = Hamiltonian(np.zeros((9, 9)), "zero")
         state = coherent_spin_state(4, 0.0, 0.0)
         t = 3.0
-        evolved = evolve_lindblad(state, h0, decay, t, dt=1e-3)
+        evolved = evolve_lindblad(state, h0, decay, t)
         w, v = np.linalg.eigh(np.asarray(ops4.fx))
         r0 = v.conj().T @ state.rho @ v
         rt = v.conj().T @ evolved.rho @ v
         ratio = abs(rt[0, 1]) / abs(r0[0, 1])
-        assert abs(ratio - np.exp(-t / 20.0)) <= 1e-9
+        assert abs(ratio - np.exp(-t / 20.0)) <= 1e-12
 
     def test_depolarization_fixed_point(self):
         decay = DecayChannels(t1=1.0, t2=1.0)  # pure depolarization
         h0 = Hamiltonian(np.zeros((5, 5)), "zero")
         state = coherent_spin_state(2, np.pi / 2.0, 0.3)
-        evolved = evolve_lindblad(state, h0, decay, 20.0, dt=1e-3)
+        evolved = evolve_lindblad(state, h0, decay, 20.0)
         assert np.abs(evolved.rho - np.eye(5) / 5.0).max() <= 1e-8
+        # closed form: the distance to the fixed point shrinks as exp(-t/t1)
+        expected = np.eye(5) / 5.0 + (state.rho - np.eye(5) / 5.0) * np.exp(-20.0)
+        assert np.abs(evolved.rho - expected).max() <= 1e-12
 
     def test_zero_decay_matches_unitary(self, ops4, css_x4):
         decay = DecayChannels(t1=np.inf, t2=np.inf)
         h = tact_hamiltonian(ops4, 0.5)
-        a = evolve_lindblad(css_x4, h, decay, 1.0, dt=1e-3)
+        a = evolve_lindblad(css_x4, h, decay, 1.0)
         b = evolve_unitary(css_x4, h, 1.0)
-        assert np.abs(a.rho - b.rho).max() <= 1e-8
+        assert np.abs(a.rho - b.rho).max() <= 1e-12
 
     def test_trace_preserved_over_six_ms(self, ops4, css_x4):
         decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
         h = tact_hamiltonian(ops4, 0.12)
-        evolved = evolve_lindblad(css_x4, h, decay, 6.0, dt=1e-3)
+        evolved = evolve_lindblad(css_x4, h, decay, 6.0)
         assert abs(np.trace(evolved.rho).real - 1.0) <= 1e-8
 
     def test_purity_contracts(self, ops4, css_x4):
         decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
-        states = lindblad_trajectory(css_x4, h, decay, [0.5, 1.0, 2.0, 4.0], dt=1e-3)
+        states = lindblad_trajectory(css_x4, h, decay, [0.5, 1.0, 2.0, 4.0])
         purities = [s.purity() for s in states]
         assert all(b < a for a, b in zip(purities, purities[1:]))
         assert purities[0] < 1.0
@@ -280,37 +285,61 @@ class TestLindblad:
     def test_trajectory_matches_single_calls(self, ops4, css_x4):
         decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
-        traj = lindblad_trajectory(css_x4, h, decay, [0.7, 1.4], dt=1e-3)
-        single = evolve_lindblad(css_x4, h, decay, 1.4, dt=1e-3)
+        traj = lindblad_trajectory(css_x4, h, decay, [0.7, 1.4])
+        single = evolve_lindblad(css_x4, h, decay, 1.4)
         assert np.abs(traj[1].rho - single.rho).max() <= 1e-12
 
     def test_validation(self, ops4, css_x4):
         decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
         with pytest.raises(ValueError):
-            evolve_lindblad(css_x4, h, decay, 0.5, dt=1.0)  # dt > t
-        with pytest.raises(ValueError):
             evolve_lindblad(css_x4, h, decay, -1.0)
         with pytest.raises(ValueError):
             lindblad_trajectory(css_x4, h, decay, [1.0, 0.5])
 
-    def test_step_size_failure_reports_time(self, ops4, css_x4):
-        # a stiff generator at this dt makes RK4 blow up; the integrator
-        # must abort with the offending time rather than return garbage
-        decay = DecayChannels(t1=80.0, t2=20.0)
-        h = tact_hamiltonian(ops4, 4000.0)
-        with pytest.raises(PhysicalityError, match="t="):
-            evolve_lindblad(css_x4, h, decay, 1.0, dt=1e-2)
-
-    def test_rk4_step_criterion_met_at_default(self, ops4, css_x4):
-        from spintomo.dynamics import rk4_convergence_probe
-
+    def test_semigroup_property(self, ops4):
+        # P(a) P(b) = P(a + b) on vec(rho), from a state with full support
+        rng = np.random.default_rng(51)
+        state = random_density_matrix(9, rng)
         decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
         h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
-        fz_var_change = rk4_convergence_probe(
-            css_x4, h, decay, 2.0, np.asarray(ops4.fz) @ np.asarray(ops4.fz), dt=1e-3
+        for a, b in ((0.3, 0.9), (1.7, 4.3)):
+            two_steps = evolve_lindblad(evolve_lindblad(state, h, decay, a), h, decay, b)
+            one_step = evolve_lindblad(state, h, decay, a + b)
+            assert np.abs(two_steps.rho - one_step.rho).max() <= 1e-12
+
+    def test_matches_column_stacked_expm(self, ops4, css_x4):
+        # independent construction: column-stacking vec(A rho B) = kron(B^T, A) vec(rho)
+        decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
+        h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
+        hm, fx = h.matrix, np.asarray(ops4.fx)
+        eye = np.eye(9)
+        fx2 = fx @ fx
+        vec_eye = eye.ravel(order="F")
+        generator = (
+            -1j * (np.kron(eye, hm) - np.kron(hm.T, eye))
+            + decay.depolarization_rate * (np.outer(vec_eye, vec_eye) / 9.0 - np.eye(81))
+            + decay.dephasing_rate
+            * (np.kron(fx.T, fx) - 0.5 * (np.kron(eye, fx2) + np.kron(fx2.T, eye)))
         )
-        assert fz_var_change < 1e-6
+        times = [0.0, 0.8, 2.5, 6.0]
+        states = lindblad_trajectory(css_x4, h, decay, times)
+        for t, state in zip(times, states):
+            vec = expm(generator * t) @ css_x4.rho.ravel(order="F")
+            assert np.abs(state.rho - vec.reshape(9, 9, order="F")).max() <= 1e-12
+
+    def test_expm_guard_catches_bad_eigenbasis(self, ops4, css_x4, monkeypatch):
+        decay = DecayChannels(t1=80.0, t2=20.0)
+        h = tact_hamiltonian(ops4, 0.12)
+        eig = np.linalg.eig
+
+        def corrupted_eig(a):
+            w, v = eig(a)
+            return w * (1.0 + 1e-6), v
+
+        monkeypatch.setattr(dynamics.np.linalg, "eig", corrupted_eig)
+        with pytest.raises(PhysicalityError, match=r"t_max=2 ms.*differs from expm"):
+            lindblad_trajectory(css_x4, h, decay, [0.5, 2.0])
 
 
 class TestHamiltonianContainer:

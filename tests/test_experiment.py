@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from spintomo import (
     ExperimentConfig,
     PhysicalityError,
+    SweepPointError,
     correct_covariance,
     expectation,
     point_record,
@@ -15,7 +18,9 @@ from spintomo import (
     squeezing_report,
     variances_from_rho,
 )
+from spintomo import experiment
 from spintomo.experiment import _evolved_states, _point_seed
+from conftest import fail_at_call
 
 
 def short_config(**overrides):
@@ -164,8 +169,28 @@ class TestRunSweep:
 
     def test_error_carries_duration(self):
         cfg = short_config(kappa2=0.0)
-        with pytest.raises(ValueError, match="t_r=0"):
+        with pytest.raises(SweepPointError, match="t_r=0") as info:
             run_sweep(cfg)
+        assert info.value.t_r == 0.0
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize(
+        "injected",
+        [
+            UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+            PhysicalityError("covariance below the Heisenberg floor"),
+        ],
+        ids=["unicode-decode", "physicality"],
+    )
+    def test_point_error_chains_cause(self, monkeypatch, injected):
+        # the original exception survives whatever its constructor signature
+        monkeypatch.setattr(experiment, "correct_covariance", fail_at_call(2, injected))
+        with pytest.raises(SweepPointError) as info:
+            run_sweep(short_config())
+        assert info.value.t_r == 0.4
+        assert info.value.__cause__ is injected
+        assert str(info.value) == f"sweep point t_r=0.4 ms: {injected}"
+        assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
     def test_truth_vs_reconstruction_coverage(self):
         # 3-sigma agreement in at least 95% of rows over 20 seeded runs
