@@ -52,8 +52,10 @@ from .spin_algebra import (
     coherent_state_vector,
     covariance,
     expectation,
+    moments,
     rotate,
     spin_operators,
+    variance_extrema,
 )
 from .squeezing import (
     HusimiGrid,

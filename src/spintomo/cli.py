@@ -231,12 +231,13 @@ def main(argv=None) -> int:
     except Exception as exc:
         # a failed sweep point is classified by the error it wraps
         cause = exc.__cause__ if isinstance(exc, SweepPointError) else exc
-        if isinstance(cause, (ValueError, OSError)):
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
+        # LinAlgError subclasses ValueError, so the numerical test goes first
         if isinstance(cause, (PhysicalityError, ConvergenceError, np.linalg.LinAlgError)):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 1
+        if isinstance(cause, (ValueError, OSError)):
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
         raise
     return 0
 

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import DecayChannels, compensated_hamiltonian, lindblad_trajectory
 from .errors import PhysicalityError, SweepPointError
 from .probe import MeasurementRecord, canonical_moments, simulate_records
-from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
+from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, expectation, spin_operators
 from .squeezing import squeezing_report
 from .tomography import CorrectedCovariance, OscillatorDensityMatrix, correct_covariance, mle_reconstruct
 
@@ -253,7 +253,7 @@ def point_record(
     if state is None:
         state = _evolved_states(config, [t_r])[0]
     ops = spin_operators(config.spin)
-    jx = abs(float(np.real(np.trace(state.rho @ ops.fx))))
+    jx = abs(expectation(state, ops.fx))
     if jx_readout_sigma:
         monitor_seed = np.random.SeedSequence(
             [int(config.seed), int(round(t_r * 1e9)), 1]
@@ -379,23 +379,19 @@ def _zeta2_error(corrected: CorrectedCovariance, kappa2: float) -> float:
 
 def reconstruct_sweep(
     config: ExperimentConfig,
-    sweep: SweepResult | None = None,
     durations=None,
     dim: int = 10,
     max_iter: int = 5000,
     tol: float = 1e-10,
 ) -> list[tuple[float, OscillatorDensityMatrix]]:
-    """Maximum-likelihood reconstruction at each sweep point (heavy pass).
+    """Maximum-likelihood reconstruction at each drive duration (heavy pass).
 
-    Records are regenerated deterministically from the config, so the
-    reconstructions correspond shot-for-shot to the sweep in ``sweep`` (or
-    to ``run_sweep(config)`` if omitted).
+    ``durations`` defaults to the config's sweep grid.  Records are
+    regenerated deterministically from the config, so each reconstruction
+    corresponds shot-for-shot to the same duration in ``run_sweep(config)``.
     """
     if durations is None:
-        if sweep is not None:
-            durations = [row.t_r for row in sweep.rows]
-        else:
-            durations = config.raman_durations
+        durations = config.raman_durations
     states = _evolved_states(config, durations)
     out = []
     for t_r, state in zip(durations, states):

@@ -22,13 +22,12 @@ calibrated in the lab against the thermal ensemble noise.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PhysicalityError
-from .spin_algebra import QuantumState, SpinOperators
+from .spin_algebra import QuantumState, SpinOperators, moments, variance_extrema
 
 __all__ = [
     "CanonicalMoments",
@@ -42,7 +41,6 @@ __all__ = [
     "thermal_calibration",
     "vacuum_calibration",
     "record_to_csv",
-    "record_to_csv_text",
     "record_from_csv",
 ]
 
@@ -76,6 +74,17 @@ class CanonicalMoments:
                 f"covariance determinant {det:.6g} below the Heisenberg floor 1/4"
             )
 
+    @classmethod
+    def from_moments(cls, mean: np.ndarray, cov: np.ndarray) -> "CanonicalMoments":
+        """Build from the (x, p) mean 2-vector and 2x2 covariance of :func:`moments`."""
+        return cls(
+            mean_x=float(mean[0]),
+            mean_p=float(mean[1]),
+            var_x=float(cov[0, 0]),
+            var_p=float(cov[1, 1]),
+            cov_xp=float(cov[0, 1]),
+        )
+
     @property
     def covariance_matrix(self) -> np.ndarray:
         return np.array([[self.var_x, self.cov_xp], [self.cov_xp, self.var_p]])
@@ -83,7 +92,7 @@ class CanonicalMoments:
     @property
     def min_variance(self) -> float:
         """Smaller eigenvalue of the (x, p) covariance."""
-        return float(np.linalg.eigvalsh(self.covariance_matrix)[0])
+        return float(variance_extrema(self.covariance_matrix)[0])
 
 
 @dataclass(frozen=True)
@@ -128,28 +137,14 @@ def canonical_moments(state: QuantumState, ops: SpinOperators, pump_jx: float) -
 
     ``pump_jx`` is the per-atom <F_x> reference used for the normalization;
     the pipeline passes the current mean spin, under which the commutator of
-    (x, p) is exactly canonical and a coherent state maps to vacuum.
+    (x, p) is exactly canonical and a coherent state maps to vacuum.  The
+    (F_y, F_z) moments come from :func:`~spintomo.spin_algebra.moments`,
+    which rejects an operator set of the wrong dimension.
     """
     if pump_jx <= 0:
         raise ValueError(f"pump_jx must be positive, got {pump_jx}")
-    if ops.dimension != state.dimension:
-        raise ValueError("operator set does not match state dimension")
-    rho = state.rho
-    fy, fz = ops.fy, ops.fz
-    ey = float(np.real(np.trace(rho @ fy)))
-    ez = float(np.real(np.trace(rho @ fz)))
-    vyy = float(np.real(np.trace(rho @ fy @ fy))) - ey * ey
-    vzz = float(np.real(np.trace(rho @ fz @ fz))) - ez * ez
-    sym = (fy @ fz + fz @ fy) / 2.0
-    vyz = float(np.real(np.trace(rho @ sym))) - ey * ez
-    root = np.sqrt(pump_jx)
-    return CanonicalMoments(
-        mean_x=ey / root,
-        mean_p=ez / root,
-        var_x=vyy / pump_jx,
-        var_p=vzz / pump_jx,
-        cov_xp=vyz / pump_jx,
-    )
+    mean, cov = moments(state.rho, (ops.fy, ops.fz))
+    return CanonicalMoments.from_moments(mean / np.sqrt(pump_jx), cov / pump_jx)
 
 
 def output_variance(moments: CanonicalMoments, kappa2: float) -> tuple[float, float]:
@@ -281,12 +276,6 @@ def record_to_csv(
     writer.writerow(["y_c", "y_s"])
     for y_c, y_s in record.shots:
         writer.writerow([f"{y_c:.17g}", f"{y_s:.17g}"])
-
-
-def record_to_csv_text(record: MeasurementRecord, header_comments: dict | None = None) -> str:
-    buf = io.StringIO()
-    record_to_csv(record, buf, header_comments)
-    return buf.getvalue()
 
 
 def record_from_csv(stream) -> MeasurementRecord:

@@ -28,6 +28,8 @@ __all__ = [
     "spin_operators",
     "coherent_state_vector",
     "coherent_spin_state",
+    "moments",
+    "variance_extrema",
     "expectation",
     "covariance",
     "rotate",
@@ -208,30 +210,50 @@ def coherent_spin_state(f, theta: float, phi: float) -> QuantumState:
     return QuantumState.from_vector(coherent_state_vector(f, theta, phi))
 
 
-def _check_dims(state: QuantumState, op: np.ndarray) -> None:
-    if op.shape != state.rho.shape:
+def moments(rho, ops) -> tuple[np.ndarray, np.ndarray]:
+    """Means <A_a> and symmetrized covariances (1/2)<A_a A_b + A_b A_a> - <A_a><A_b>.
+
+    ``rho`` is one density matrix or a stack of them, shape (..., d, d), and
+    ``ops`` holds k Hermitian (d, d) matrices.  Returns real arrays of shape
+    (..., k) and (..., k, k): each is one ``einsum`` of the states against the
+    operators or their precomputed symmetrized products.
+    """
+    rho, ops = np.asarray(rho), np.asarray(ops)
+    if ops.ndim != 3 or ops.shape[1:] != rho.shape[-2:]:
         raise ValueError(
-            f"operator shape {op.shape} does not match state dimension {state.rho.shape}"
+            f"operator shape {ops.shape[1:]} does not match state dimension {rho.shape[-2:]}"
         )
+    products = np.einsum("aij,bjl->abil", ops, ops)
+    sym = (products + products.transpose(1, 0, 2, 3)) / 2.0
+    mean = np.einsum("...ij,aji->...a", rho, ops).real
+    second = np.einsum("...ij,abji->...ab", rho, sym).real
+    return mean, second - mean[..., :, None] * mean[..., None, :]
+
+
+def variance_extrema(cov) -> tuple[np.ndarray, np.ndarray]:
+    """Smaller and larger eigenvalue (a+b)/2 -+ hypot((a-b)/2, c) of 2x2 covariances.
+
+    These are the extreme quadrature variances over all angles in the plane
+    of the pair; ``cov`` has shape (..., 2, 2).
+    """
+    cov = np.asarray(cov, dtype=float)
+    a, b = cov[..., 0, 0], cov[..., 1, 1]
+    c = (cov[..., 0, 1] + cov[..., 1, 0]) / 2.0
+    mid = (a + b) / 2.0
+    radius = np.hypot((a - b) / 2.0, c)
+    return mid - radius, mid + radius
 
 
 def expectation(state: QuantumState, op: np.ndarray) -> float:
     """<op> = Tr(rho op) for a Hermitian operator."""
-    op = np.asarray(op)
-    _check_dims(state, op)
-    return float(np.real(np.trace(state.rho @ op)))
+    mean, _ = moments(state.rho, [op])
+    return float(mean[0])
 
 
 def covariance(state: QuantumState, a: np.ndarray, b: np.ndarray) -> float:
     """Symmetrized covariance (1/2)<ab + ba> - <a><b> of Hermitian a, b."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_dims(state, a)
-    _check_dims(state, b)
-    sym = (a @ b + b @ a) / 2.0
-    return float(np.real(np.trace(state.rho @ sym))) - expectation(state, a) * expectation(
-        state, b
-    )
+    _, cov = moments(state.rho, [a, b])
+    return float(cov[0, 1])
 
 
 def rotation_unitary(ops: SpinOperators, axis, angle: float) -> np.ndarray:

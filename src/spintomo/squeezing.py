@@ -26,10 +26,11 @@ from .dynamics import tact_hamiltonian
 from .errors import PhysicalityError
 from .spin_algebra import (
     QuantumState,
-    SpinOperators,
     SpinQuantumNumber,
     coherent_state_vector,
+    moments,
     spin_operators,
+    variance_extrema,
 )
 
 __all__ = [
@@ -69,7 +70,7 @@ class SqueezingReport:
         if abs(cov[0, 1] - cov[1, 0]) > 1e-10:
             raise ValueError("covariance matrix must be symmetric")
         scale = max(abs(cov).max(), 1.0)
-        if np.linalg.eigvalsh(cov).min() < -1e-10 * scale:
+        if variance_extrema(cov)[0] < -1e-10 * scale:
             raise PhysicalityError("transverse covariance is not positive semidefinite")
         for a in (mean, cov):
             a.setflags(write=False)
@@ -82,17 +83,13 @@ class SqueezingReport:
 
     @property
     def min_variance(self) -> float:
-        """Transverse variance at the optimal angle."""
-        c, s = np.cos(self.optimal_angle), np.sin(self.optimal_angle)
-        v = np.array([c, s])
-        return float(v @ self.cov @ v)
+        """Transverse variance at the optimal angle: the smaller eigenvalue of ``cov``."""
+        return float(variance_extrema(self.cov)[0])
 
     @property
     def max_variance(self) -> float:
-        """Transverse variance at 90 degrees from the optimal angle."""
-        c, s = -np.sin(self.optimal_angle), np.cos(self.optimal_angle)
-        v = np.array([c, s])
-        return float(v @ self.cov @ v)
+        """Transverse variance at 90 degrees from the optimal angle: the larger eigenvalue."""
+        return float(variance_extrema(self.cov)[1])
 
 
 def optimal_quadrature_angle(cov: np.ndarray) -> float:
@@ -105,18 +102,11 @@ def optimal_quadrature_angle(cov: np.ndarray) -> float:
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
         raise ValueError(f"cov must be 2x2, got {cov.shape}")
-    cyy, czz, cyz = cov[0, 0], cov[1, 1], (cov[0, 1] + cov[1, 0]) / 2.0
-    half_diff = (cyy - czz) / 2.0
-    amplitude = np.hypot(half_diff, cyz)
-    mean_var = (cyy + czz) / 2.0
-    if amplitude <= 1e-12 * max(mean_var, 1e-300):
+    v_min, v_max = variance_extrema(cov)
+    if v_max - v_min <= 1e-12 * max(v_max + v_min, 1e-300):
         return 0.0
-    theta = (np.arctan2(2.0 * cyz, cyy - czz) + np.pi) / 2.0
-    if theta > np.pi / 2.0:
-        theta -= np.pi
-    if theta <= -np.pi / 2.0:
-        theta += np.pi
-    return float(theta)
+    theta = (np.arctan2(cov[0, 1] + cov[1, 0], cov[0, 0] - cov[1, 1]) + np.pi) / 2.0
+    return float(theta - np.pi if theta > np.pi / 2.0 else theta)
 
 
 def _transverse_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +134,9 @@ def squeezing_report(
 
     j_initial defaults to F (fully polarized single atom).  ``n_atoms``
     rescales every moment to ensemble level before forming the ratios;
-    the result is independent of it.
+    the result is independent of it.  The mean spin and its 3x3 covariance
+    come from one :func:`~spintomo.spin_algebra.moments` call; the transverse
+    covariance is their projection onto the plane orthogonal to the mean.
     """
     ops = spin_operators(state.spin)
     if j_initial is None:
@@ -154,29 +146,18 @@ def squeezing_report(
     if n_atoms <= 0:
         raise ValueError(f"n_atoms must be positive, got {n_atoms}")
 
-    rho = state.rho
-    mats = (ops.fx, ops.fy, ops.fz)
-    mean = np.array([float(np.real(np.trace(rho @ m))) for m in mats])
+    mean, cov_spin = moments(state.rho, (ops.fx, ops.fy, ops.fz))
     length = np.linalg.norm(mean)
     if length < 1e-9:
         raise PhysicalityError(
             "mean spin collapsed: squeezing parameters referenced to |<F>| are undefined"
         )
 
-    e2, e3 = _transverse_frame(mean)
-    fy_p = e2[0] * ops.fx + e2[1] * ops.fy + e2[2] * ops.fz
-    fz_p = e3[0] * ops.fx + e3[1] * ops.fy + e3[2] * ops.fz
-    ey = float(np.real(np.trace(rho @ fy_p)))
-    ez = float(np.real(np.trace(rho @ fz_p)))
-    cyy = float(np.real(np.trace(rho @ fy_p @ fy_p))) - ey * ey
-    czz = float(np.real(np.trace(rho @ fz_p @ fz_p))) - ez * ez
-    sym = (fy_p @ fz_p + fz_p @ fy_p) / 2.0
-    cyz = float(np.real(np.trace(rho @ sym))) - ey * ez
-    cov = np.array([[cyy, cyz], [cyz, czz]])
-
+    # covariance of (F_y', F_z') = E C E^T with E the rows of the transverse frame
+    frame = np.array(_transverse_frame(mean))
+    cov = frame @ cov_spin @ frame.T
     angle = optimal_quadrature_angle(cov)
-    direction = np.array([np.cos(angle), np.sin(angle)])
-    v_min = float(direction @ cov @ direction)
+    v_min = float(variance_extrema(cov)[0])
 
     # ensemble scaling: every term is linear in N, so the ratios cancel it
     v_ens = n_atoms * v_min
@@ -222,10 +203,9 @@ class TactOptimum:
 
 def _first_local_min(values: np.ndarray) -> int:
     """Index of the first interior local minimum, or argmin if none exists."""
-    for i in range(1, len(values) - 1):
-        if values[i] < values[i - 1] and values[i] <= values[i + 1]:
-            return i
-    return int(np.argmin(values))
+    inner = values[1:-1]
+    hits = np.flatnonzero((inner < values[:-2]) & (inner <= values[2:]))
+    return int(hits[0]) + 1 if hits.size else int(np.argmin(values))
 
 
 def tact_optimum(f, scan_points: int = 2000, refine_tol: float = 1e-6) -> TactOptimum:
@@ -234,7 +214,9 @@ def tact_optimum(f, scan_points: int = 2000, refine_tol: float = 1e-6) -> TactOp
     Evolves the coherent state along +x under Fz^2 - Fy^2 over the scaled
     time alpha*t in (0, pi], locates the first minimum of each squeezing
     parameter on a uniform grid, and refines it by bounded golden-section
-    search to ``refine_tol``.
+    search to ``refine_tol``.  The whole grid is one batched
+    :func:`~spintomo.spin_algebra.moments` call on the stack of scanned
+    states; the refinement evaluates the same code at a single time.
     """
     f = SpinQuantumNumber.coerce(f)
     if f.two_f < 2:
@@ -245,35 +227,30 @@ def tact_optimum(f, scan_points: int = 2000, refine_tol: float = 1e-6) -> TactOp
     ops = spin_operators(f)
     h = tact_hamiltonian(ops, 1.0)
     w, v = np.linalg.eigh(h.matrix)
-    psi0 = coherent_state_vector(f, np.pi / 2.0, 0.0)
-    coeffs = v.conj().T @ psi0
-    fx, fy, fz = np.asarray(ops.fx), np.asarray(ops.fy), np.asarray(ops.fz)
-    fy2, fz2, fyz = fy @ fy, fz @ fz, (fy @ fz + fz @ fy) / 2.0
+    coeffs = v.conj().T @ coherent_state_vector(f, np.pi / 2.0, 0.0)
     j_init = f.f_value
 
-    def params_at(tau: float) -> tuple[float, float, float]:
-        # Collapse-safe scan values.  The mean spin of this evolution stays
-        # on the +-x axis by symmetry, so the transverse plane is fixed and
-        # chi2 remains finite even where the others diverge with |<F>| -> 0.
-        psi = v @ (np.exp(-1j * w * tau) * coeffs)
-        mean_x = float(np.real(psi.conj() @ (fx @ psi)))
-        mean_y = float(np.real(psi.conj() @ (fy @ psi)))
-        mean_z = float(np.real(psi.conj() @ (fz @ psi)))
-        cyy = float(np.real(psi.conj() @ (fy2 @ psi))) - mean_y**2
-        czz = float(np.real(psi.conj() @ (fz2 @ psi))) - mean_z**2
-        cyz = float(np.real(psi.conj() @ (fyz @ psi))) - mean_y * mean_z
-        cov = np.array([[cyy, cyz], [cyz, czz]])
-        angle = optimal_quadrature_angle(cov)
-        direction = np.array([np.cos(angle), np.sin(angle)])
-        v_min = float(direction @ cov @ direction)
-        chi2 = 2.0 * v_min / j_init
-        length = abs(mean_x)
-        if length < 1e-12:
-            return chi2, np.inf, np.inf
-        return chi2, 2.0 * v_min / length, 2.0 * j_init * v_min / length**2
+    def states_at(taus: np.ndarray) -> np.ndarray:
+        return (np.exp(-1j * np.multiply.outer(taus, w)) * coeffs) @ v.T
+
+    def params_at(taus: np.ndarray) -> np.ndarray:
+        # Collapse-safe (chi2, zeta2, xi2) rows, one per time.  The mean spin
+        # of this evolution stays on the +-x axis by symmetry, so the
+        # transverse plane is the fixed (y, z) plane and chi2 remains finite
+        # even where the others diverge with |<F>| -> 0.
+        psi = states_at(taus)
+        rho = np.einsum("ni,nj->nij", psi, psi.conj())
+        mean, cov = moments(rho, (ops.fx, ops.fy, ops.fz))
+        v_min = variance_extrema(cov[:, 1:, 1:])[0]
+        length = np.abs(mean[:, 0])
+        collapsed = length < 1e-12
+        length = np.where(collapsed, 1.0, length)
+        zeta2 = np.where(collapsed, np.inf, 2.0 * v_min / length)
+        xi2 = np.where(collapsed, np.inf, 2.0 * j_init * v_min / length**2)
+        return np.stack([2.0 * v_min / j_init, zeta2, xi2], axis=1)
 
     taus = np.linspace(np.pi / scan_points, np.pi, scan_points)
-    table = np.array([params_at(tau) for tau in taus])
+    table = params_at(taus)
 
     minima = {}
     for col, name in enumerate(("chi2", "zeta2", "xi2")):
@@ -281,14 +258,14 @@ def tact_optimum(f, scan_points: int = 2000, refine_tol: float = 1e-6) -> TactOp
         lo = taus[max(i - 1, 0)]
         hi = taus[min(i + 1, scan_points - 1)]
         res = minimize_scalar(
-            lambda tau, c=col: params_at(tau)[c],
+            lambda tau, c=col: params_at(np.array([tau]))[0, c],
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": refine_tol},
         )
         minima[name] = (float(res.fun), float(res.x))
 
-    psi_best = v @ (np.exp(-1j * w * minima["zeta2"][1]) * coeffs)
+    psi_best = states_at(np.array([minima["zeta2"][1]]))[0]
     best_report = squeezing_report(QuantumState.from_vector(psi_best), j_initial=j_init)
     return TactOptimum(
         f=f,

@@ -15,15 +15,15 @@ Both consume the same records, so they cross-validate each other.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConvergenceError, PhysicalityError
 from .probe import CanonicalMoments, MeasurementRecord
+from .spin_algebra import moments, variance_extrema
 
 __all__ = [
     "CorrectedCovariance",
@@ -39,8 +39,8 @@ __all__ = [
 class CorrectedCovariance:
     """Atomic canonical moments recovered from a record, with sampling error.
 
-    ``statistical_error`` is the relative 1-sigma error sqrt(2/(n-1)) of a
-    Gaussian variance estimate from n shots.
+    Unlike :class:`~spintomo.probe.CanonicalMoments` this is a sampled
+    estimate, so it need not respect the Heisenberg floor.
     """
 
     mean_x: float
@@ -49,14 +49,15 @@ class CorrectedCovariance:
     var_p: float
     cov_xp: float
     n_shots: int
-    statistical_error: float
 
     def __post_init__(self) -> None:
         if self.n_shots < 2:
             raise ValueError(f"need at least 2 shots, got {self.n_shots}")
-        expected = np.sqrt(2.0 / (self.n_shots - 1))
-        if abs(self.statistical_error - expected) > 1e-12:
-            raise ValueError("statistical_error must equal sqrt(2/(n_shots-1))")
+
+    @property
+    def statistical_error(self) -> float:
+        """Relative 1-sigma error sqrt(2/(n-1)) of a Gaussian variance estimate from n shots."""
+        return float(np.sqrt(2.0 / (self.n_shots - 1)))
 
     @property
     def covariance_matrix(self) -> np.ndarray:
@@ -64,21 +65,10 @@ class CorrectedCovariance:
 
     @property
     def min_variance(self) -> float:
-        return float(np.linalg.eigvalsh(self.covariance_matrix)[0])
+        return float(variance_extrema(self.covariance_matrix)[0])
 
     def to_dict(self) -> dict:
-        return {
-            "mean_x": self.mean_x,
-            "mean_p": self.mean_p,
-            "var_x": self.var_x,
-            "var_p": self.var_p,
-            "cov_xp": self.cov_xp,
-            "n_shots": self.n_shots,
-            "statistical_error": self.statistical_error,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return {**asdict(self), "statistical_error": self.statistical_error}
 
 
 def corrected_variance(total_variance: float, kappa2: float) -> float:
@@ -110,26 +100,25 @@ def correct_covariance(record: MeasurementRecord, sigma_flag: float = 5.0) -> Co
     var_ys = float(np.var(y_s, ddof=1))
     cov_cs = float(np.cov(y_c, y_s, ddof=1)[0, 1])
     gain = 2.0 / kappa2
-    var_x = corrected_variance(var_yc, kappa2)
-    var_p = corrected_variance(var_ys, kappa2)
-    cov_xp = cov_cs * gain
-    stat = float(np.sqrt(2.0 / (n - 1)))
-    for name, val, raw in (("var_x", var_x, var_yc), ("var_p", var_p, var_ys)):
-        if val < -sigma_flag * stat * raw * gain:
+    mean_scale = np.sqrt(gain)
+    corrected = CorrectedCovariance(
+        mean_x=float(np.mean(y_c)) * mean_scale,
+        mean_p=float(np.mean(y_s)) * mean_scale,
+        var_x=corrected_variance(var_yc, kappa2),
+        var_p=corrected_variance(var_ys, kappa2),
+        cov_xp=cov_cs * gain,
+        n_shots=n,
+    )
+    for name, val, raw in (
+        ("var_x", corrected.var_x, var_yc),
+        ("var_p", corrected.var_p, var_ys),
+    ):
+        if val < -sigma_flag * corrected.statistical_error * raw * gain:
             raise PhysicalityError(
                 f"unphysical correction: {name} = {val:.6g} is more than "
                 f"{sigma_flag:g} standard errors below zero"
             )
-    mean_scale = np.sqrt(gain)
-    return CorrectedCovariance(
-        mean_x=float(np.mean(y_c)) * mean_scale,
-        mean_p=float(np.mean(y_s)) * mean_scale,
-        var_x=var_x,
-        var_p=var_p,
-        cov_xp=cov_xp,
-        n_shots=n,
-        statistical_error=stat,
-    )
+    return corrected
 
 
 @dataclass(frozen=True)
@@ -190,18 +179,6 @@ class OscillatorDensityMatrix:
             "converged": self.converged,
             "rho_row_major_re_im": flat,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def to_csv(self, stream, header_comments: dict | None = None) -> None:
-        for key, val in (header_comments or {}).items():
-            stream.write(f"# {key}={val}\n")
-        stream.write("row,col,re,im\n")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                z = self.rho[i, j]
-                stream.write(f"{i},{j},{z.real:.17g},{z.imag:.17g}\n")
 
 
 def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -382,28 +359,12 @@ def variances_from_rho(rho) -> CanonicalMoments:
     padded with two empty levels before the quadratic forms are taken, so
     the second moments (which reach two levels up) are exact for any state
     supported on the truncated basis and the Heisenberg floor is preserved.
+    The moments come from :func:`~spintomo.spin_algebra.moments`.
     """
     if isinstance(rho, OscillatorDensityMatrix):
         rho = rho.rho
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0] + 2
-    padded = np.zeros((dim, dim), dtype=complex)
-    padded[: rho.shape[0], : rho.shape[0]] = rho
-    rho = padded
-    a = annihilation_operator(dim)
+    padded = np.pad(np.asarray(rho, dtype=complex), ((0, 2), (0, 2)))
+    a = annihilation_operator(padded.shape[0])
     x = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-
-    def ev(op):
-        return float(np.real(np.trace(rho @ op)))
-
-    mean_x = ev(x)
-    mean_p = ev(p)
-    sym = (x @ p + p @ x) / 2.0
-    return CanonicalMoments(
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=ev(x @ x) - mean_x**2,
-        var_p=ev(p @ p) - mean_p**2,
-        cov_xp=ev(sym) - mean_x * mean_p,
-    )
+    return CanonicalMoments.from_moments(*moments(padded, (x, p)))

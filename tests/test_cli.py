@@ -111,8 +111,9 @@ class TestSweep:
         [
             (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2, "usage error"),
             (PhysicalityError("covariance below the Heisenberg floor"), 1, "numerical failure"),
+            (np.linalg.LinAlgError("Matrix is not positive definite"), 1, "numerical failure"),
         ],
-        ids=["unicode-decode", "physicality"],
+        ids=["unicode-decode", "physicality", "linalg"],
     )
     def test_point_failure_exit_code(self, config_path, tmp_path, capsys, monkeypatch,
                                      injected, code, prefix):

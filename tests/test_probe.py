@@ -27,7 +27,6 @@ from spintomo import (
     thermal_calibration,
     vacuum_calibration,
 )
-from spintomo.probe import record_to_csv_text
 
 
 def _tact_state(tau):
@@ -258,8 +257,9 @@ class TestRecordSerialization:
     def test_csv_round_trip_bit_exact(self):
         m = CanonicalMoments(0.123, -0.456, 0.7, 0.5, 0.1)
         rec = simulate_records(m, 0.8, 257, seed=10)
-        text = record_to_csv_text(rec, header_comments={"note": "test"})
-        back = record_from_csv(io.StringIO(text))
+        buf = io.StringIO()
+        record_to_csv(rec, buf, header_comments={"note": "test"})
+        back = record_from_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.shots, rec.shots)
         assert back.kappa2 == rec.kappa2
         assert back.seed == rec.seed

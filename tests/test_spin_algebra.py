@@ -11,8 +11,11 @@ from spintomo import (
     coherent_state_vector,
     covariance,
     expectation,
+    moments,
     rotate,
     spin_operators,
+    variance_extrema,
+    variances_from_rho,
 )
 from conftest import random_density_matrix
 
@@ -158,6 +161,70 @@ class TestExpectationCovariance:
             expectation(css_x4, np.eye(4))
         with pytest.raises(ValueError):
             covariance(css_x4, np.eye(9), np.eye(4))
+
+
+class TestMomentsKernel:
+    @pytest.mark.parametrize("f", [0.5, 1.0, 1.5, 4.0, 7.5])
+    def test_coherent_state_closed_form(self, f):
+        # mean F n and covariance (F/2)(I - n n^T) at any direction n
+        ops = spin_operators(f)
+        spin = (ops.fx, ops.fy, ops.fz)
+        rng = np.random.default_rng(int(4 * f))
+        for theta, phi in zip(rng.uniform(0.0, np.pi, 6), rng.uniform(-np.pi, np.pi, 6)):
+            n = np.array(
+                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+            )
+            mean, cov = moments(coherent_spin_state(f, theta, phi).rho, spin)
+            assert np.abs(mean - f * n).max() <= 1e-12
+            assert np.abs(cov - (f / 2.0) * (np.eye(3) - np.outer(n, n))).max() <= 1e-12
+
+    @pytest.mark.parametrize("f", [0.5, 1.0, 2.5, 4.0])
+    def test_dicke_states(self, f):
+        ops = spin_operators(f)
+        d = ops.dimension
+        for i, m in enumerate(ops.f.m_values):
+            mean, cov = moments(np.diag(np.eye(d)[i]).astype(complex), (ops.fx, ops.fy, ops.fz))
+            transverse = (f * (f + 1.0) - m**2) / 2.0
+            assert np.abs(mean - [0.0, 0.0, m]).max() <= 1e-12
+            assert np.abs(cov - np.diag([transverse, transverse, 0.0])).max() <= 1e-12
+
+    def test_batch_matches_one_by_one(self, ops4):
+        rng = np.random.default_rng(21)
+        spin = (ops4.fx, ops4.fy, ops4.fz)
+        stack = np.array([random_density_matrix(9, rng).rho for _ in range(6)]).reshape(2, 3, 9, 9)
+        mean, cov = moments(stack, spin)
+        assert mean.shape == (2, 3, 3) and cov.shape == (2, 3, 3, 3)
+        for idx in np.ndindex(2, 3):
+            rho = stack[idx]
+            one_mean, one_cov = moments(rho, spin)
+            assert np.abs(mean[idx] - one_mean).max() <= 1e-12
+            assert np.abs(cov[idx] - one_cov).max() <= 1e-12
+            # and both against traces written out directly
+            direct = [np.trace(rho @ a).real for a in spin]
+            assert np.abs(one_mean - direct).max() <= 1e-12
+            for j, a in enumerate(spin):
+                for k, b in enumerate(spin):
+                    sym = np.trace(rho @ (a @ b + b @ a)).real / 2.0
+                    assert abs(one_cov[j, k] - (sym - direct[j] * direct[k])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 7])
+    def test_fock_state_quadratures(self, n):
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[n, n] = 1.0
+        vm = variances_from_rho(rho)
+        assert abs(vm.mean_x) <= 1e-12 and abs(vm.mean_p) <= 1e-12
+        assert abs(vm.var_x - (n + 0.5)) <= 1e-12
+        assert abs(vm.var_p - (n + 0.5)) <= 1e-12
+        assert abs(vm.cov_xp) <= 1e-12
+
+    def test_variance_extrema_match_eigvalsh(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((50, 2, 2))
+        covs = np.concatenate([a @ a.transpose(0, 2, 1), [np.eye(2) * 1.7, np.diag([3.0, 1.0])]])
+        lo, hi = variance_extrema(covs)
+        expected = np.linalg.eigvalsh(covs)
+        assert np.abs(lo - expected[:, 0]).max() <= 1e-12
+        assert np.abs(hi - expected[:, 1]).max() <= 1e-12
 
 
 class TestRotate:

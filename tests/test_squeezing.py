@@ -19,6 +19,7 @@ from spintomo import (
     tact_hamiltonian,
     tact_optimum,
 )
+from spintomo.squeezing import _first_local_min
 
 
 def _evolved_tact(f, tau):
@@ -205,6 +206,25 @@ class TestTactOptimum:
     def test_spin_half_rejected(self):
         with pytest.raises(ValueError, match="cannot squeeze"):
             tact_optimum(0.5)
+
+    def test_first_local_min_matches_loop(self):
+        # the vectorized first-minimum search of the scan against a plain loop
+        def reference(values):
+            for i in range(1, len(values) - 1):
+                if values[i] < values[i - 1] and values[i] <= values[i + 1]:
+                    return i
+            return int(np.argmin(values))
+
+        rng = np.random.default_rng(17)
+        cases = [rng.integers(0, 4, n).astype(float) for n in (3, 5, 12, 40) for _ in range(25)]
+        cases += [
+            np.arange(6.0),
+            np.arange(6.0)[::-1],
+            np.array([np.inf, 1.0, np.inf, 0.5]),
+            np.full(3, 2.0),
+        ]
+        for values in cases:
+            assert _first_local_min(values) == reference(values)
 
 
 class TestHusimi:

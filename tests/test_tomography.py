@@ -223,16 +223,6 @@ class TestOscillatorDensityMatrix:
         rebuilt = (flat[:, 0] + 1j * flat[:, 1]).reshape(10, 10)
         assert np.abs(rebuilt - odm.rho).max() <= 1e-15
 
-    def test_csv_shape(self):
-        rec = simulate_records(VACUUM, 0.8, 3_000, seed=48)
-        odm = mle_reconstruct(rec)
-        import io
-
-        buf = io.StringIO()
-        odm.to_csv(buf, header_comments={"x": 1})
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 1 + 1 + 100
-
     def test_invariants_enforced(self):
         with pytest.raises(PhysicalityError):
             OscillatorDensityMatrix(dim=4, rho=np.eye(4, dtype=complex))  # trace 4
