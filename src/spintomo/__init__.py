@@ -11,7 +11,6 @@ from .dynamics import (
     DecayChannels,
     Hamiltonian,
     compensated_hamiltonian,
-    evolve_lindblad,
     evolve_unitary,
     light_shift_hamiltonian,
     lindblad_trajectory,

@@ -22,6 +22,7 @@ from .errors import ConvergenceError, PhysicalityError, SweepPointError
 from .experiment import ExperimentConfig, evolved_state, point_record, run_sweep
 from .probe import record_from_csv, record_to_csv
 from .squeezing import husimi, tact_optimum
+from .tables import write_table
 from .tomography import mle_reconstruct, correct_covariance
 
 __all__ = ["main", "build_parser"]
@@ -148,13 +149,13 @@ def _cmd_limits(args) -> None:
         ) + "\n"
     else:
         buf = io.StringIO()
-        buf.write(f"# params_sha256={params_hash}\n")
-        buf.write(f"# scan: {optima[0].scan_points} points over (0, pi], "
-                  f"refined to {optima[0].refine_tol:g}\n")
-        buf.write("# units: spin, 1, rad, 1, rad, 1, rad\n")
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        scan, tol = optima[0].scan_points, optima[0].refine_tol
+        comments = [
+            f"params_sha256={params_hash}",
+            f"scan: {scan} points over (0, pi], refined to {tol:g}",
+            "units: spin, 1, rad, 1, rad, 1, rad",
+        ]
+        write_table(buf, comments, columns, rows)
         text = buf.getvalue()
     _atomic_write(args.out, text)
 

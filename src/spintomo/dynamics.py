@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import PhysicalityError
-from .spin_algebra import QuantumState, SpinOperators, spin_operators
+from .spin_algebra import QuantumState, SpinOperators, rotation_unitary, spin_operators
 
 __all__ = [
     "Hamiltonian",
@@ -25,7 +25,6 @@ __all__ = [
     "zeeman_hamiltonian",
     "compensated_hamiltonian",
     "evolve_unitary",
-    "evolve_lindblad",
     "lindblad_trajectory",
 ]
 
@@ -154,32 +153,19 @@ def compensated_hamiltonian(
     ``scalar_offset``.  ``residual`` adds an uncompensated delta * Fx^2 term
     modelling slight over/under-compensation; the default is exact tuning.
 
-    The average is evaluated numerically on a uniform angle grid, which is
-    exact here because the integrand is a trigonometric polynomial of degree
-    four in theta.
+    The average is taken in closed form: under the weight (1 + cos 2theta),
+    Fz^2 rotated by theta about x averages to (3/4) Fz^2 + (1/4) Fy^2, i.e.
+    3/4 of the light shift plus 1/4 of it rotated by pi/2 about x.
     """
-    d = ops.dimension
+    light = light_shift_hamiltonian(ops, a0, -8.0 * beta).matrix
+    u = rotation_unitary(ops, [1.0, 0.0, 0.0], np.pi / 2.0)
+    h = 0.75 * light + 0.25 * (u @ light @ u.conj().T)
+    h += zeeman_hamiltonian(ops, 0.0, beta + residual).matrix
     fval = ops.f.f_value
-    a2 = -8.0 * beta
-    fz2 = ops.fz @ ops.fz
-    w, v = np.linalg.eigh(ops.fx)
-    n_angles = 16  # > 2 * (highest harmonic) = 8; average is then exact
-    h = np.zeros((d, d), dtype=complex)
-    for k in range(n_angles):
-        theta = 2.0 * np.pi * k / n_angles
-        u = (v * np.exp(1j * theta * w)) @ v.conj().T
-        h_lab = -0.25 * (1.0 + np.cos(2.0 * theta)) * (a0 * np.eye(d) + a2 * fz2)
-        h += u @ h_lab @ u.conj().T
-    h /= n_angles
-    h += beta * (ops.fx @ ops.fx)
-    if residual:
-        h += residual * (ops.fx @ ops.fx)
-    h = (h + h.conj().T) / 2.0
-    offset = -a0 / 4.0 + beta * fval * (fval + 1.0)
     return Hamiltonian(
-        h,
+        (h + h.conj().T) / 2.0,
         label=f"compensated(beta={beta:g}, a0={a0:g}, residual={residual:g})",
-        scalar_offset=offset,
+        scalar_offset=-a0 / 4.0 + beta * fval * (fval + 1.0),
     )
 
 
@@ -211,26 +197,6 @@ def _liouvillian(h: Hamiltonian, decay: DecayChannels, fx: np.ndarray) -> np.nda
         + decay.dephasing_rate
         * (np.kron(fx, fx.T) - 0.5 * (np.kron(fx2, eye) + np.kron(eye, fx2.T)))
     )
-
-
-def evolve_lindblad(
-    state: QuantumState,
-    h: Hamiltonian,
-    decay: DecayChannels,
-    t: float,
-) -> QuantumState:
-    """Open-system evolution under H plus depolarization and Fx dephasing.
-
-    Solves the master equation
-
-        drho/dt = -i [H, rho] + Gamma_d (Tr(rho) I/d - rho)
-                  + gamma_phi (Fx rho Fx - {Fx^2, rho}/2)
-
-    exactly: the generator is time-independent, so rho(t) = exp(L t) rho(0)
-    on vec(rho).  See :func:`lindblad_trajectory` for the method and its
-    checks.
-    """
-    return lindblad_trajectory(state, h, decay, [t])[0]
 
 
 def lindblad_trajectory(

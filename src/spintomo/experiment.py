@@ -10,7 +10,6 @@ back to their parameters.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -19,10 +18,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dynamics import DecayChannels, compensated_hamiltonian, lindblad_trajectory
-from .errors import PhysicalityError, SweepPointError
+from .errors import SweepPointError
 from .probe import MeasurementRecord, canonical_moments, simulate_records
-from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, expectation, spin_operators
-from .squeezing import squeezing_report
+from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
+from .squeezing import SqueezingReport, squeezing_report
+from .tables import write_table
 from .tomography import CorrectedCovariance, OscillatorDensityMatrix, correct_covariance, mle_reconstruct
 
 __all__ = [
@@ -61,8 +61,6 @@ class ExperimentConfig:
     Config file schema (flat ``key=value`` lines, ``#`` comments allowed)::
 
         f                      total spin (default 4)
-        n_atoms                ensemble size; metadata only, the per-atom
-                               parameters are size-independent (default 1e12)
         omega_l                Larmor frequency, rad/ms (default 2*pi*322)
         beta                   quadratic Zeeman coefficient, rad/ms
         twisting_rate          effective (Fz^2 - Fy^2) coefficient, rad/ms;
@@ -82,7 +80,6 @@ class ExperimentConfig:
     """
 
     f: float = 4.0
-    n_atoms: float = 1e12
     omega_l: float = 2.0 * np.pi * 322.0
     beta: float | None = None
     twisting_rate: float | None = None
@@ -237,35 +234,23 @@ def evolved_state(config: ExperimentConfig, t_r: float) -> QuantumState:
     return _evolved_states(config, [t_r])[0]
 
 
-def point_record(
-    config: ExperimentConfig,
-    t_r: float,
-    state: QuantumState | None = None,
-    jx_readout_sigma: float = 0.0,
-) -> MeasurementRecord:
-    """Synthesize the probe record for one drive duration.
+def _probe_point(
+    config: ExperimentConfig, t_r: float, state: QuantumState
+) -> tuple[SqueezingReport, MeasurementRecord]:
+    """Squeezing report and synthesized probe record of one evolved sweep point.
 
-    The canonical normalization uses the magnitude of the current mean spin,
+    The record's canonical normalization is the report's mean spin length,
     mirroring the auxiliary mean-spin monitor of the measurement sequence.
-    By default the monitor is exact; ``jx_readout_sigma`` adds a seeded
-    Gaussian relative error to the monitored value.
     """
-    if state is None:
-        state = _evolved_states(config, [t_r])[0]
-    ops = spin_operators(config.spin)
-    jx = abs(expectation(state, ops.fx))
-    if jx_readout_sigma:
-        monitor_seed = np.random.SeedSequence(
-            [int(config.seed), int(round(t_r * 1e9)), 1]
-        )
-        noise = np.random.default_rng(monitor_seed).standard_normal()
-        jx *= 1.0 + jx_readout_sigma * noise
-    if jx < 1e-6:
-        raise PhysicalityError(
-            "mean spin collapsed: the canonical probe normalization is undefined"
-        )
-    moments = canonical_moments(state, ops, pump_jx=jx)
-    return simulate_records(moments, config.kappa2, config.n_shots, _point_seed(config, t_r))
+    report = squeezing_report(state)
+    moments = canonical_moments(report)
+    record = simulate_records(moments, config.kappa2, config.n_shots, _point_seed(config, t_r))
+    return report, record
+
+
+def point_record(config: ExperimentConfig, t_r: float) -> MeasurementRecord:
+    """Synthesize the probe record for one drive duration."""
+    return _probe_point(config, t_r, evolved_state(config, t_r))[1]
 
 
 @dataclass(frozen=True)
@@ -307,12 +292,8 @@ class SweepResult:
     _UNITS = ("ms", "1", "1", "1", "1", "1", "1", "hbar")
 
     def to_csv(self, stream) -> None:
-        stream.write(f"# config_sha256={self.config_hash}\n")
-        stream.write("# units: " + ",".join(self._UNITS) + "\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(self._COLUMNS)
-        for row in self.rows:
-            writer.writerow([f"{v:.17g}" for v in row.as_tuple()])
+        comments = [f"config_sha256={self.config_hash}", "units: " + ",".join(self._UNITS)]
+        write_table(stream, comments, self._COLUMNS, (row.as_tuple() for row in self.rows))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -337,19 +318,17 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     zeta2_true / chi2_true / xi2_true come from the evolved density matrix;
     zeta2_reconstructed applies the covariance correction to the synthesized
     records, with its propagated 1-sigma sampling error.  A failure while
-    probing or reconstructing one point raises :class:`SweepPointError`
-    naming its duration, chained to the original exception.
+    analysing, probing or reconstructing one point raises
+    :class:`SweepPointError` naming its duration, chained to the original
+    exception.
     """
     durations = config.raman_durations
     states = _evolved_states(config, durations)
-    f_value = config.spin.f_value
-    jx0 = config.pump_fraction * f_value  # mean spin before the drive
+    jx0 = config.pump_fraction * config.spin.f_value  # mean spin before the drive
     rows = []
     for t_r, state in zip(durations, states):
-        report = squeezing_report(state, j_initial=f_value)
-        jx = report.mean_spin_length
         try:
-            record = point_record(config, t_r, state=state)
+            report, record = _probe_point(config, t_r, state)
             corrected = correct_covariance(record)
             zeta2_rec = 2.0 * corrected.min_variance
             zeta2_err = _zeta2_error(corrected, config.kappa2)
@@ -363,8 +342,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 xi2_true=report.xi2,
                 zeta2_reconstructed=zeta2_rec,
                 zeta2_error=zeta2_err,
-                mean_spin_fraction=jx / jx0,
-                css_reference_variance=jx / 2.0,
+                mean_spin_fraction=report.mean_spin_length / jx0,
+                css_reference_variance=report.mean_spin_length / 2.0,
             )
         )
     return SweepResult(rows=tuple(rows), config_hash=config.config_hash)
@@ -389,12 +368,16 @@ def reconstruct_sweep(
     ``durations`` defaults to the config's sweep grid.  Records are
     regenerated deterministically from the config, so each reconstruction
     corresponds shot-for-shot to the same duration in ``run_sweep(config)``.
+    A failure at one point raises :class:`SweepPointError` naming it.
     """
     if durations is None:
         durations = config.raman_durations
     states = _evolved_states(config, durations)
     out = []
     for t_r, state in zip(durations, states):
-        record = point_record(config, t_r, state=state)
-        out.append((t_r, mle_reconstruct(record, dim=dim, max_iter=max_iter, tol=tol)))
+        try:
+            _, record = _probe_point(config, t_r, state)
+            out.append((t_r, mle_reconstruct(record, dim=dim, max_iter=max_iter, tol=tol)))
+        except Exception as exc:
+            raise SweepPointError(t_r, exc) from exc
     return out

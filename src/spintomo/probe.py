@@ -5,9 +5,11 @@ The probe demodulates the polarization signal at the Larmor frequency into a
 cosine and a sine component per shot.  In the large-ensemble harmonic
 approximation the transverse spin pair maps to canonical quadratures
 
-    x = F_y' / sqrt(<F_x>),    p = F_z' / sqrt(<F_x>),
+    x = F_y' / sqrt(<F_x'>),    p = F_z' / sqrt(<F_x'>),
 
-normalized so a fully polarized coherent state is the vacuum with
+where the primed frame has x' along the mean spin (the frame of
+:class:`~spintomo.squeezing.SqueezingReport`), so <F_x'> = |<F>| and
+<F_y'> = <F_z'> = 0.  Any coherent state is then the vacuum with
 var(x) = var(p) = 1/2.  Each demodulated outcome is then
 
     y_c = l_c + sqrt(kappa2/2) x + sqrt(kappa2^2/12) b_c
@@ -21,13 +23,14 @@ calibrated in the lab against the thermal ensemble noise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PhysicalityError
-from .spin_algebra import QuantumState, SpinOperators, moments, variance_extrema
+from .spin_algebra import variance_extrema
+from .squeezing import SqueezingReport
+from .tables import read_table, write_table
 
 __all__ = [
     "CanonicalMoments",
@@ -132,19 +135,14 @@ class MeasurementRecord:
         return replace(self, shots=self.shots * float(factor))
 
 
-def canonical_moments(state: QuantumState, ops: SpinOperators, pump_jx: float) -> CanonicalMoments:
-    """Canonical (x, p) moments of a spin state, normalized by the mean spin.
+def canonical_moments(report: SqueezingReport) -> CanonicalMoments:
+    """Canonical (x, p) moments of a state from its squeezing report.
 
-    ``pump_jx`` is the per-atom <F_x> reference used for the normalization;
-    the pipeline passes the current mean spin, under which the commutator of
-    (x, p) is exactly canonical and a coherent state maps to vacuum.  The
-    (F_y, F_z) moments come from :func:`~spintomo.spin_algebra.moments`,
-    which rejects an operator set of the wrong dimension.
+    The quadratures are the report's transverse pair (F_y', F_z') divided by
+    sqrt(|<F>|), under which their commutator is exactly canonical.  Their
+    means vanish by construction of the frame.
     """
-    if pump_jx <= 0:
-        raise ValueError(f"pump_jx must be positive, got {pump_jx}")
-    mean, cov = moments(state.rho, (ops.fy, ops.fz))
-    return CanonicalMoments.from_moments(mean / np.sqrt(pump_jx), cov / pump_jx)
+    return CanonicalMoments.from_moments(np.zeros(2), report.cov / report.mean_spin_length)
 
 
 def output_variance(moments: CanonicalMoments, kappa2: float) -> tuple[float, float]:
@@ -261,48 +259,22 @@ def vacuum_calibration(record: MeasurementRecord) -> float:
     return float(np.sqrt(0.5 / raw_var))
 
 
-def record_to_csv(
-    record: MeasurementRecord,
-    stream,
-    header_comments: dict | None = None,
-) -> None:
-    """Serialize a record; 17 significant digits keep the round trip bit-exact."""
-    stream.write(f"# kappa2={record.kappa2:.17g}\n")
-    stream.write(f"# n_shots={record.n_shots}\n")
-    stream.write(f"# seed={record.seed}\n")
-    for key, val in (header_comments or {}).items():
-        stream.write(f"# {key}={val}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["y_c", "y_s"])
-    for y_c, y_s in record.shots:
-        writer.writerow([f"{y_c:.17g}", f"{y_s:.17g}"])
+def record_to_csv(record: MeasurementRecord, stream, header_comments: dict | None = None) -> None:
+    """Serialize a record as a :mod:`~spintomo.tables` table; the round trip is bit-exact."""
+    comments = [f"kappa2={record.kappa2:.17g}", f"n_shots={record.n_shots}", f"seed={record.seed}"]
+    comments += [f"{key}={val}" for key, val in (header_comments or {}).items()]
+    write_table(stream, comments, ("y_c", "y_s"), record.shots.tolist())
 
 
 def record_from_csv(stream) -> MeasurementRecord:
     """Parse a record written by :func:`record_to_csv`."""
-    kappa2 = None
-    seed = 0
-    rows = []
-    reader = csv.reader(stream)
-    for row in reader:
-        if not row:
-            continue
-        first = row[0].strip()
-        if first.startswith("#"):
-            text = ",".join(row).lstrip("# ").strip()
-            if "=" in text:
-                key, _, val = text.partition("=")
-                key = key.strip()
-                if key == "kappa2":
-                    kappa2 = float(val)
-                elif key == "seed":
-                    seed = int(val)
-            continue
-        if first == "y_c":
-            continue
-        rows.append((float(row[0]), float(row[1])))
-    if kappa2 is None:
+    comments, columns, rows = read_table(stream)
+    if columns != ["y_c", "y_s"]:
+        raise ValueError(f"record file header must be y_c,y_s, got {','.join(columns)!r}")
+    header = {key.strip(): val for key, sep, val in (c.partition("=") for c in comments) if sep}
+    if "kappa2" not in header:
         raise ValueError("record file is missing the kappa2 header")
     if not rows:
         raise ValueError("record file contains no shots")
-    return MeasurementRecord(shots=np.array(rows), kappa2=kappa2, seed=seed)
+    seed = int(header.get("seed", 0))
+    return MeasurementRecord(shots=np.array(rows), kappa2=float(header["kappa2"]), seed=seed)

@@ -9,13 +9,12 @@ state to three references:
     xi2   = 2 j_initial v_min / |<F>|^2  (initial angular resolution)
 
 All are per-atom quantities; for an ensemble of N identical uncorrelated
-atoms both v_min and the spin lengths scale with N, so the parameters are
-N-independent (checked, not assumed, via the ``n_atoms`` argument).
+atoms both v_min and the spin lengths scale with N, so the ratios are
+N-independent.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from .spin_algebra import (
     spin_operators,
     variance_extrema,
 )
+from .tables import write_table
 
 __all__ = [
     "SqueezingReport",
@@ -125,26 +125,20 @@ def _transverse_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e2, e3
 
 
-def squeezing_report(
-    state: QuantumState,
-    j_initial: float | None = None,
-    n_atoms: float = 1.0,
-) -> SqueezingReport:
+def squeezing_report(state: QuantumState, j_initial: float | None = None) -> SqueezingReport:
     """Squeezing parameters of a state relative to the initial spin length.
 
-    j_initial defaults to F (fully polarized single atom).  ``n_atoms``
-    rescales every moment to ensemble level before forming the ratios;
-    the result is independent of it.  The mean spin and its 3x3 covariance
-    come from one :func:`~spintomo.spin_algebra.moments` call; the transverse
-    covariance is their projection onto the plane orthogonal to the mean.
+    j_initial defaults to F (fully polarized single atom).  The mean spin and
+    its 3x3 covariance come from one :func:`~spintomo.spin_algebra.moments`
+    call; the transverse covariance is their projection onto the plane
+    orthogonal to the mean.  A mean spin shorter than 1e-9 has no transverse
+    plane and raises :class:`PhysicalityError`.
     """
     ops = spin_operators(state.spin)
     if j_initial is None:
         j_initial = ops.f.f_value
     if j_initial <= 0:
         raise ValueError(f"j_initial must be positive, got {j_initial}")
-    if n_atoms <= 0:
-        raise ValueError(f"n_atoms must be positive, got {n_atoms}")
 
     mean, cov_spin = moments(state.rho, (ops.fx, ops.fy, ops.fz))
     length = np.linalg.norm(mean)
@@ -159,21 +153,13 @@ def squeezing_report(
     angle = optimal_quadrature_angle(cov)
     v_min = float(variance_extrema(cov)[0])
 
-    # ensemble scaling: every term is linear in N, so the ratios cancel it
-    v_ens = n_atoms * v_min
-    len_ens = n_atoms * length
-    j_ens = n_atoms * j_initial
-    chi2 = 2.0 * v_ens / j_ens
-    zeta2 = 2.0 * v_ens / len_ens
-    xi2 = 2.0 * j_ens * v_ens / len_ens**2
-
     return SqueezingReport(
         mean_spin=mean,
         cov=cov,
         optimal_angle=angle,
-        chi2=chi2,
-        zeta2=zeta2,
-        xi2=xi2,
+        chi2=2.0 * v_min / j_initial,
+        zeta2=2.0 * v_min / length,
+        xi2=2.0 * j_initial * v_min / length**2,
         j_initial=float(j_initial),
     )
 
@@ -322,16 +308,11 @@ class HusimiGrid:
         return float(weighted * (self.f.two_f + 1) / (4.0 * np.pi))
 
     def to_csv(self, stream, header_comments: dict | None = None) -> None:
-        """Write rows (theta, phi, value); angles in radians."""
-        for key, val in (header_comments or {}).items():
-            stream.write(f"# {key}={val}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["theta_rad", "phi_rad", "q_value"])
-        for i, theta in enumerate(self.thetas):
-            for j, phi in enumerate(self.phis):
-                writer.writerow(
-                    [f"{theta:.17g}", f"{phi:.17g}", f"{self.values[i, j]:.17g}"]
-                )
+        """Write rows (theta, phi, value), theta-major; angles in radians."""
+        theta, phi = np.meshgrid(self.thetas, self.phis, indexing="ij")
+        rows = np.column_stack([theta.ravel(), phi.ravel(), self.values.ravel()])
+        comments = [f"{key}={val}" for key, val in (header_comments or {}).items()]
+        write_table(stream, comments, ("theta_rad", "phi_rad", "q_value"), rows.tolist())
 
     def to_csv_text(self, header_comments: dict | None = None) -> str:
         buf = io.StringIO()

@@ -102,9 +102,10 @@ class TestSweep:
 
     def test_retired_dt_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("raman_durations = 0.5\nn_shots = 100\ndt = 1e-3\n")
-        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
-        assert "unknown config keys: ['dt']" in capsys.readouterr().err
+        for key, value in (("dt", "1e-3"), ("n_atoms", "1e12")):
+            cfg.write_text(f"raman_durations = 0.5\nn_shots = 100\n{key} = {value}\n")
+            assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "injected, code, prefix",
@@ -167,6 +168,24 @@ class TestRecordsAndReconstruct:
     def test_missing_records_file(self, tmp_path, capsys):
         assert run_cli("reconstruct", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o.json")) == 2
         assert "records file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("y_c,y_s\n0.1,0.2\n0.3\n", "line 4: 1 fields, header has 2"),
+            ("y_c,y_s\n0.1,0.2\n0.3,0.4,0.5\n", "line 4: 3 fields, header has 2"),
+            ("0.1,0.2\n0.3,0.4\n", "header must be y_c,y_s, got '0.1,0.2'"),
+        ],
+        ids=["short-row", "long-row", "no-header"],
+    )
+    def test_malformed_records_file(self, tmp_path, capsys, body, message):
+        rec_path = tmp_path / "bad.csv"
+        rec_path.write_text("# kappa2=0.8\n" + body)
+        out = tmp_path / "o.json"
+        assert run_cli("reconstruct", str(rec_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not out.exists()
 
 
 class TestQpd:

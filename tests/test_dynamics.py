@@ -10,7 +10,6 @@ from spintomo import (
     coherent_spin_state,
     compensated_hamiltonian,
     covariance,
-    evolve_lindblad,
     evolve_unitary,
     expectation,
     light_shift_hamiltonian,
@@ -21,7 +20,7 @@ from spintomo import (
     zeeman_hamiltonian,
 )
 from spintomo import dynamics
-from conftest import random_density_matrix
+from conftest import random_density_matrix, secular_compensated_matrix
 
 HALF_STEPS = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
@@ -130,9 +129,12 @@ class TestZeeman:
 class TestCompensation:
     @pytest.mark.parametrize("f", [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
     def test_operator_identity(self, f):
+        # the closed-form constructor against the numerical secular average,
+        # and both against the collapsed form offset * I + (beta/2)(Fz^2 - Fy^2)
         ops = spin_operators(f)
         beta, a0 = 0.37, 1.13
         h = compensated_hamiltonian(ops, beta, a0=a0)
+        assert np.abs(h.matrix - secular_compensated_matrix(ops, beta, a0)).max() <= 1e-12
         twisting = (beta / 2.0) * (ops.fz @ ops.fz - ops.fy @ ops.fy)
         resid = h.matrix - h.scalar_offset * np.eye(ops.dimension) - twisting
         assert np.abs(resid).max() <= 1e-12
@@ -225,7 +227,7 @@ class TestLindblad:
         h0 = Hamiltonian(np.zeros((9, 9)), "zero")
         state = coherent_spin_state(4, 0.0, 0.0)  # stretched along z: rich x-coherences
         t = 2.0
-        evolved = evolve_lindblad(state, h0, decay, t)
+        evolved = lindblad_trajectory(state, h0, decay, [t])[0]
         w, v = np.linalg.eigh(np.asarray(ops4.fx))
         m = np.round(w).astype(int)
         r0 = v.conj().T @ state.rho @ v
@@ -244,7 +246,7 @@ class TestLindblad:
         h0 = Hamiltonian(np.zeros((9, 9)), "zero")
         state = coherent_spin_state(4, 0.0, 0.0)
         t = 3.0
-        evolved = evolve_lindblad(state, h0, decay, t)
+        evolved = lindblad_trajectory(state, h0, decay, [t])[0]
         w, v = np.linalg.eigh(np.asarray(ops4.fx))
         r0 = v.conj().T @ state.rho @ v
         rt = v.conj().T @ evolved.rho @ v
@@ -255,7 +257,7 @@ class TestLindblad:
         decay = DecayChannels(t1=1.0, t2=1.0)  # pure depolarization
         h0 = Hamiltonian(np.zeros((5, 5)), "zero")
         state = coherent_spin_state(2, np.pi / 2.0, 0.3)
-        evolved = evolve_lindblad(state, h0, decay, 20.0)
+        evolved = lindblad_trajectory(state, h0, decay, [20.0])[0]
         assert np.abs(evolved.rho - np.eye(5) / 5.0).max() <= 1e-8
         # closed form: the distance to the fixed point shrinks as exp(-t/t1)
         expected = np.eye(5) / 5.0 + (state.rho - np.eye(5) / 5.0) * np.exp(-20.0)
@@ -264,14 +266,14 @@ class TestLindblad:
     def test_zero_decay_matches_unitary(self, ops4, css_x4):
         decay = DecayChannels(t1=np.inf, t2=np.inf)
         h = tact_hamiltonian(ops4, 0.5)
-        a = evolve_lindblad(css_x4, h, decay, 1.0)
+        a = lindblad_trajectory(css_x4, h, decay, [1.0])[0]
         b = evolve_unitary(css_x4, h, 1.0)
         assert np.abs(a.rho - b.rho).max() <= 1e-12
 
     def test_trace_preserved_over_six_ms(self, ops4, css_x4):
         decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
         h = tact_hamiltonian(ops4, 0.12)
-        evolved = evolve_lindblad(css_x4, h, decay, 6.0)
+        evolved = lindblad_trajectory(css_x4, h, decay, [6.0])[0]
         assert abs(np.trace(evolved.rho).real - 1.0) <= 1e-8
 
     def test_purity_contracts(self, ops4, css_x4):
@@ -286,14 +288,14 @@ class TestLindblad:
         decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
         traj = lindblad_trajectory(css_x4, h, decay, [0.7, 1.4])
-        single = evolve_lindblad(css_x4, h, decay, 1.4)
+        single = lindblad_trajectory(css_x4, h, decay, [1.4])[0]
         assert np.abs(traj[1].rho - single.rho).max() <= 1e-12
 
     def test_validation(self, ops4, css_x4):
         decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
         with pytest.raises(ValueError):
-            evolve_lindblad(css_x4, h, decay, -1.0)
+            lindblad_trajectory(css_x4, h, decay, [-1.0])
         with pytest.raises(ValueError):
             lindblad_trajectory(css_x4, h, decay, [1.0, 0.5])
 
@@ -304,8 +306,9 @@ class TestLindblad:
         decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
         h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
         for a, b in ((0.3, 0.9), (1.7, 4.3)):
-            two_steps = evolve_lindblad(evolve_lindblad(state, h, decay, a), h, decay, b)
-            one_step = evolve_lindblad(state, h, decay, a + b)
+            first = lindblad_trajectory(state, h, decay, [a])[0]
+            two_steps = lindblad_trajectory(first, h, decay, [b])[0]
+            one_step = lindblad_trajectory(state, h, decay, [a + b])[0]
             assert np.abs(two_steps.rho - one_step.rho).max() <= 1e-12
 
     def test_matches_column_stacked_expm(self, ops4, css_x4):

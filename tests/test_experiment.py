@@ -14,7 +14,6 @@ from spintomo import (
     reconstruct_sweep,
     run_sweep,
     simulate_records,
-    spin_operators,
     squeezing_report,
     variances_from_rho,
 )
@@ -168,25 +167,36 @@ class TestRunSweep:
         assert all(b <= a + 1e-12 for a, b in zip(fr, fr[1:]))
 
     def test_error_carries_duration(self):
-        cfg = short_config(kappa2=0.0)
-        with pytest.raises(SweepPointError, match="t_r=0") as info:
-            run_sweep(cfg)
-        assert info.value.t_r == 0.0
-        assert isinstance(info.value.__cause__, ValueError)
+        # kappa2 = 0 fails in the covariance correction, a collapsed mean
+        # spin in the squeezing report
+        for overrides, cause in (
+            ({"kappa2": 0.0}, ValueError),
+            ({"pump_fraction": 1e-12}, PhysicalityError),
+        ):
+            with pytest.raises(SweepPointError, match="t_r=0") as info:
+                run_sweep(short_config(**overrides))
+            assert info.value.t_r == 0.0
+            assert isinstance(info.value.__cause__, cause)
 
     @pytest.mark.parametrize(
-        "injected",
+        "sweep, target, injected",
         [
-            UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
-            PhysicalityError("covariance below the Heisenberg floor"),
+            (run_sweep, "correct_covariance",
+             UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")),
+            (run_sweep, "correct_covariance",
+             PhysicalityError("covariance below the Heisenberg floor")),
+            (reconstruct_sweep, "mle_reconstruct",
+             PhysicalityError("population 0.002 of the highest level breaks the truncation")),
         ],
-        ids=["unicode-decode", "physicality"],
+        ids=["unicode-decode", "physicality", "mle-top-level"],
     )
-    def test_point_error_chains_cause(self, monkeypatch, injected):
-        # the original exception survives whatever its constructor signature
-        monkeypatch.setattr(experiment, "correct_covariance", fail_at_call(2, injected))
+    def test_point_error_chains_cause(self, monkeypatch, sweep, target, injected):
+        # the original exception survives whatever its constructor signature;
+        # the MLE stand-in skips the real fit at the first point
+        stand_in = correct_covariance if target == "correct_covariance" else lambda *a, **k: None
+        monkeypatch.setattr(experiment, target, fail_at_call(2, injected, stand_in))
         with pytest.raises(SweepPointError) as info:
-            run_sweep(short_config())
+            sweep(short_config())
         assert info.value.t_r == 0.4
         assert info.value.__cause__ is injected
         assert str(info.value) == f"sweep point t_r=0.4 ms: {injected}"
@@ -196,15 +206,13 @@ class TestRunSweep:
         # 3-sigma agreement in at least 95% of rows over 20 seeded runs
         cfg = short_config(raman_durations=(0.3, 0.8, 1.5), n_shots=10_000)
         states = _evolved_states(cfg, cfg.raman_durations)
-        ops = spin_operators(4)
         from spintomo import canonical_moments
 
         total, hits = 0, 0
         for seed in range(20):
             for t_r, state in zip(cfg.raman_durations, states):
                 report = squeezing_report(state, j_initial=4.0)
-                jx = report.mean_spin_length
-                moments = canonical_moments(state, ops, pump_jx=jx)
+                moments = canonical_moments(report)
                 rec = simulate_records(moments, cfg.kappa2, cfg.n_shots, seed=9000 + 31 * seed + total)
                 cc = correct_covariance(rec)
                 zeta2_rec = 2.0 * cc.min_variance
@@ -229,21 +237,10 @@ class TestPointRecord:
         assert _point_seed(cfg, 0.4) != _point_seed(cfg, 0.8)
         assert _point_seed(cfg, 0.4) == _point_seed(cfg, 0.4)
 
-    def test_monitor_readout_noise_is_seeded(self):
-        cfg = short_config()
-        exact = point_record(cfg, 0.4)
-        noisy_a = point_record(cfg, 0.4, jx_readout_sigma=0.05)
-        noisy_b = point_record(cfg, 0.4, jx_readout_sigma=0.05)
-        assert np.array_equal(noisy_a.shots, noisy_b.shots)
-        assert not np.array_equal(noisy_a.shots, exact.shots)
-
     def test_collapsed_mean_spin_rejected(self):
-        from spintomo import QuantumState
-
-        cfg = short_config()
-        mixed = QuantumState(np.eye(9) / 9.0)  # <Fx> = 0 exactly
-        with pytest.raises(PhysicalityError, match="mean spin"):
-            point_record(cfg, 0.0, state=mixed)
+        cfg = short_config(pump_fraction=1e-12)  # <F> = 4e-12 before the drive
+        with pytest.raises(PhysicalityError, match="mean spin collapsed"):
+            point_record(cfg, 0.0)
 
 
 class TestReconstructSweep:

@@ -13,7 +13,9 @@ from spintomo import (
     THERMAL_TRANSVERSE_VARIANCE,
     canonical_moments,
     coherent_spin_state,
+    covariance,
     evolve_unitary,
+    expectation,
     output_variance,
     record_from_csv,
     record_to_csv,
@@ -35,15 +37,19 @@ def _tact_state(tau):
 
 
 class TestCanonicalMoments:
-    def test_css_is_vacuum(self, ops4, css_x4):
-        m = canonical_moments(css_x4, ops4, pump_jx=4.0)
-        assert_allclose(
-            [m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp],
-            [0.0, 0.0, 0.5, 0.5, 0.0],
-            atol=1e-12,
-        )
+    def test_css_is_vacuum(self):
+        # any coherent state is the vacuum in the frame of its own mean spin
+        rng = np.random.default_rng(17)
+        for f in np.repeat([1.0, 4.0, 7.5], 4):
+            theta, phi = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0.0, 2.0 * np.pi)
+            m = canonical_moments(squeezing_report(coherent_spin_state(f, theta, phi)))
+            assert_allclose(
+                [m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp],
+                [0.0, 0.0, 0.5, 0.5, 0.0],
+                atol=1e-12,
+            )
 
-    def test_squeezed_to_quarter_has_antisqueezed_partner(self, ops4):
+    def test_squeezed_to_quarter_has_antisqueezed_partner(self):
         # find the evolution time where the squeezed quadrature variance
         # crosses 1/4 (3 dB), aligning the squeezed axis with p first
         def aligned_var_p(tau):
@@ -52,8 +58,7 @@ class TestCanonicalMoments:
             # rotate the squeezed axis onto z
             angle = report.optimal_angle - np.pi / 2.0
             rotated = rotate(state, [1.0, 0.0, 0.0], -angle)
-            jx = squeezing_report(rotated).mean_spin_length
-            return canonical_moments(rotated, ops4, pump_jx=jx), tau
+            return canonical_moments(squeezing_report(rotated)), tau
 
         lo, hi = 0.005, 0.1375
         for _ in range(60):  # bisect var_p(tau) = 1/4
@@ -68,17 +73,18 @@ class TestCanonicalMoments:
         assert m.var_x >= 0.5 - 1e-12
 
     def test_conversion_matches_squeezing_report(self, ops4):
-        # rescaled to the initial spin, the canonical minimum variance
-        # equals zeta2 * (|<F>|/F) / 2; the moments themselves are built
-        # with the current mean spin, which keeps the commutator canonical
-        state = _tact_state(0.1375)
-        report = squeezing_report(state, j_initial=4.0)
-        jx = report.mean_spin_length
-        m = canonical_moments(state, ops4, pump_jx=jx)
-        rescaled_to_initial = m.min_variance * (jx / 4.0)
-        expected = report.zeta2 * (jx / 4.0) / 2.0
-        assert abs(rescaled_to_initial - expected) <= 1e-12
-        assert abs(m.min_variance - report.zeta2 / 2.0) <= 1e-12
+        # oracle: for a state polarized along +x the transverse frame is the lab
+        # (y, z) pair, so the moments are the lab-frame (Fy, Fz) covariance
+        # over |<Fx>|; the minimum variance is then zeta2 / 2
+        for tau in (0.05, 0.1, 0.1375):
+            state = _tact_state(tau)
+            report = squeezing_report(state, j_initial=4.0)
+            m = canonical_moments(report)
+            jx = abs(expectation(state, ops4.fx))
+            pair = (ops4.fy, ops4.fz)
+            lab = np.array([[covariance(state, a, b) for b in pair] for a in pair]) / jx
+            assert np.abs(m.covariance_matrix - lab).max() <= 1e-12
+            assert abs(m.min_variance - report.zeta2 / 2.0) <= 1e-12
 
     def test_heisenberg_validation(self):
         with pytest.raises(PhysicalityError):
@@ -86,9 +92,6 @@ class TestCanonicalMoments:
         with pytest.raises(PhysicalityError):
             CanonicalMoments(0.0, 0.0, -0.5, 1.0, 0.0)
 
-    def test_pump_jx_validation(self, ops4, css_x4):
-        with pytest.raises(ValueError):
-            canonical_moments(css_x4, ops4, pump_jx=0.0)
 
 
 class TestOutputVariance:
