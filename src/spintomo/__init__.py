@@ -35,6 +35,7 @@ from .probe import (
     THERMAL_TRANSVERSE_VARIANCE,
     canonical_moments,
     output_variance,
+    readout_model,
     record_from_csv,
     record_to_csv,
     simulate_records,

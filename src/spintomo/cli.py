@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceError, PhysicalityError, SweepPointError
 from .experiment import ExperimentConfig, evolved_state, point_record, run_sweep
 from .probe import record_from_csv, record_to_csv
-from .squeezing import husimi, tact_optimum
+from .squeezing import REFINE_TOL, SCAN_POINTS, husimi, tact_optimum
 from .tables import write_table
 from .tomography import mle_reconstruct, correct_covariance
 
@@ -113,7 +113,7 @@ def _cmd_limits(args) -> None:
     spins = [float(k) for k in range(1, int(np.floor(args.f + 1e-9)) + 1)]
     optima = [tact_optimum(f) for f in spins]
     params_hash = hashlib.sha256(
-        f"limits f={args.f:.17g} scan=2000 refine=1e-06".encode()
+        f"limits f={args.f:.17g} scan={SCAN_POINTS} refine={REFINE_TOL:g}".encode()
     ).hexdigest()
     columns = (
         "f",
@@ -140,8 +140,8 @@ def _cmd_limits(args) -> None:
         text = json.dumps(
             {
                 "params_sha256": params_hash,
-                "scan_points": optima[0].scan_points,
-                "refine_tol": optima[0].refine_tol,
+                "scan_points": SCAN_POINTS,
+                "refine_tol": REFINE_TOL,
                 "columns": list(columns),
                 "rows": [dict(zip(columns, row)) for row in rows],
             },
@@ -149,10 +149,9 @@ def _cmd_limits(args) -> None:
         ) + "\n"
     else:
         buf = io.StringIO()
-        scan, tol = optima[0].scan_points, optima[0].refine_tol
         comments = [
             f"params_sha256={params_hash}",
-            f"scan: {scan} points over (0, pi], refined to {tol:g}",
+            f"scan: {SCAN_POINTS} points over (0, pi], refined to {REFINE_TOL:g}",
             "units: spin, 1, rad, 1, rad, 1, rad",
         ]
         write_table(buf, comments, columns, rows)

@@ -33,16 +33,10 @@ _HERM_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Hermitian generator in rad/ms.
-
-    ``scalar_offset`` carries any physically irrelevant multiple of the
-    identity that a constructor chose to report separately; it is already
-    contained in ``matrix`` when the constructor says so.
-    """
+    """Hermitian generator in rad/ms."""
 
     matrix: np.ndarray
     label: str
-    scalar_offset: float = 0.0
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -131,7 +125,6 @@ def zeeman_hamiltonian(ops: SpinOperators, omega_l: float, beta: float) -> Hamil
 def compensated_hamiltonian(
     ops: SpinOperators,
     beta: float,
-    a0: float = 0.0,
     residual: float = 0.0,
 ) -> Hamiltonian:
     """Effective rotating-frame generator of the tuned light shift + quadratic Zeeman.
@@ -141,31 +134,29 @@ def compensated_hamiltonian(
     quadratic Zeeman term beta * Fx^2 commutes with the frame rotation.  This
     constructor performs the one-period secular average of
 
-        -(1 + cos 2theta)/4 * (a0 I + a2 Fz^2)   (rotated by theta about x)
+        -(1 + cos 2theta)/4 * a2 Fz^2   (rotated by theta about x)
         + beta Fx^2
 
     at the tuning a2 = -8 beta, under which the transverse-symmetric parts
     cancel and the average collapses to
 
-        [-a0/4 + beta F(F+1)] I + (beta/2)(Fz^2 - Fy^2).
+        beta F(F+1) I + (beta/2)(Fz^2 - Fy^2).
 
-    The identity multiple is kept in ``matrix`` and also reported in
-    ``scalar_offset``.  ``residual`` adds an uncompensated delta * Fx^2 term
-    modelling slight over/under-compensation; the default is exact tuning.
+    The identity multiple is kept in ``matrix``; the scalar light shift
+    would only add another one and is left out.  ``residual`` adds an
+    uncompensated delta * Fx^2 term modelling slight over/under-compensation;
+    the default is exact tuning.
 
     The average is taken in closed form: under the weight (1 + cos 2theta),
     Fz^2 rotated by theta about x averages to (3/4) Fz^2 + (1/4) Fy^2, i.e.
     3/4 of the light shift plus 1/4 of it rotated by pi/2 about x.
     """
-    light = light_shift_hamiltonian(ops, a0, -8.0 * beta).matrix
+    light = light_shift_hamiltonian(ops, 0.0, -8.0 * beta).matrix
     u = rotation_unitary(ops, [1.0, 0.0, 0.0], np.pi / 2.0)
     h = 0.75 * light + 0.25 * (u @ light @ u.conj().T)
     h += zeeman_hamiltonian(ops, 0.0, beta + residual).matrix
-    fval = ops.f.f_value
     return Hamiltonian(
-        (h + h.conj().T) / 2.0,
-        label=f"compensated(beta={beta:g}, a0={a0:g}, residual={residual:g})",
-        scalar_offset=-a0 / 4.0 + beta * fval * (fval + 1.0),
+        (h + h.conj().T) / 2.0, label=f"compensated(beta={beta:g}, residual={residual:g})"
     )
 
 

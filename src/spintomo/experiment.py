@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .dynamics import DecayChannels, compensated_hamiltonian, lindblad_trajectory
 from .errors import SweepPointError
-from .probe import MeasurementRecord, canonical_moments, simulate_records
+from .probe import MeasurementRecord, canonical_moments, readout_model, simulate_records
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
 from .squeezing import SqueezingReport, squeezing_report
 from .tables import write_table
@@ -61,11 +61,9 @@ class ExperimentConfig:
     Config file schema (flat ``key=value`` lines, ``#`` comments allowed)::
 
         f                      total spin (default 4)
-        omega_l                Larmor frequency, rad/ms (default 2*pi*322)
-        beta                   quadratic Zeeman coefficient, rad/ms
-        twisting_rate          effective (Fz^2 - Fy^2) coefficient, rad/ms;
-                               defaults to beta/2, and beta defaults to
-                               2*twisting_rate when only one is given
+        twisting_rate          effective (Fz^2 - Fy^2) coefficient, rad/ms
+                               (default 0.12); the quadratic Zeeman
+                               coefficient is twice this
         compensation_residual  uncompensated Fx^2 term, rad/ms (default 0.15)
         t1                     depolarization time in the dark, ms (default 80)
         t2                     dephasing time in the dark, ms (default 20)
@@ -76,13 +74,12 @@ class ExperimentConfig:
         n_shots                shots per sweep point (default 10000)
         seed                   master seed (default 12345)
 
-    Unknown keys are rejected with ``ValueError``.
+    Unknown keys are rejected with ``ValueError``.  The dynamics are in the
+    frame rotating at the Larmor frequency, so it is not a parameter.
     """
 
     f: float = 4.0
-    omega_l: float = 2.0 * np.pi * 322.0
-    beta: float | None = None
-    twisting_rate: float | None = None
+    twisting_rate: float = DEFAULT_TWISTING_RATE
     compensation_residual: float = DEFAULT_COMPENSATION_RESIDUAL
     t1: float = 80.0
     t2: float = 20.0
@@ -94,12 +91,6 @@ class ExperimentConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        if self.twisting_rate is None and self.beta is None:
-            object.__setattr__(self, "twisting_rate", DEFAULT_TWISTING_RATE)
-        if self.twisting_rate is None:
-            object.__setattr__(self, "twisting_rate", self.beta / 2.0)
-        if self.beta is None:
-            object.__setattr__(self, "beta", 2.0 * self.twisting_rate)
         if not self.raman_durations:
             object.__setattr__(self, "raman_durations", _default_durations())
         durations = tuple(float(t) for t in self.raman_durations)
@@ -266,20 +257,6 @@ class SweepRow:
     mean_spin_fraction: float
     css_reference_variance: float
 
-    _FIELDS = (
-        "t_r",
-        "chi2_true",
-        "zeta2_true",
-        "xi2_true",
-        "zeta2_reconstructed",
-        "zeta2_error",
-        "mean_spin_fraction",
-        "css_reference_variance",
-    )
-
-    def as_tuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -288,12 +265,12 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     config_hash: str
 
-    _COLUMNS = SweepRow._FIELDS
+    _COLUMNS = tuple(f.name for f in fields(SweepRow))
     _UNITS = ("ms", "1", "1", "1", "1", "1", "1", "hbar")
 
     def to_csv(self, stream) -> None:
         comments = [f"config_sha256={self.config_hash}", "units: " + ",".join(self._UNITS)]
-        write_table(stream, comments, self._COLUMNS, (row.as_tuple() for row in self.rows))
+        write_table(stream, comments, self._COLUMNS, (astuple(row) for row in self.rows))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -305,7 +282,7 @@ class SweepResult:
             "config_sha256": self.config_hash,
             "columns": list(self._COLUMNS),
             "units": list(self._UNITS),
-            "rows": [dict(zip(self._COLUMNS, row.as_tuple())) for row in self.rows],
+            "rows": [dict(zip(self._COLUMNS, astuple(row))) for row in self.rows],
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -352,16 +329,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def _zeta2_error(corrected: CorrectedCovariance, kappa2: float) -> float:
     """1-sigma error of 2*min_variance propagated from the output-variance estimate."""
     v_min = max(corrected.min_variance, 0.0)
-    total_var = 0.5 + (kappa2 / 2.0) * v_min + kappa2**2 / 24.0
-    return 2.0 * corrected.statistical_error * total_var * (2.0 / kappa2)
+    gain, noise = readout_model(kappa2)
+    return 2.0 * corrected.statistical_error * (noise + gain * v_min) / gain
 
 
 def reconstruct_sweep(
-    config: ExperimentConfig,
-    durations=None,
-    dim: int = 10,
-    max_iter: int = 5000,
-    tol: float = 1e-10,
+    config: ExperimentConfig, durations=None
 ) -> list[tuple[float, OscillatorDensityMatrix]]:
     """Maximum-likelihood reconstruction at each drive duration (heavy pass).
 
@@ -377,7 +350,7 @@ def reconstruct_sweep(
     for t_r, state in zip(durations, states):
         try:
             _, record = _probe_point(config, t_r, state)
-            out.append((t_r, mle_reconstruct(record, dim=dim, max_iter=max_iter, tol=tol)))
+            out.append((t_r, mle_reconstruct(record)))
         except Exception as exc:
             raise SweepPointError(t_r, exc) from exc
     return out

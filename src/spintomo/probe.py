@@ -38,6 +38,7 @@ __all__ = [
     "THERMAL_TRANSVERSE_VARIANCE",
     "canonical_moments",
     "output_variance",
+    "readout_model",
     "simulate_records",
     "simulate_thermal_records",
     "simulate_vacuum_records",
@@ -112,6 +113,9 @@ class MeasurementRecord:
             raise ValueError(f"shots must have shape (n, 2), got {shots.shape}")
         if shots.shape[0] < 1:
             raise ValueError("record must contain at least one shot")
+        bad = np.flatnonzero(~np.isfinite(shots).all(axis=1))
+        if bad.size:
+            raise ValueError(f"shot {bad[0]} is not finite: {shots[bad[0]].tolist()}")
         if self.kappa2 < 0:
             raise ValueError(f"kappa2 must be >= 0, got {self.kappa2}")
         shots = np.ascontiguousarray(shots)
@@ -145,18 +149,22 @@ def canonical_moments(report: SqueezingReport) -> CanonicalMoments:
     return CanonicalMoments.from_moments(np.zeros(2), report.cov / report.mean_spin_length)
 
 
-def output_variance(moments: CanonicalMoments, kappa2: float) -> tuple[float, float]:
-    """Variances of the demodulated outputs (y_c, y_s) for given atomic moments.
+def readout_model(kappa2: float) -> tuple[float, float]:
+    """Gain and added noise of one demodulated output: var(y) = gain * var(atomic) + noise.
 
-    var(y_c) = 1/2 + (kappa2/2) var_x + (kappa2^2/12)(1/2), and the sine
-    component likewise with var_p; both light modes enter in vacuum.
+    gain = kappa2/2 is the coupled atomic signal; noise = 1/2 + kappa2^2/24 is
+    the light shot noise plus the back-action (kappa2^2/12 times its vacuum
+    variance 1/2).  Every inversion of the probe's variance budget uses this.
     """
     if kappa2 < 0:
         raise ValueError(f"kappa2 must be >= 0, got {kappa2}")
-    back_action = (kappa2**2 / 12.0) * 0.5
-    var_yc = 0.5 + (kappa2 / 2.0) * moments.var_x + back_action
-    var_ys = 0.5 + (kappa2 / 2.0) * moments.var_p + back_action
-    return var_yc, var_ys
+    return kappa2 / 2.0, 0.5 + kappa2**2 / 24.0
+
+
+def output_variance(moments: CanonicalMoments, kappa2: float) -> tuple[float, float]:
+    """Variances of the demodulated outputs (y_c, y_s) for given atomic moments."""
+    gain, noise = readout_model(kappa2)
+    return noise + gain * moments.var_x, noise + gain * moments.var_p
 
 
 def simulate_records(

@@ -13,7 +13,7 @@ functions, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -130,32 +130,27 @@ def spin_operators(f) -> SpinOperators:
 class QuantumState:
     """Density matrix of a single spin (or truncated mode).
 
-    Construction validates trace, Hermiticity and positivity.  Violations are
-    errors; states are never silently projected back onto the physical set.
-    The tolerances exist to absorb integrator round-off and may be loosened
-    by evolution routines, never tightened below machine precision.
+    Construction validates trace (to 1e-10), Hermiticity (to 1e-10) and
+    positivity (no eigenvalue below -1e-9).  Violations are errors; states
+    are never silently projected back onto the physical set.  The
+    tolerances absorb round-off only.
     """
 
     rho: np.ndarray
-    trace_atol: InitVar[float] = 1e-10
-    herm_atol: InitVar[float] = 1e-10
-    eig_floor: InitVar[float] = -1e-9
 
-    def __post_init__(self, trace_atol: float, herm_atol: float, eig_floor: float) -> None:
+    def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"rho must be square, got shape {rho.shape}")
         tr = np.trace(rho)
-        if abs(tr - 1.0) > trace_atol:
-            raise PhysicalityError(f"trace(rho) = {tr:.12g}, deviates from 1 beyond {trace_atol:g}")
+        if abs(tr - 1.0) > 1e-10:
+            raise PhysicalityError(f"trace(rho) = {tr:.12g}, deviates from 1 beyond 1e-10")
         herm = np.abs(rho - rho.conj().T).max()
-        if herm > herm_atol:
+        if herm > 1e-10:
             raise PhysicalityError(f"rho not Hermitian: max |rho - rho^dag| = {herm:.3g}")
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if eigs.min() < eig_floor:
-            raise PhysicalityError(
-                f"rho has eigenvalue {eigs.min():.3g} below tolerance {eig_floor:g}"
-            )
+        if eigs.min() < -1e-9:
+            raise PhysicalityError(f"rho has eigenvalue {eigs.min():.3g} below tolerance -1e-09")
         object.__setattr__(self, "rho", _readonly(rho))
 
     @property

@@ -4,9 +4,9 @@ the three squeezing parameters, countertwisting limits, and Husimi grids.
 The three parameters compare the minimal transverse variance v_min of a spin
 state to three references:
 
-    chi2  = 2 v_min / j_initial          (initial spin length)
-    zeta2 = 2 v_min / |<F>|              (coherent state with the same mean spin)
-    xi2   = 2 j_initial v_min / |<F>|^2  (initial angular resolution)
+    chi2  = 2 v_min / F          (initial spin length of the polarized atom)
+    zeta2 = 2 v_min / |<F>|      (coherent state with the same mean spin)
+    xi2   = 2 F v_min / |<F>|^2  (initial angular resolution)
 
 All are per-atom quantities; for an ensemble of N identical uncorrelated
 atoms both v_min and the spin lengths scale with N, so the ratios are
@@ -43,6 +43,11 @@ __all__ = [
     "husimi",
 ]
 
+# countertwisting scan of tact_optimum: grid points over (0, pi] and the
+# tolerance of the golden-section refinement of each minimum
+SCAN_POINTS = 2000
+REFINE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SqueezingReport:
@@ -60,7 +65,6 @@ class SqueezingReport:
     chi2: float
     zeta2: float
     xi2: float
-    j_initial: float
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean_spin, dtype=float)
@@ -125,21 +129,17 @@ def _transverse_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e2, e3
 
 
-def squeezing_report(state: QuantumState, j_initial: float | None = None) -> SqueezingReport:
-    """Squeezing parameters of a state relative to the initial spin length.
+def squeezing_report(state: QuantumState) -> SqueezingReport:
+    """Squeezing parameters of a state relative to the initial spin length F.
 
-    j_initial defaults to F (fully polarized single atom).  The mean spin and
-    its 3x3 covariance come from one :func:`~spintomo.spin_algebra.moments`
-    call; the transverse covariance is their projection onto the plane
-    orthogonal to the mean.  A mean spin shorter than 1e-9 has no transverse
-    plane and raises :class:`PhysicalityError`.
+    The mean spin and its 3x3 covariance come from one
+    :func:`~spintomo.spin_algebra.moments` call; the transverse covariance is
+    their projection onto the plane orthogonal to the mean.  A mean spin
+    shorter than 1e-9 has no transverse plane and raises
+    :class:`PhysicalityError`.
     """
     ops = spin_operators(state.spin)
-    if j_initial is None:
-        j_initial = ops.f.f_value
-    if j_initial <= 0:
-        raise ValueError(f"j_initial must be positive, got {j_initial}")
-
+    fval = ops.f.f_value
     mean, cov_spin = moments(state.rho, (ops.fx, ops.fy, ops.fz))
     length = np.linalg.norm(mean)
     if length < 1e-9:
@@ -157,10 +157,9 @@ def squeezing_report(state: QuantumState, j_initial: float | None = None) -> Squ
         mean_spin=mean,
         cov=cov,
         optimal_angle=angle,
-        chi2=2.0 * v_min / j_initial,
+        chi2=2.0 * v_min / fval,
         zeta2=2.0 * v_min / length,
-        xi2=2.0 * j_initial * v_min / length**2,
-        j_initial=float(j_initial),
+        xi2=2.0 * fval * v_min / length**2,
     )
 
 
@@ -183,8 +182,6 @@ class TactOptimum:
     xi2_min: float
     xi2_time: float
     report: SqueezingReport
-    scan_points: int
-    refine_tol: float
 
 
 def _first_local_min(values: np.ndarray) -> int:
@@ -194,13 +191,13 @@ def _first_local_min(values: np.ndarray) -> int:
     return int(hits[0]) + 1 if hits.size else int(np.argmin(values))
 
 
-def tact_optimum(f, scan_points: int = 2000, refine_tol: float = 1e-6) -> TactOptimum:
+def tact_optimum(f) -> TactOptimum:
     """Scan countertwisting evolution of a polarized spin for its squeezing limits.
 
     Evolves the coherent state along +x under Fz^2 - Fy^2 over the scaled
     time alpha*t in (0, pi], locates the first minimum of each squeezing
-    parameter on a uniform grid, and refines it by bounded golden-section
-    search to ``refine_tol``.  The whole grid is one batched
+    parameter on a uniform grid of ``SCAN_POINTS``, and refines it by bounded
+    golden-section search to ``REFINE_TOL``.  The whole grid is one batched
     :func:`~spintomo.spin_algebra.moments` call on the stack of scanned
     states; the refinement evaluates the same code at a single time.
     """
@@ -235,24 +232,24 @@ def tact_optimum(f, scan_points: int = 2000, refine_tol: float = 1e-6) -> TactOp
         xi2 = np.where(collapsed, np.inf, 2.0 * j_init * v_min / length**2)
         return np.stack([2.0 * v_min / j_init, zeta2, xi2], axis=1)
 
-    taus = np.linspace(np.pi / scan_points, np.pi, scan_points)
+    taus = np.linspace(np.pi / SCAN_POINTS, np.pi, SCAN_POINTS)
     table = params_at(taus)
 
     minima = {}
     for col, name in enumerate(("chi2", "zeta2", "xi2")):
         i = _first_local_min(table[:, col])
         lo = taus[max(i - 1, 0)]
-        hi = taus[min(i + 1, scan_points - 1)]
+        hi = taus[min(i + 1, SCAN_POINTS - 1)]
         res = minimize_scalar(
             lambda tau, c=col: params_at(np.array([tau]))[0, c],
             bounds=(lo, hi),
             method="bounded",
-            options={"xatol": refine_tol},
+            options={"xatol": REFINE_TOL},
         )
         minima[name] = (float(res.fun), float(res.x))
 
     psi_best = states_at(np.array([minima["zeta2"][1]]))[0]
-    best_report = squeezing_report(QuantumState.from_vector(psi_best), j_initial=j_init)
+    best_report = squeezing_report(QuantumState.from_vector(psi_best))
     return TactOptimum(
         f=f,
         chi2_min=minima["chi2"][0],
@@ -262,8 +259,6 @@ def tact_optimum(f, scan_points: int = 2000, refine_tol: float = 1e-6) -> TactOp
         xi2_min=minima["xi2"][0],
         xi2_time=minima["xi2"][1],
         report=best_report,
-        scan_points=scan_points,
-        refine_tol=refine_tol,
     )
 
 

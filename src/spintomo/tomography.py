@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConvergenceError, PhysicalityError
-from .probe import CanonicalMoments, MeasurementRecord
-from .spin_algebra import moments, variance_extrema
+from .probe import CanonicalMoments, MeasurementRecord, readout_model
+from .spin_algebra import QuantumState, moments, variance_extrema
 
 __all__ = [
     "CorrectedCovariance",
@@ -72,21 +72,22 @@ class CorrectedCovariance:
 
 
 def corrected_variance(total_variance: float, kappa2: float) -> float:
-    """Invert the output variance budget for one quadrature.
+    """Invert the output variance budget of :func:`~spintomo.probe.readout_model`.
 
-    atomic_var = (total - 1/2 - kappa2^2/24) * 2 / kappa2, i.e. remove light
-    shot noise and back-action, then undo the coupling gain.
+    atomic_var = (total - noise) / gain, i.e. remove light shot noise and
+    back-action, then undo the coupling gain.
     """
     if kappa2 <= 0:
         raise ValueError("kappa2 must be positive to invert the variance budget")
-    return (total_variance - 0.5 - kappa2**2 / 24.0) * 2.0 / kappa2
+    gain, noise = readout_model(kappa2)
+    return (total_variance - noise) / gain
 
 
-def correct_covariance(record: MeasurementRecord, sigma_flag: float = 5.0) -> CorrectedCovariance:
+def correct_covariance(record: MeasurementRecord) -> CorrectedCovariance:
     """Recover atomic canonical moments from a record by noise subtraction.
 
-    A corrected variance more than ``sigma_flag`` standard errors below zero
-    cannot come from a physical state plus sampling noise and raises
+    A corrected variance more than 5 standard errors below zero cannot come
+    from a physical state plus sampling noise and raises
     :class:`PhysicalityError`.
     """
     kappa2 = record.kappa2
@@ -99,24 +100,24 @@ def correct_covariance(record: MeasurementRecord, sigma_flag: float = 5.0) -> Co
     var_yc = float(np.var(y_c, ddof=1))
     var_ys = float(np.var(y_s, ddof=1))
     cov_cs = float(np.cov(y_c, y_s, ddof=1)[0, 1])
-    gain = 2.0 / kappa2
-    mean_scale = np.sqrt(gain)
+    gain, _ = readout_model(kappa2)
+    amplitude_gain = np.sqrt(gain)
     corrected = CorrectedCovariance(
-        mean_x=float(np.mean(y_c)) * mean_scale,
-        mean_p=float(np.mean(y_s)) * mean_scale,
+        mean_x=float(np.mean(y_c)) / amplitude_gain,
+        mean_p=float(np.mean(y_s)) / amplitude_gain,
         var_x=corrected_variance(var_yc, kappa2),
         var_p=corrected_variance(var_ys, kappa2),
-        cov_xp=cov_cs * gain,
+        cov_xp=cov_cs / gain,
         n_shots=n,
     )
     for name, val, raw in (
         ("var_x", corrected.var_x, var_yc),
         ("var_p", corrected.var_p, var_ys),
     ):
-        if val < -sigma_flag * corrected.statistical_error * raw * gain:
+        if val < -5.0 * corrected.statistical_error * raw / gain:
             raise PhysicalityError(
                 f"unphysical correction: {name} = {val:.6g} is more than "
-                f"{sigma_flag:g} standard errors below zero"
+                "5 standard errors below zero"
             )
     return corrected
 
@@ -129,6 +130,7 @@ class OscillatorDensityMatrix:
     reported alongside.  ``log_likelihoods`` holds the per-iteration binned
     log-likelihood trace of the fixed-point iteration that produced rho.
 
+    rho must pass the :class:`~spintomo.spin_algebra.QuantumState` checks.
     The truncation-validity bound (top-level population < 1e-3) is enforced
     for converged results; an iterate stopped early at max_iter is returned
     flagged rather than rejected, since it has not yet drained the edge of
@@ -147,21 +149,13 @@ class OscillatorDensityMatrix:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"rho must be {self.dim}x{self.dim}, got {rho.shape}")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > 1e-8:
-            raise PhysicalityError(f"trace(rho) = {tr:.12g} deviates from 1 beyond 1e-8")
-        if np.abs(rho - rho.conj().T).max() > 1e-8:
-            raise PhysicalityError("reconstructed rho is not Hermitian")
-        if np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() < -1e-8:
-            raise PhysicalityError("reconstructed rho has a negative eigenvalue beyond 1e-8")
+        rho = QuantumState(rho).rho
         top = float(np.real(rho[self.dim - 1, self.dim - 1]))
         if self.converged and top >= 1e-3:
             raise PhysicalityError(
                 f"population {top:.3g} of the highest level breaks the truncation "
                 f"validity bound 1e-3; increase dim"
             )
-        rho = np.ascontiguousarray(rho)
-        rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -235,14 +229,12 @@ def mle_reconstruct(
     dim: int = 10,
     max_iter: int = 5000,
     tol: float = 1e-10,
-    n_bins: int = 64,
-    bin_range_sigmas: float = 6.0,
 ) -> OscillatorDensityMatrix:
     """Maximum-likelihood density matrix from a record, in dim levels.
 
     The record's outcomes are rescaled to atomic units, centered (the means
-    are reported, not reconstructed), and binned per quadrature over
-    +-``bin_range_sigmas`` sample deviations with unbounded edge bins.  The
+    are reported, not reconstructed), and binned per quadrature into 64 bins:
+    62 equal ones over +-6 sample deviations plus two unbounded edge bins.  The
     fixed-point iteration rho <- N[R rho R], with R the frequency-weighted
     sum of POVM elements over their predicted probabilities, runs until the
     relative log-likelihood gain drops below ``tol``.  A step that would
@@ -255,13 +247,13 @@ def mle_reconstruct(
     if kappa2 <= 0:
         raise ValueError("record has kappa2 = 0: outcomes carry no atomic signal")
 
-    scale = np.sqrt(2.0 / kappa2)
-    outcomes = record.shots * scale
+    gain, noise = readout_model(kappa2)
+    outcomes = record.shots / np.sqrt(gain)
     means = outcomes.mean(axis=0)
     centered = outcomes - means
-    sigma_blur = np.sqrt((0.5 + kappa2**2 / 24.0) * (2.0 / kappa2))
+    sigma_blur = np.sqrt(noise / gain)
     spread = float(np.std(centered, ddof=1))
-    edges = np.linspace(-bin_range_sigmas * spread, bin_range_sigmas * spread, n_bins - 1)
+    edges = np.linspace(-6.0 * spread, 6.0 * spread, 63)
 
     povm_x = _binned_quadrature_povm(edges, sigma_blur, dim)
     povms = np.concatenate(

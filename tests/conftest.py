@@ -34,10 +34,10 @@ def fail_at_call(n: int, exc: BaseException, target=correct_covariance):
     return wrapped
 
 
-def secular_compensated_matrix(ops, beta: float, a0: float) -> np.ndarray:
+def secular_compensated_matrix(ops, beta: float) -> np.ndarray:
     """One-period average of the modulated light shift at a2 = -8 beta, plus beta Fx^2.
 
-    Averages -(1 + cos 2theta)/4 (a0 I + a2 Fz^2), rotated by theta about x,
+    Averages -(1 + cos 2theta)/4 a2 Fz^2, rotated by theta about x,
     on 16 uniform angles: the integrand is a trigonometric polynomial of
     degree four in theta, so this rule is exact.
     """
@@ -47,6 +47,6 @@ def secular_compensated_matrix(ops, beta: float, a0: float) -> np.ndarray:
     h = np.zeros((d, d), dtype=complex)
     for theta in 2.0 * np.pi * np.arange(16) / 16:
         u = (v * np.exp(1j * theta * w)) @ v.conj().T
-        light = -0.25 * (1.0 + np.cos(2.0 * theta)) * (a0 * np.eye(d) - 8.0 * beta * fz2)
+        light = -0.25 * (1.0 + np.cos(2.0 * theta)) * (-8.0 * beta * fz2)
         h += u @ light @ u.conj().T
     return h / 16 + beta * (ops.fx @ ops.fx)

@@ -69,11 +69,12 @@ def test_criterion_2_compensation_identity():
     worst = 0.0
     for f in HALF_STEPS:
         ops = spin_operators(f)
-        beta, a0 = 0.41, 0.9
-        h = compensated_hamiltonian(ops, beta, a0=a0)
-        average = secular_compensated_matrix(ops, beta, a0)
+        beta = 0.41
+        h = compensated_hamiltonian(ops, beta)
+        average = secular_compensated_matrix(ops, beta)
+        offset = beta * f * (f + 1.0)
         twisting = (beta / 2.0) * (ops.fz @ ops.fz - ops.fy @ ops.fy)
-        resid = average - h.scalar_offset * np.eye(ops.dimension) - twisting
+        resid = average - offset * np.eye(ops.dimension) - twisting
         worst = max(worst, float(np.abs(resid).max()), float(np.abs(h.matrix - average).max()))
     ok = worst <= 1e-12
     _report(
@@ -89,7 +90,7 @@ def test_criterion_3_coherent_state_baseline():
     css = coherent_spin_state(4, np.pi / 2.0, 0.0)
     var_y = covariance(css, ops.fy, ops.fy)
     var_z = covariance(css, ops.fz, ops.fz)
-    report = squeezing_report(css, j_initial=4.0)
+    report = squeezing_report(css)
     ok = (
         abs(var_y - 2.0) <= 1e-12
         and abs(var_z - 2.0) <= 1e-12

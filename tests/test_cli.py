@@ -102,7 +102,8 @@ class TestSweep:
 
     def test_retired_dt_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"
-        for key, value in (("dt", "1e-3"), ("n_atoms", "1e12")):
+        retired = (("dt", "1e-3"), ("n_atoms", "1e12"), ("omega_l", "2023.0"), ("beta", "0.24"))
+        for key, value in retired:
             cfg.write_text(f"raman_durations = 0.5\nn_shots = 100\n{key} = {value}\n")
             assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
             assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
@@ -175,8 +176,10 @@ class TestRecordsAndReconstruct:
             ("y_c,y_s\n0.1,0.2\n0.3\n", "line 4: 1 fields, header has 2"),
             ("y_c,y_s\n0.1,0.2\n0.3,0.4,0.5\n", "line 4: 3 fields, header has 2"),
             ("0.1,0.2\n0.3,0.4\n", "header must be y_c,y_s, got '0.1,0.2'"),
+            ("y_c,y_s\n0.1,0.2\nnan,0.4\n", "shot 1 is not finite: [nan, 0.4]"),
+            ("y_c,y_s\n0.1,0.2\n0.3,-inf\n", "shot 1 is not finite: [0.3, -inf]"),
         ],
-        ids=["short-row", "long-row", "no-header"],
+        ids=["short-row", "long-row", "no-header", "nan-row", "inf-row"],
     )
     def test_malformed_records_file(self, tmp_path, capsys, body, message):
         rec_path = tmp_path / "bad.csv"

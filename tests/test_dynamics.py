@@ -130,18 +130,18 @@ class TestCompensation:
     @pytest.mark.parametrize("f", [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
     def test_operator_identity(self, f):
         # the closed-form constructor against the numerical secular average,
-        # and both against the collapsed form offset * I + (beta/2)(Fz^2 - Fy^2)
+        # and both against the collapsed form beta F(F+1) I + (beta/2)(Fz^2 - Fy^2)
         ops = spin_operators(f)
-        beta, a0 = 0.37, 1.13
-        h = compensated_hamiltonian(ops, beta, a0=a0)
-        assert np.abs(h.matrix - secular_compensated_matrix(ops, beta, a0)).max() <= 1e-12
+        beta = 0.37
+        h = compensated_hamiltonian(ops, beta)
+        assert np.abs(h.matrix - secular_compensated_matrix(ops, beta)).max() <= 1e-12
         twisting = (beta / 2.0) * (ops.fz @ ops.fz - ops.fy @ ops.fy)
-        resid = h.matrix - h.scalar_offset * np.eye(ops.dimension) - twisting
+        resid = h.matrix - beta * f * (f + 1.0) * np.eye(ops.dimension) - twisting
         assert np.abs(resid).max() <= 1e-12
 
     def test_zero_beta_means_no_twisting(self, ops4):
-        h = compensated_hamiltonian(ops4, 0.0, a0=2.0)
-        assert np.abs(h.matrix - h.scalar_offset * np.eye(9)).max() <= 1e-13
+        h = compensated_hamiltonian(ops4, 0.0)
+        assert np.abs(h.matrix).max() <= 1e-13
 
     def test_dynamics_match_tact_at_half_rate(self, ops4, css_x4):
         beta = 1.0
@@ -359,6 +359,6 @@ class TestHamiltonianContainer:
             tact_hamiltonian(ops, -1.2),
             light_shift_hamiltonian(ops, 0.5, 2.0),
             zeeman_hamiltonian(ops, 1.0, 0.2),
-            compensated_hamiltonian(ops, 0.7, a0=0.1, residual=0.02),
+            compensated_hamiltonian(ops, 0.7, residual=0.02),
         ):
             assert np.abs(h.matrix - h.matrix.conj().T).max() <= 1e-12

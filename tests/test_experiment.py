@@ -1,4 +1,6 @@
 import pickle
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,17 +33,10 @@ def short_config(**overrides):
 class TestConfig:
     def test_defaults_are_consistent(self):
         cfg = ExperimentConfig()
-        assert cfg.beta == 2.0 * cfg.twisting_rate
         assert cfg.spin.two_f == 8
         assert cfg.raman_durations[0] == 0.0
         assert cfg.raman_durations[-1] == pytest.approx(6.0)
         assert len(cfg.raman_durations) == 61
-
-    def test_beta_drives_twisting_rate(self):
-        cfg = ExperimentConfig(beta=0.3)
-        assert cfg.twisting_rate == pytest.approx(0.15)
-        cfg2 = ExperimentConfig(twisting_rate=0.2)
-        assert cfg2.beta == pytest.approx(0.4)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -59,6 +54,18 @@ class TestConfig:
         assert cfg.raman_durations == (0.0, 0.5, 1.0)
         assert cfg.n_shots == 500
         assert np.isinf(cfg.t1)
+
+    def test_documented_keys_are_the_fields(self, tmp_path):
+        # the README example and the docstring schema name every key and no other
+        names = {field.name for field in fields(ExperimentConfig)}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config files", 1)[1].split("```\n")[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert ExperimentConfig.from_file(path) == ExperimentConfig()
+        assert {line.partition("=")[0].strip() for line in block.splitlines()} == names
+        schema = ExperimentConfig.__doc__.split("::", 1)[1].split("\n\n")[1]
+        assert {line.split()[0] for line in schema.splitlines() if line[8] != " "} == names
 
     def test_range_syntax(self):
         cfg = ExperimentConfig.from_mapping({"raman_durations": "0:1:0.25"})
@@ -211,7 +218,7 @@ class TestRunSweep:
         total, hits = 0, 0
         for seed in range(20):
             for t_r, state in zip(cfg.raman_durations, states):
-                report = squeezing_report(state, j_initial=4.0)
+                report = squeezing_report(state)
                 moments = canonical_moments(report)
                 rec = simulate_records(moments, cfg.kappa2, cfg.n_shots, seed=9000 + 31 * seed + total)
                 cc = correct_covariance(rec)

@@ -78,7 +78,7 @@ class TestCanonicalMoments:
         # over |<Fx>|; the minimum variance is then zeta2 / 2
         for tau in (0.05, 0.1, 0.1375):
             state = _tact_state(tau)
-            report = squeezing_report(state, j_initial=4.0)
+            report = squeezing_report(state)
             m = canonical_moments(report)
             jx = abs(expectation(state, ops4.fx))
             pair = (ops4.fy, ops4.fz)

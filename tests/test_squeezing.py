@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,7 +32,7 @@ def _evolved_tact(f, tau):
 
 class TestSqueezingReport:
     def test_css_baseline(self, css_x4):
-        report = squeezing_report(css_x4, j_initial=4.0)
+        report = squeezing_report(css_x4)
         assert abs(report.chi2 - 1.0) <= 1e-10
         assert abs(report.zeta2 - 1.0) <= 1e-10
         assert abs(report.xi2 - 1.0) <= 1e-10
@@ -47,12 +49,15 @@ class TestSqueezingReport:
             squeezing_report(mixed)
 
     def test_invalid_args(self, css_x4):
-        with pytest.raises(ValueError):
-            squeezing_report(css_x4, j_initial=0.0)
+        report = squeezing_report(css_x4)
+        with pytest.raises(ValueError, match="3-vector"):
+            replace(report, mean_spin=np.zeros(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            replace(report, cov=np.array([[2.0, 0.1], [0.0, 2.0]]))
 
     @pytest.mark.parametrize("tau", [0.03, 0.08, 0.1375, 0.2])
     def test_parameter_ordering_chain(self, tau):
-        # with j_initial = F >= |<F>| the chain chi2 <= zeta2 <= xi2 holds
+        # with the reference length F >= |<F>| the chain chi2 <= zeta2 <= xi2 holds
         report = squeezing_report(_evolved_tact(4, tau))
         assert report.chi2 <= report.zeta2 + 1e-12
         assert report.zeta2 <= report.xi2 + 1e-12
