@@ -105,21 +105,19 @@ def tact_hamiltonian(ops: SpinOperators, alpha: float) -> Hamiltonian:
     return Hamiltonian((m + m.conj().T) / 2.0, label=f"tact(alpha={alpha:g})")
 
 
-def light_shift_hamiltonian(ops: SpinOperators, a0: float, a2: float) -> Hamiltonian:
-    """AC-Stark shift of z-polarized off-resonant light: -(a0 I + a2 Fz^2)/4.
+def light_shift_hamiltonian(ops: SpinOperators, a2: float) -> Hamiltonian:
+    """Tensor AC-Stark shift of z-polarized off-resonant light: -a2 Fz^2 / 4.
 
-    a0 and a2 are the scalar and tensor polarizabilities already multiplied
-    by the light intensity, in rad/ms.
+    a2 is the tensor polarizability already multiplied by the light
+    intensity, in rad/ms.  The scalar shift is a multiple of the identity
+    and is left out.
     """
-    d = ops.dimension
-    m = -0.25 * (a0 * np.eye(d) + a2 * (ops.fz @ ops.fz))
-    return Hamiltonian(m, label=f"light_shift(a0={a0:g}, a2={a2:g})")
+    return Hamiltonian(-0.25 * a2 * (ops.fz @ ops.fz), label=f"light_shift(a2={a2:g})")
 
 
-def zeeman_hamiltonian(ops: SpinOperators, omega_l: float, beta: float) -> Hamiltonian:
-    """Linear + quadratic Zeeman shift omega_l * Fx + beta * Fx^2."""
-    m = omega_l * ops.fx + beta * (ops.fx @ ops.fx)
-    return Hamiltonian(m, label=f"zeeman(omega_l={omega_l:g}, beta={beta:g})")
+def zeeman_hamiltonian(ops: SpinOperators, beta: float) -> Hamiltonian:
+    """Quadratic Zeeman shift beta * Fx^2 in the frame rotating at the Larmor frequency."""
+    return Hamiltonian(beta * (ops.fx @ ops.fx), label=f"zeeman(beta={beta:g})")
 
 
 def compensated_hamiltonian(
@@ -151,10 +149,10 @@ def compensated_hamiltonian(
     Fz^2 rotated by theta about x averages to (3/4) Fz^2 + (1/4) Fy^2, i.e.
     3/4 of the light shift plus 1/4 of it rotated by pi/2 about x.
     """
-    light = light_shift_hamiltonian(ops, 0.0, -8.0 * beta).matrix
+    light = light_shift_hamiltonian(ops, -8.0 * beta).matrix
     u = rotation_unitary(ops, [1.0, 0.0, 0.0], np.pi / 2.0)
     h = 0.75 * light + 0.25 * (u @ light @ u.conj().T)
-    h += zeeman_hamiltonian(ops, 0.0, beta + residual).matrix
+    h += zeeman_hamiltonian(ops, beta + residual).matrix
     return Hamiltonian(
         (h + h.conj().T) / 2.0, label=f"compensated(beta={beta:g}, residual={residual:g})"
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -85,16 +85,16 @@ class ExperimentConfig:
     t2: float = 20.0
     extra_scatter_rate: float = DEFAULT_EXTRA_SCATTER_RATE
     pump_fraction: float = 0.98
-    raman_durations: tuple[float, ...] = ()
+    raman_durations: tuple[float, ...] = field(default_factory=_default_durations)
     kappa2: float = 0.8
     n_shots: int = 10000
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        if not self.raman_durations:
-            object.__setattr__(self, "raman_durations", _default_durations())
         durations = tuple(float(t) for t in self.raman_durations)
         object.__setattr__(self, "raman_durations", durations)
+        if not durations:
+            raise ValueError("raman_durations is empty; a start:stop:step range needs stop >= start")
         SpinQuantumNumber.coerce(self.f)  # validates integer/half-integer
         if not (self.t1 > 0 and self.t2 > 0):
             raise ValueError("t1 and t2 must be positive")
@@ -155,13 +155,13 @@ class ExperimentConfig:
     def canonical_text(self) -> str:
         """Stable key=value serialization used for hashing and echo files."""
         parts = []
-        for field in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, field.name)
-            if field.name == "raman_durations":
+        for spec in sorted(fields(self), key=lambda f: f.name):
+            value = getattr(self, spec.name)
+            if spec.name == "raman_durations":
                 value = ",".join(f"{t:.17g}" for t in value)
             elif isinstance(value, float):
                 value = f"{value:.17g}"
-            parts.append(f"{field.name}={value}")
+            parts.append(f"{spec.name}={value}")
         return "\n".join(parts) + "\n"
 
     @property

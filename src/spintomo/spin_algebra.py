@@ -5,7 +5,7 @@ Conventions used throughout the package:
 - hbar = 1; spin operators are dimensionless.
 - Basis ordering m = +F ... -F, i.e. row 0 is the stretched state m = +F.
 - Commutators follow [fy, fz] = i fx and cyclic permutations.
-- Dense matrices only; every dimension in this package is <= 16.
+- Dense matrices only; every dimension in this package is <= MAX_DIMENSION = 16.
 
 All containers are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -42,6 +42,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+MAX_DIMENSION = 16
+
+
 @dataclass(frozen=True)
 class SpinQuantumNumber:
     """Total spin F, stored as 2F so half-integer spins stay exact."""
@@ -52,6 +55,8 @@ class SpinQuantumNumber:
         two_f = self.two_f
         if not float(two_f).is_integer() or two_f < 0:
             raise ValueError(f"two_f must be a non-negative integer, got {two_f!r}")
+        if two_f + 1 > MAX_DIMENSION:
+            raise ValueError(f"F={two_f / 2:g} needs dimension {two_f + 1:g} > {MAX_DIMENSION}")
         object.__setattr__(self, "two_f", int(two_f))
 
     @classmethod
@@ -60,8 +65,8 @@ class SpinQuantumNumber:
         if isinstance(f, cls):
             return f
         two_f = 2.0 * float(f)
-        if abs(two_f - round(two_f)) > 1e-9:
-            raise ValueError(f"F must be integer or half-integer, got {f!r}")
+        if not np.isfinite(two_f) or abs(two_f - round(two_f)) > 1e-9:
+            raise ValueError(f"F must be a finite integer or half-integer, got {f!r}")
         return cls(int(round(two_f)))
 
     @property

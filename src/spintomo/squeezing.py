@@ -19,7 +19,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dynamics import tact_hamiltonian
 from .errors import PhysicalityError
@@ -43,9 +42,10 @@ __all__ = [
     "husimi",
 ]
 
-# countertwisting scan of tact_optimum: grid points over (0, pi] and the
-# tolerance of the golden-section refinement of each minimum
+# countertwisting scan of tact_optimum: grid points over (0, pi], points per
+# bracket of each zoom step, and the grid step at which the zoom stops
 SCAN_POINTS = 2000
+BRACKET_POINTS = 32
 REFINE_TOL = 1e-6
 
 
@@ -129,6 +129,11 @@ def _transverse_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e2, e3
 
 
+def _squeezing_parameters(v_min, length, f_value):
+    """(chi2, zeta2, xi2) of the module docstring; broadcasts over arrays."""
+    return 2.0 * v_min / f_value, 2.0 * v_min / length, 2.0 * f_value * v_min / length**2
+
+
 def squeezing_report(state: QuantumState) -> SqueezingReport:
     """Squeezing parameters of a state relative to the initial spin length F.
 
@@ -139,7 +144,6 @@ def squeezing_report(state: QuantumState) -> SqueezingReport:
     :class:`PhysicalityError`.
     """
     ops = spin_operators(state.spin)
-    fval = ops.f.f_value
     mean, cov_spin = moments(state.rho, (ops.fx, ops.fy, ops.fz))
     length = np.linalg.norm(mean)
     if length < 1e-9:
@@ -152,14 +156,14 @@ def squeezing_report(state: QuantumState) -> SqueezingReport:
     cov = frame @ cov_spin @ frame.T
     angle = optimal_quadrature_angle(cov)
     v_min = float(variance_extrema(cov)[0])
-
+    chi2, zeta2, xi2 = _squeezing_parameters(v_min, length, ops.f.f_value)
     return SqueezingReport(
         mean_spin=mean,
         cov=cov,
         optimal_angle=angle,
-        chi2=2.0 * v_min / fval,
-        zeta2=2.0 * v_min / length,
-        xi2=2.0 * fval * v_min / length**2,
+        chi2=chi2,
+        zeta2=zeta2,
+        xi2=xi2,
     )
 
 
@@ -170,8 +174,7 @@ class TactOptimum:
     The reported values are the minima of the first squeezing window: the
     interval from t=0 up to the first turning point of each parameter.  The
     evolution revives and can dip again at later times, but those recurrences
-    live on a collapsed mean spin and are not the operating point.  ``report``
-    is the full squeezing report at the zeta2-optimal time.
+    live on a collapsed mean spin and are not the operating point.
     """
 
     f: SpinQuantumNumber
@@ -181,7 +184,6 @@ class TactOptimum:
     zeta2_time: float
     xi2_min: float
     xi2_time: float
-    report: SqueezingReport
 
 
 def _first_local_min(values: np.ndarray) -> int:
@@ -195,11 +197,12 @@ def tact_optimum(f) -> TactOptimum:
     """Scan countertwisting evolution of a polarized spin for its squeezing limits.
 
     Evolves the coherent state along +x under Fz^2 - Fy^2 over the scaled
-    time alpha*t in (0, pi], locates the first minimum of each squeezing
-    parameter on a uniform grid of ``SCAN_POINTS``, and refines it by bounded
-    golden-section search to ``REFINE_TOL``.  The whole grid is one batched
-    :func:`~spintomo.spin_algebra.moments` call on the stack of scanned
-    states; the refinement evaluates the same code at a single time.
+    time alpha*t in (0, pi] and locates the first minimum of each squeezing
+    parameter on a uniform grid of ``SCAN_POINTS``.  Each minimum is zoomed:
+    ``BRACKET_POINTS`` times span one grid step either side of it, the best
+    becomes the centre and their spacing the step, until the step is at most
+    ``REFINE_TOL``.  The scan and each zoom step (all three brackets) are one
+    batched :func:`~spintomo.spin_algebra.moments` call on a stack of states.
     """
     f = SpinQuantumNumber.coerce(f)
     if f.two_f < 2:
@@ -208,57 +211,48 @@ def tact_optimum(f) -> TactOptimum:
             "below F=1 (for F=1/2 both squares are proportional to the identity)"
         )
     ops = spin_operators(f)
-    h = tact_hamiltonian(ops, 1.0)
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(tact_hamiltonian(ops, 1.0).matrix)
     coeffs = v.conj().T @ coherent_state_vector(f, np.pi / 2.0, 0.0)
     j_init = f.f_value
 
-    def states_at(taus: np.ndarray) -> np.ndarray:
-        return (np.exp(-1j * np.multiply.outer(taus, w)) * coeffs) @ v.T
-
     def params_at(taus: np.ndarray) -> np.ndarray:
-        # Collapse-safe (chi2, zeta2, xi2) rows, one per time.  The mean spin
-        # of this evolution stays on the +-x axis by symmetry, so the
-        # transverse plane is the fixed (y, z) plane and chi2 remains finite
-        # even where the others diverge with |<F>| -> 0.
-        psi = states_at(taus)
+        # (chi2, zeta2, xi2) rows, one per time.  The mean spin stays on the
+        # +-x axis by symmetry.  Below |<F>|^2 = 1e-8 F it counts as collapsed
+        # and zeta2, xi2 are infinite: xi2 is a 0/0 there, with round-off
+        # growing as 1/|<F>|^2; chi2 stays finite.
+        psi = (np.exp(-1j * np.multiply.outer(taus, w)) * coeffs) @ v.T
         rho = np.einsum("ni,nj->nij", psi, psi.conj())
         mean, cov = moments(rho, (ops.fx, ops.fy, ops.fz))
         v_min = variance_extrema(cov[:, 1:, 1:])[0]
         length = np.abs(mean[:, 0])
-        collapsed = length < 1e-12
+        collapsed = length**2 < 1e-8 * j_init
         length = np.where(collapsed, 1.0, length)
-        zeta2 = np.where(collapsed, np.inf, 2.0 * v_min / length)
-        xi2 = np.where(collapsed, np.inf, 2.0 * j_init * v_min / length**2)
-        return np.stack([2.0 * v_min / j_init, zeta2, xi2], axis=1)
+        params = np.stack(_squeezing_parameters(v_min, length, j_init), axis=1)
+        params[collapsed, 1:] = np.inf
+        return params
 
-    taus = np.linspace(np.pi / SCAN_POINTS, np.pi, SCAN_POINTS)
+    step = np.pi / SCAN_POINTS
+    taus = np.linspace(step, np.pi, SCAN_POINTS)
     table = params_at(taus)
-
-    minima = {}
-    for col, name in enumerate(("chi2", "zeta2", "xi2")):
-        i = _first_local_min(table[:, col])
-        lo = taus[max(i - 1, 0)]
-        hi = taus[min(i + 1, SCAN_POINTS - 1)]
-        res = minimize_scalar(
-            lambda tau, c=col: params_at(np.array([tau]))[0, c],
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": REFINE_TOL},
-        )
-        minima[name] = (float(res.fun), float(res.x))
-
-    psi_best = states_at(np.array([minima["zeta2"][1]]))[0]
-    best_report = squeezing_report(QuantumState.from_vector(psi_best))
+    cols = np.arange(3)
+    first = [_first_local_min(table[:, col]) for col in cols]
+    centres, minima = taus[first], table[first, cols]
+    offsets = np.linspace(-1.0, 1.0, BRACKET_POINTS)
+    while step > REFINE_TOL:
+        # row c of grids brackets the minimum of parameter c
+        grids = np.clip(centres[:, None] + step * offsets, taus[0], taus[-1])
+        values = params_at(grids.ravel()).reshape(3, BRACKET_POINTS, 3)[cols, :, cols]
+        best = np.argmin(values, axis=1)
+        centres, minima = grids[cols, best], values[cols, best]
+        step *= 2.0 / (BRACKET_POINTS - 1)
     return TactOptimum(
         f=f,
-        chi2_min=minima["chi2"][0],
-        chi2_time=minima["chi2"][1],
-        zeta2_min=minima["zeta2"][0],
-        zeta2_time=minima["zeta2"][1],
-        xi2_min=minima["xi2"][0],
-        xi2_time=minima["xi2"][1],
-        report=best_report,
+        chi2_min=float(minima[0]),
+        chi2_time=float(centres[0]),
+        zeta2_min=float(minima[1]),
+        zeta2_time=float(centres[1]),
+        xi2_min=float(minima[2]),
+        xi2_time=float(centres[2]),
     )
 
 

@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from spintomo import PhysicalityError, experiment
+from spintomo import PhysicalityError, cli, experiment
 from spintomo.cli import main
 from conftest import fail_at_call
 
@@ -57,6 +59,30 @@ class TestLimits:
         run_cli("limits", "1", "--out", str(a))
         run_cli("limits", "1", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [("inf", "F must be a finite integer or half-integer, got inf"),
+         ("8", "F=8 needs dimension 17 > 16")],
+        ids=["inf", "dimension-17"],
+    )
+    def test_unsupported_spin_refused(self, tmp_path, capsys, monkeypatch, f, message):
+        # refused before any scan runs
+        monkeypatch.setattr(cli, "tact_optimum", fail_at_call(1, AssertionError("scanned")))
+        out = tmp_path / "limits.csv"
+        assert run_cli("limits", f, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+
+def test_import_leaves_scipy_optimize_out():
+    # no command needs scipy.optimize, and importing it slows every command
+    code = "import sys, spintomo.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestSweep:
@@ -124,6 +150,21 @@ class TestSweep:
         assert run_cli("sweep", "--config", config_path, "--out", str(out)) == code
         err = capsys.readouterr().err
         assert err == f"{prefix}: sweep point t_r=0.8 ms: {injected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("f = 8", "F=8 needs dimension 17 > 16"),
+         ("raman_durations = 5:1:0.5", "raman_durations is empty")],
+        ids=["dimension-17", "empty-durations"],
+    )
+    def test_invalid_config_is_usage_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n_shots = 100\n{line}\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
         assert not out.exists()
 
     def test_unwritable_output_dir(self, config_path, tmp_path, capsys):

@@ -76,48 +76,48 @@ class TestLightShift:
     def test_scalar_shift_changes_nothing(self, ops4):
         rng = np.random.default_rng(21)
         state = random_density_matrix(9, rng)
-        h = light_shift_hamiltonian(ops4, a0=3.7, a2=0.0)
+        h = Hamiltonian(-0.25 * 3.7 * np.eye(9), "scalar light shift")
         evolved = evolve_unitary(state, h, 2.5)
         assert np.abs(evolved.rho - state.rho).max() <= 1e-12
 
     def test_pure_tensor_matches_oat(self, ops4):
-        h_light = light_shift_hamiltonian(ops4, a0=0.0, a2=-4.0)
+        h_light = light_shift_hamiltonian(ops4, a2=-4.0)
         h_oat = oat_hamiltonian(ops4, 1.0)
         assert np.abs(h_light.matrix - h_oat.matrix).max() <= 1e-14
 
     def test_eigenvalues(self, ops4):
-        a0, a2 = 1.3, -0.8
-        h = light_shift_hamiltonian(ops4, a0, a2)
+        a2 = -0.8
+        h = light_shift_hamiltonian(ops4, a2)
         m = ops4.f.m_values
-        expected = np.sort(-0.25 * (a0 + a2 * m**2))
+        expected = np.sort(-0.25 * a2 * m**2)
         assert_allclose(np.linalg.eigvalsh(h.matrix), expected, atol=1e-12)
 
 
 class TestZeeman:
     def test_pure_larmor_keeps_css_x(self, ops4, css_x4):
-        h = zeeman_hamiltonian(ops4, omega_l=5.0, beta=0.0)
+        h = Hamiltonian(5.0 * ops4.fx, "larmor")
         evolved = evolve_unitary(css_x4, h, 1.7)
         assert np.abs(evolved.rho - css_x4.rho).max() <= 1e-10
 
     def test_css_z_precesses(self, ops4):
         omega = 5.0
-        h = zeeman_hamiltonian(ops4, omega_l=omega, beta=0.0)
+        h = Hamiltonian(omega * ops4.fx, "larmor")
         css_z = coherent_spin_state(4, 0.0, 0.0)
         for t in (0.1, 0.75):
             evolved = evolve_unitary(css_z, h, t)
             assert abs(expectation(evolved, ops4.fz) - 4.0 * np.cos(omega * t)) <= 1e-10
 
     def test_eigenvalues_in_x_basis(self, ops4):
-        omega, beta = 2.2, 0.4
-        h = zeeman_hamiltonian(ops4, omega, beta)
+        beta = 0.4
+        h = zeeman_hamiltonian(ops4, beta)
         m = ops4.f.m_values
-        expected = np.sort(omega * m + beta * m**2)
+        expected = np.sort(beta * m**2)
         assert_allclose(np.linalg.eigvalsh(h.matrix), expected, atol=1e-12)
 
     def test_larmor_period_at_322_kHz(self, ops4):
         # 2*pi*322 rad/ms precession returns <Fz> after 1/322 ms
         omega = 2.0 * np.pi * 322.0
-        h = zeeman_hamiltonian(ops4, omega, 0.0)
+        h = Hamiltonian(omega * ops4.fx, "larmor")
         css_z = coherent_spin_state(4, 0.0, 0.0)
         period = 1.0 / 322.0
         evolved = evolve_unitary(css_z, h, period)
@@ -357,8 +357,8 @@ class TestHamiltonianContainer:
         for h in (
             oat_hamiltonian(ops, 0.3),
             tact_hamiltonian(ops, -1.2),
-            light_shift_hamiltonian(ops, 0.5, 2.0),
-            zeeman_hamiltonian(ops, 1.0, 0.2),
+            light_shift_hamiltonian(ops, 2.0),
+            zeeman_hamiltonian(ops, 0.2),
             compensated_hamiltonian(ops, 0.7, residual=0.02),
         ):
             assert np.abs(h.matrix - h.matrix.conj().T).max() <= 1e-12

@@ -90,6 +90,18 @@ class TestConfig:
             ExperimentConfig(raman_durations=(-0.5, 1.0))
         with pytest.raises(ValueError):
             ExperimentConfig(n_shots=0)
+        with pytest.raises(ValueError, match="dimension 17"):
+            ExperimentConfig(f=8.0)
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(f=float("inf"))
+
+    @pytest.mark.parametrize(
+        "text", ["5:1:0.5", "0:-1:1", ""], ids=["reversed", "negative-stop", "empty"]
+    )
+    def test_empty_durations_rejected(self, text):
+        # an empty grid is an error, not the default 0-6 ms grid
+        with pytest.raises(ValueError, match="raman_durations is empty"):
+            ExperimentConfig.from_mapping({"raman_durations": text})
 
     def test_hash_tracks_content(self):
         a = ExperimentConfig(seed=1)

@@ -39,6 +39,10 @@ class TestSpinQuantumNumber:
             SpinQuantumNumber(-1)
         with pytest.raises(ValueError):
             SpinQuantumNumber.coerce(0.7)
+        for f in (float("inf"), float("nan"), 8.0):
+            with pytest.raises(ValueError):
+                SpinQuantumNumber.coerce(f)
+        assert SpinQuantumNumber.coerce(7.5).dimension == 16
 
 
 class TestSpinOperators:

@@ -21,6 +21,7 @@ from spintomo import (
     tact_hamiltonian,
     tact_optimum,
 )
+from spintomo import squeezing
 from spintomo.squeezing import _first_local_min
 
 
@@ -177,8 +178,18 @@ class TestTactOptimum:
         assert opt.xi2_time < opt.zeta2_time < opt.chi2_time
 
     def test_report_matches_zeta2_minimum(self):
+        # independent path: unitary evolution of the density matrix and the
+        # squeezing report at the optimal time reproduce the scanned minimum
         opt = tact_optimum(4)
-        assert abs(opt.report.zeta2 - opt.zeta2_min) <= 1e-9
+        report = squeezing_report(_evolved_tact(4, opt.zeta2_time))
+        assert abs(report.zeta2 - opt.zeta2_min) <= 1e-9
+
+    @pytest.mark.parametrize("bracket_points", [4, 8, 16, 64, 128])
+    def test_f1_fixture_at_every_bracket_size(self, monkeypatch, bracket_points):
+        # the spin-1 collapse at alpha*t = pi/4 makes xi2 a 0/0; the zoom must
+        # not depend on where its bracket points happen to fall
+        monkeypatch.setattr(squeezing, "BRACKET_POINTS", bracket_points)
+        self.test_f1_regression_fixture()
 
     def test_oat_is_weaker_than_tact(self, ops4, css_x4):
         # dense scan of one-axis twisting as the comparison oracle
