@@ -196,7 +196,7 @@ def lindblad_trajectory(
 ) -> list[QuantumState]:
     """States at each requested time, by exact propagation of the master equation.
 
-    ``times`` must be non-decreasing and non-negative.  The d^2 x d^2
+    ``times`` must be finite, non-decreasing and non-negative.  The d^2 x d^2
     Liouvillian L (Havel, J. Math. Phys. 44, 534 (2003)) is diagonalized
     once, L = V diag(lambda) V^-1; with c = V^-1 vec(rho0) every state is
     V (exp(lambda t) * c), so the cost does not grow with the times or
@@ -211,12 +211,14 @@ def lindblad_trajectory(
         raise ValueError(
             f"Hamiltonian dimension {h.dimension} does not match state {state.dimension}"
         )
-    times = [float(t) for t in times]
-    if not times:
+    times = np.asarray(times, dtype=float)
+    if not times.size:
         return []
-    if any(t < 0 for t in times):
+    if not np.isfinite(times).all():
+        raise ValueError(f"evolution time {times[~np.isfinite(times)][0]:g} ms is not finite")
+    if (times < 0).any():
         raise ValueError("evolution times must be >= 0")
-    if any(b < a for a, b in zip(times, times[1:])):
+    if (np.diff(times) < 0).any():
         raise ValueError("times must be non-decreasing")
 
     d = state.dimension

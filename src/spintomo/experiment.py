@@ -74,7 +74,9 @@ class ExperimentConfig:
         n_shots                shots per sweep point (default 10000)
         seed                   master seed (default 12345)
 
-    Unknown keys are rejected with ``ValueError``.  The dynamics are in the
+    Unknown keys are rejected with ``ValueError``, and so are non-finite
+    values (only t1 and t2 may be inf: that decay channel is off),
+    fractional n_shots or seed, and seed < 0.  The dynamics are in the
     frame rotating at the Larmor frequency, so it is not a parameter.
     """
 
@@ -95,6 +97,14 @@ class ExperimentConfig:
         object.__setattr__(self, "raman_durations", durations)
         if not durations:
             raise ValueError("raman_durations is empty; a start:stop:step range needs stop >= start")
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if np.isnan(value).any() or (np.isinf(value).any() and spec.name not in ("t1", "t2")):
+                raise ValueError(f"{spec.name} must be finite, got {value!r}")
+            if spec.name in ("n_shots", "seed"):
+                if not float(value).is_integer():
+                    raise ValueError(f"{spec.name} must be an integer, got {value!r}")
+                object.__setattr__(self, spec.name, int(value))
         SpinQuantumNumber.coerce(self.f)  # validates integer/half-integer
         if not (self.t1 > 0 and self.t2 > 0):
             raise ValueError("t1 and t2 must be positive")
@@ -108,6 +118,8 @@ class ExperimentConfig:
             raise ValueError(f"kappa2 must be >= 0, got {self.kappa2}")
         if self.n_shots < 1:
             raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def spin(self) -> SpinQuantumNumber:
@@ -130,12 +142,7 @@ class ExperimentConfig:
         kwargs = {}
         for key, raw in mapping.items():
             raw = str(raw).strip()
-            if key == "raman_durations":
-                kwargs[key] = _parse_durations(raw)
-            elif key in ("n_shots", "seed"):
-                kwargs[key] = int(float(raw))
-            else:
-                kwargs[key] = float(raw)
+            kwargs[key] = _parse_durations(raw) if key == "raman_durations" else float(raw)
         return cls(**kwargs)
 
     @classmethod
@@ -180,6 +187,8 @@ def _parse_durations(text: str) -> tuple[float, ...]:
         if len(pieces) != 3:
             raise ValueError(f"duration range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in pieces)
+        if not np.isfinite([start, stop, step]).all():
+            raise ValueError(f"raman_durations range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("duration step must be positive")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -180,29 +179,23 @@ class QuantumState:
         return float(np.real(np.trace(self.rho @ self.rho)))
 
 
-def coherent_state_vector(f, theta: float, phi: float) -> np.ndarray:
-    """Amplitudes of the spin coherent state pointing along (theta, phi).
+def coherent_state_vector(f, theta, phi) -> np.ndarray:
+    """Amplitudes of the spin coherent states pointing along (theta, phi).
 
-    The state is exp(-i phi Fz) exp(-i theta Fy) applied to the stretched
-    state m = +F, written in closed form through binomial coefficients.
-    theta is the polar angle from +z, phi the azimuth from +x.
+    The state exp(-i phi Fz) exp(-i theta Fy)|F, F> in closed form,
+    sqrt(C(2F, F-m)) cos(theta/2)^(F+m) sin(theta/2)^(F-m) exp(-i m phi);
+    theta is the polar angle from +z, phi the azimuth from +x.  The angles
+    broadcast, and the result has shape (..., 2F+1): (2F+1,) for scalars.
     """
     f = SpinQuantumNumber.coerce(f)
     m = f.m_values
-    two_f = f.two_f
     fval = f.f_value
-    half = theta / 2.0
-    amps = np.array(
-        [
-            np.sqrt(comb(two_f, int(round(fval - mm))))
-            * np.cos(half) ** (fval + mm)
-            * np.sin(half) ** (fval - mm)
-            * np.exp(-1j * mm * phi)
-            for mm in m
-        ],
-        dtype=complex,
-    )
-    return amps
+    # exact integer binomials C(2F, k) from the factorials 0! ... (2F)!
+    factorials = np.cumprod(np.arange(f.dimension).clip(1))
+    binom = factorials[-1] // (factorials * factorials[::-1])
+    half = np.asarray(theta, dtype=float)[..., None] / 2.0
+    amps = np.sqrt(binom) * np.cos(half) ** (fval + m) * np.sin(half) ** (fval - m)
+    return amps * np.exp(-1j * m * np.asarray(phi, dtype=float)[..., None])
 
 
 def coherent_spin_state(f, theta: float, phi: float) -> QuantumState:

@@ -310,17 +310,17 @@ class HusimiGrid:
 
 
 def husimi(state: QuantumState, n_theta: int, n_phi: int) -> HusimiGrid:
-    """Evaluate the Husimi function of a spin state on an equiangular grid."""
+    """Evaluate the Husimi function of a spin state on an equiangular grid.
+
+    One broadcast :func:`~spintomo.spin_algebra.coherent_state_vector` call
+    gives the amplitudes of every node; round-off outside [0, 1] is clipped.
+    """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     f = state.spin
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    # stack all coherent-state amplitudes, then evaluate <psi|rho|psi> in bulk
-    amps = np.empty((n_theta, n_phi, f.dimension), dtype=complex)
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            amps[i, j] = coherent_state_vector(f, theta, phi)
+    amps = coherent_state_vector(f, thetas[:, None], phis[None, :])
     values = np.real(np.einsum("ijd,de,ije->ij", amps.conj(), state.rho, amps))
     values = np.clip(values, 0.0, 1.0)
     return HusimiGrid(f=f, thetas=thetas, phis=phis, values=values)

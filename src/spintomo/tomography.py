@@ -163,15 +163,15 @@ class OscillatorDensityMatrix:
         return np.real(np.diag(self.rho))
 
     def to_dict(self) -> dict:
-        # row-major list of [re, im] pairs
-        flat = [[float(z.real), float(z.imag)] for z in self.rho.ravel()]
+        rho = self.rho
         return {
             "dim": self.dim,
             "mean_x": self.mean_x,
             "mean_p": self.mean_p,
             "n_iterations": self.n_iterations,
             "converged": self.converged,
-            "rho_row_major_re_im": flat,
+            # row-major list of [re, im] pairs
+            "rho_row_major_re_im": np.stack([rho.real, rho.imag], -1).reshape(-1, 2).tolist(),
         }
 
 
@@ -207,12 +207,9 @@ def _binned_quadrature_povm(
     x = nodes * half_width
     w = weights * half_width
     psi = _hermite_functions(dim - 1, x)
-    # cumulative bin membership probabilities for each true x
-    upper = np.vstack([ndtr((e - x) / sigma_blur) for e in edges])
-    member = np.empty((len(edges) + 1, len(x)))
-    member[0] = upper[0]
-    member[1:-1] = np.diff(upper, axis=0)
-    member[-1] = 1.0 - upper[-1]
+    # bin membership probabilities for each true x: differences of the
+    # cumulative probability at each edge, with 0 and 1 beyond the outer edges
+    member = np.diff(ndtr((edges[:, None] - x) / sigma_blur), axis=0, prepend=0.0, append=1.0)
     povm = np.einsum("kx,nx,mx,x->knm", member, psi, psi, w, optimize=True)
     return povm
 
@@ -256,12 +253,7 @@ def mle_reconstruct(
     edges = np.linspace(-6.0 * spread, 6.0 * spread, 63)
 
     povm_x = _binned_quadrature_povm(edges, sigma_blur, dim)
-    povms = np.concatenate(
-        [
-            _rotated_povm(povm_x.astype(complex), 0.0, dim),
-            _rotated_povm(povm_x.astype(complex), np.pi / 2.0, dim),
-        ]
-    )
+    povms = np.concatenate([povm_x, _rotated_povm(povm_x, np.pi / 2.0, dim)])
     full_edges = np.concatenate([[-np.inf], edges, [np.inf]])
     counts = np.concatenate(
         [

@@ -155,8 +155,22 @@ class TestSweep:
     @pytest.mark.parametrize(
         "line, message",
         [("f = 8", "F=8 needs dimension 17 > 16"),
-         ("raman_durations = 5:1:0.5", "raman_durations is empty")],
-        ids=["dimension-17", "empty-durations"],
+         ("raman_durations = 5:1:0.5", "raman_durations is empty"),
+         ("kappa2 = nan", "kappa2 must be finite, got nan"),
+         ("twisting_rate = nan", "twisting_rate must be finite, got nan"),
+         ("extra_scatter_rate = nan", "extra_scatter_rate must be finite, got nan"),
+         ("t1 = nan", "t1 must be finite, got nan"),
+         ("compensation_residual = inf", "compensation_residual must be finite, got inf"),
+         ("raman_durations = 0,nan", "raman_durations must be finite, got (0.0, nan)"),
+         ("raman_durations = 0,inf", "raman_durations must be finite, got (0.0, inf)"),
+         ("raman_durations = 0:inf:1", "raman_durations range must be finite, got '0:inf:1'"),
+         ("seed = -1", "seed must be >= 0, got -1"),
+         ("seed = nan", "seed must be finite, got nan"),
+         ("n_shots = inf", "n_shots must be finite, got inf"),
+         ("n_shots = 1.5", "n_shots must be an integer, got 1.5")],
+        ids=["dimension-17", "empty-durations", "nan-kappa2", "nan-twisting-rate",
+             "nan-extra-scatter", "nan-t1", "inf-residual", "nan-duration", "inf-duration",
+             "inf-duration-range", "negative-seed", "nan-seed", "inf-shots", "fractional-shots"],
     )
     def test_invalid_config_is_usage_error(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -166,6 +180,17 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
         assert not out.exists()
+
+    def test_decay_off_config_runs(self, tmp_path):
+        # the README's decay-off scenario: infinite t1 and t2 are the one
+        # non-finite values a config may hold
+        cfg = tmp_path / "nodecay.cfg"
+        cfg.write_text("t1 = inf\nt2 = inf\nextra_scatter_rate = 0\n"
+                       "raman_durations = 0,0.8\nn_shots = 500\n")
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out), "--format", "json") == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 2 and np.isfinite(rows[1]["zeta2_true"])
 
     def test_unwritable_output_dir(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "missing_dir" / "sweep.csv")
@@ -206,6 +231,18 @@ class TestRecordsAndReconstruct:
         run_cli("records", "--config", config_path, "--tr", "0.8", "--out", str(a))
         run_cli("records", "--config", config_path, "--tr", "0.8", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, t_r",
+        [("records", "nan"), ("records", "inf"), ("qpd", "nan"), ("qpd", "inf")],
+    )
+    def test_non_finite_duration_is_usage_error(self, config_path, tmp_path, capsys,
+                                                command, t_r):
+        out = tmp_path / "o.csv"
+        assert run_cli(command, "--config", config_path, "--tr", t_r, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: evolution time {t_r} ms is not finite\n"
+        assert not out.exists()
 
     def test_missing_records_file(self, tmp_path, capsys):
         assert run_cli("reconstruct", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o.json")) == 2

@@ -298,6 +298,9 @@ class TestLindblad:
             lindblad_trajectory(css_x4, h, decay, [-1.0])
         with pytest.raises(ValueError):
             lindblad_trajectory(css_x4, h, decay, [1.0, 0.5])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"evolution time {bad:g} ms is not finite"):
+                lindblad_trajectory(css_x4, h, decay, [0.5, bad])
 
     def test_semigroup_property(self, ops4):
         # P(a) P(b) = P(a + b) on vec(rho), from a state with full support

@@ -94,6 +94,21 @@ class TestConfig:
             ExperimentConfig(f=8.0)
         with pytest.raises(ValueError, match="finite"):
             ExperimentConfig(f=float("inf"))
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+            ExperimentConfig(seed=2.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentConfig().with_seed(-3)
+
+    def test_integral_counts_parse_as_int(self):
+        cfg = ExperimentConfig.from_mapping({"n_shots": "1e4", "seed": "12345.0"})
+        assert cfg == ExperimentConfig()
+        assert type(cfg.n_shots) is int and type(cfg.seed) is int
+
+    def test_default_hash_is_pinned(self):
+        # the config hash tags every output file; parsing changes must not move it
+        assert ExperimentConfig().config_hash == (
+            "480f87112063cc6cefdcd57e2d0f69db06ea2bcdb80758d8223ed6f920cb40db"
+        )
 
     @pytest.mark.parametrize(
         "text", ["5:1:0.5", "0:-1:1", ""], ids=["reversed", "negative-stop", "empty"]
@@ -263,6 +278,8 @@ class TestPointRecord:
 
 
 class TestReconstructSweep:
+    # the MLE's known non-convergence stays visible as a warning, not an error
+    @pytest.mark.filterwarnings("default:likelihood iteration stopped:RuntimeWarning")
     def test_round_trip_and_cross_method(self):
         cfg = short_config(raman_durations=(0.0, 0.8), n_shots=8000)
         out = reconstruct_sweep(cfg, durations=(0.0, 0.8))

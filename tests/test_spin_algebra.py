@@ -138,6 +138,26 @@ class TestCoherentState:
         psi = coherent_state_vector(3, 1.234, -2.1)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("f", [0.5, 1.0, 1.5, 4.0, 7.5])
+    def test_grid_matches_rotated_stretched_state(self, f):
+        # second method: exp(-i phi Fz) exp(-i theta Fy)|F, F> from the
+        # eigendecompositions of the spin matrices, node by node
+        ops = spin_operators(f)
+        d = ops.dimension
+        thetas = np.array([0.0, 0.3, np.pi / 2.0, 2.9, np.pi])
+        phis = np.array([-2.1, 0.0, 1.0, 4.5])
+        wy, vy = np.linalg.eigh(ops.fy)
+        wz, vz = np.linalg.eigh(ops.fz)
+        stretched = np.eye(d)[0]
+        grid = coherent_state_vector(f, thetas[:, None], phis[None, :])
+        assert grid.shape == (len(thetas), len(phis), d)
+        assert coherent_state_vector(f, 0.3, 1.0).shape == (d,)
+        for i, theta in enumerate(thetas):
+            for j, phi in enumerate(phis):
+                ry = (vy * np.exp(-1j * theta * wy)) @ vy.conj().T
+                rz = (vz * np.exp(-1j * phi * wz)) @ vz.conj().T
+                assert_allclose(grid[i, j], rz @ ry @ stretched, rtol=0, atol=1e-12)
+
 
 class TestExpectationCovariance:
     def test_identity_covariance_zero(self, css_x4):

@@ -23,6 +23,7 @@ from spintomo import (
 )
 from spintomo import squeezing
 from spintomo.squeezing import _first_local_min
+from conftest import random_density_matrix
 
 
 def _evolved_tact(f, tau):
@@ -246,6 +247,23 @@ class TestHusimi:
         mixed = QuantumState(np.eye(9) / 9.0)
         grid = husimi(mixed, 24, 24)
         assert_allclose(grid.values, np.full((24, 24), 1.0 / 9.0), atol=1e-12)
+
+    def test_matches_nodewise_expectation(self):
+        # second method: <psi|rho|psi> with psi = exp(-i phi Fz) exp(-i theta Fy)|F, F>
+        # from the eigendecompositions of the spin matrices, one node at a time
+        rng = np.random.default_rng(23)
+        state = random_density_matrix(9, rng)
+        ops = spin_operators(4)
+        wy, vy = np.linalg.eigh(ops.fy)
+        wz, vz = np.linalg.eigh(ops.fz)
+        grid = husimi(state, 6, 10)
+        for i, theta in enumerate(grid.thetas):
+            for j, phi in enumerate(grid.phis):
+                ry = (vy * np.exp(-1j * theta * wy)) @ vy.conj().T
+                rz = (vz * np.exp(-1j * phi * wz)) @ vz.conj().T
+                psi = rz @ ry[:, 0]
+                expected = np.real(psi.conj() @ state.rho @ psi)
+                assert abs(grid.values[i, j] - expected) <= 1e-12
 
     def test_values_bounded(self, css_x4):
         grid = husimi(css_x4, 32, 32)
