@@ -142,7 +142,7 @@ class ExperimentConfig:
         kwargs = {}
         for key, raw in mapping.items():
             raw = str(raw).strip()
-            kwargs[key] = _parse_durations(raw) if key == "raman_durations" else float(raw)
+            kwargs[key] = _parse_durations(raw) if key == "raman_durations" else _number(key, raw)
         return cls(**kwargs)
 
     @classmethod
@@ -179,6 +179,14 @@ class ExperimentConfig:
         return replace(self, seed=int(seed))
 
 
+def _number(key: str, text: str) -> float:
+    """float(text), or a ValueError that names the config key it came from."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{key}: {text!r} is not a number") from None
+
+
 def _parse_durations(text: str) -> tuple[float, ...]:
     """Parse '0,0.5,1.0' or 'start:stop:step' (stop inclusive up to round-off)."""
     text = text.strip()
@@ -186,14 +194,14 @@ def _parse_durations(text: str) -> tuple[float, ...]:
         pieces = text.split(":")
         if len(pieces) != 3:
             raise ValueError(f"duration range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in pieces)
+        start, stop, step = (_number("raman_durations", p) for p in pieces)
         if not np.isfinite([start, stop, step]).all():
             raise ValueError(f"raman_durations range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("duration step must be positive")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         return tuple(np.round(start + step * np.arange(n), 12))
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(_number("raman_durations", p) for p in text.split(",") if p.strip())
 
 
 def prepare_initial_state(config: ExperimentConfig) -> QuantumState:

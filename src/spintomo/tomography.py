@@ -15,11 +15,11 @@ Both consume the same records, so they cross-validate each other.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConvergenceError, PhysicalityError
 from .probe import CanonicalMoments, MeasurementRecord, readout_model
@@ -190,6 +190,11 @@ def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF Phi(z) = erfc(-z / sqrt 2) / 2, on the standard library's erfc."""
+    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(-z / np.sqrt(2.0)).astype(float)
+
+
 def _binned_quadrature_povm(
     edges: np.ndarray,
     sigma_blur: float,
@@ -208,8 +213,10 @@ def _binned_quadrature_povm(
     w = weights * half_width
     psi = _hermite_functions(dim - 1, x)
     # bin membership probabilities for each true x: differences of the
-    # cumulative probability at each edge, with 0 and 1 beyond the outer edges
-    member = np.diff(ndtr((edges[:, None] - x) / sigma_blur), axis=0, prepend=0.0, append=1.0)
+    # cumulative probability at each edge, with 0 and 1 beyond the outer edges;
+    # the CDF is evaluated through erfc, elementwise (see _normal_cdf)
+    cdf = _normal_cdf((edges[:, None] - x) / sigma_blur)
+    member = np.diff(cdf, axis=0, prepend=0.0, append=1.0)
     povm = np.einsum("kx,nx,mx,x->knm", member, psi, psi, w, optimize=True)
     return povm
 

@@ -75,14 +75,17 @@ class TestLimits:
         assert not out.exists()
 
 
-def test_import_leaves_scipy_optimize_out():
-    # no command needs scipy.optimize, and importing it slows every command
-    code = "import sys, spintomo.cli; print('scipy.optimize' in sys.modules)"
+def test_import_loads_no_scipy():
+    # the package needs only numpy; importing scipy would slow every command
+    code = (
+        "import sys, spintomo, spintomo.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 class TestSweep:
@@ -167,10 +170,14 @@ class TestSweep:
          ("seed = -1", "seed must be >= 0, got -1"),
          ("seed = nan", "seed must be finite, got nan"),
          ("n_shots = inf", "n_shots must be finite, got inf"),
-         ("n_shots = 1.5", "n_shots must be an integer, got 1.5")],
+         ("n_shots = 1.5", "n_shots must be an integer, got 1.5"),
+         ("kappa2 = abc", "kappa2: 'abc' is not a number"),
+         ("raman_durations = 0,x", "raman_durations: 'x' is not a number"),
+         ("seed = 1e", "seed: '1e' is not a number")],
         ids=["dimension-17", "empty-durations", "nan-kappa2", "nan-twisting-rate",
              "nan-extra-scatter", "nan-t1", "inf-residual", "nan-duration", "inf-duration",
-             "inf-duration-range", "negative-seed", "nan-seed", "inf-shots", "fractional-shots"],
+             "inf-duration-range", "negative-seed", "nan-seed", "inf-shots", "fractional-shots",
+             "text-kappa2", "text-duration", "text-seed"],
     )
     def test_invalid_config_is_usage_error(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"

@@ -334,6 +334,23 @@ class TestLindblad:
             vec = expm(generator * t) @ css_x4.rho.ravel(order="F")
             assert np.abs(state.rho - vec.reshape(9, 9, order="F")).max() <= 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, 0.8, 6.0, 60.0])
+    def test_guard_expm_matches_scipy_on_liouvillian(self, ops4, t):
+        decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
+        h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
+        a = dynamics._liouvillian(h, decay, np.asarray(ops4.fx)) * t
+        reference = expm(a)
+        assert np.abs(dynamics._expm(a) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("norm", [0.1, 5.3, 5.5, 500.0])
+    def test_guard_expm_matches_scipy_around_theta13(self, norm):
+        # 1-norms on both sides of theta_13 = 5.37; 500 needs seven squarings
+        rng = np.random.default_rng(int(norm * 10))
+        a = rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        reference = expm(a)
+        assert np.abs(dynamics._expm(a) - reference).max() <= 1e-13 * np.abs(reference).max()
+
     def test_expm_guard_catches_bad_eigenbasis(self, ops4, css_x4, monkeypatch):
         decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 
 from spintomo import (
     CanonicalMoments,
@@ -13,6 +14,7 @@ from spintomo import (
     simulate_records,
     variances_from_rho,
 )
+from spintomo import tomography
 from spintomo.tomography import _binned_quadrature_povm, annihilation_operator
 
 VACUUM = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
@@ -93,6 +95,18 @@ class TestPovm:
         edges = np.linspace(-6.0, 6.0, 63)
         povm = _binned_quadrature_povm(edges, sigma_blur=1.147, dim=10)
         assert np.abs(povm.sum(axis=0) - np.eye(10)).max() <= 1e-10
+
+    def test_normal_cdf_matches_ndtr(self):
+        z = np.linspace(-40.0, 40.0, 8001)
+        assert np.abs(tomography._normal_cdf(z) - ndtr(z)).max() <= 1e-15
+
+    def test_matches_ndtr_construction(self, monkeypatch):
+        edges = np.linspace(-4.0, 4.0, 62)
+        povm = _binned_quadrature_povm(edges, sigma_blur=1.147, dim=10)
+        assert np.abs(povm.sum(axis=0) - np.eye(10)).max() <= 1e-12
+        monkeypatch.setattr(tomography, "_normal_cdf", ndtr)
+        reference = _binned_quadrature_povm(edges, sigma_blur=1.147, dim=10)
+        assert np.abs(povm - reference).max() <= 1e-14
 
     def test_elements_positive_semidefinite(self):
         edges = np.linspace(-5.0, 5.0, 31)
