@@ -195,6 +195,10 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.frompyfunc(math.erfc, 1, 1)(-z / np.sqrt(2.0)).astype(float)
 
 
+# Node spacing of the trapezoidal rule behind every POVM element.
+_QUADRATURE_STEP = 0.1
+
+
 def _binned_quadrature_povm(
     edges: np.ndarray,
     sigma_blur: float,
@@ -205,20 +209,26 @@ def _binned_quadrature_povm(
     Element k integrates |x><x| against the probability that the noisy
     outcome falls in bin k given true value x; the two outer bins absorb the
     tails, so the elements sum to the identity.  Returns (n_bins, dim, dim).
+
+    The integrals use the trapezoidal rule on a uniform grid of spacing
+    h = ``_QUADRATURE_STEP`` = 0.1 over +-half_width, where the integrand has
+    decayed below round-off.  The integrand, a Gaussian times a polynomial
+    times a normal CDF of width ``sigma_blur``, is entire, so the rule
+    converges exponentially in 1/h (Trefethen & Weideman, SIAM Rev. 56, 385
+    (2014)).  At the readout model's smallest blur, 3 ** -0.25 ~ 0.76, its
+    error at h = 0.1 is still far below round-off.
     """
     span = max(abs(edges[0]), abs(edges[-1]))
     half_width = max(span + 4.0 * sigma_blur, np.sqrt(2.0 * dim + 1.0) + 6.0)
-    nodes, weights = np.polynomial.legendre.leggauss(1600)
-    x = nodes * half_width
-    w = weights * half_width
+    n_half = math.ceil(half_width / _QUADRATURE_STEP)
+    x = _QUADRATURE_STEP * np.arange(-n_half, n_half + 1)
     psi = _hermite_functions(dim - 1, x)
     # bin membership probabilities for each true x: differences of the
     # cumulative probability at each edge, with 0 and 1 beyond the outer edges;
     # the CDF is evaluated through erfc, elementwise (see _normal_cdf)
     cdf = _normal_cdf((edges[:, None] - x) / sigma_blur)
     member = np.diff(cdf, axis=0, prepend=0.0, append=1.0)
-    povm = np.einsum("kx,nx,mx,x->knm", member, psi, psi, w, optimize=True)
-    return povm
+    return np.einsum("kx,nx,mx->knm", member * _QUADRATURE_STEP, psi, psi, optimize=True)
 
 
 def _rotated_povm(povm_x: np.ndarray, theta: float, dim: int) -> np.ndarray:
@@ -226,6 +236,32 @@ def _rotated_povm(povm_x: np.ndarray, theta: float, dim: int) -> np.ndarray:
     n = np.arange(dim)
     phase = np.exp(-1j * theta * (n[:, None] - n[None, :]))
     return povm_x * phase[None, :, :]
+
+
+def _likelihood_kernel(povms: np.ndarray):
+    """Probabilities and R operator of a (K, d, d) POVM stack as matrix products.
+
+    Returns ``probabilities(rho)``, the K values Tr(P_k rho), and
+    ``weighted_sum(weights)``, the d x d operator sum_k weights_k P_k.  The
+    stack is flattened once to (K, d^2), so each is one product with vec(rho)
+    or with the weights.  Both products run on the float64 (re, im) views of
+    the complex arrays, (K, 2 d^2): the real dot product of two such views is
+    Re[conj(vec P_k) . vec(rho)] = Re sum_ij conj((P_k)_ij) rho_ij, which is
+    Tr(P_k rho) because P_k is Hermitian, so only the half of the complex
+    product that is used gets computed.  A complex matrix-vector product of
+    this size would also hand work to a second OpenBLAS thread, which then
+    spins through the whole iteration and about 0.1 s beyond it.
+    """
+    k, d, _ = povms.shape
+    flat = povms.reshape(k, d * d).view(np.float64)
+
+    def probabilities(rho: np.ndarray) -> np.ndarray:
+        return flat @ rho.ravel().view(np.float64)
+
+    def weighted_sum(weights: np.ndarray) -> np.ndarray:
+        return (weights @ flat).view(np.complex128).reshape(d, d)
+
+    return probabilities, weighted_sum
 
 
 def mle_reconstruct(
@@ -243,7 +279,11 @@ def mle_reconstruct(
     sum of POVM elements over their predicted probabilities, runs until the
     relative log-likelihood gain drops below ``tol``.  A step that would
     lower the likelihood is replaced by a diluted step, keeping the
-    likelihood trace non-decreasing.
+    likelihood trace non-decreasing.  The POVM elements of the bins that hold
+    counts are flattened once into a (K, d^2) array, so the predicted
+    probabilities and R are each one matrix product per iteration (see
+    :func:`_likelihood_kernel`).  A record whose y_c or y_s shots are all equal
+    has no spread to bin and raises ValueError.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
@@ -256,6 +296,11 @@ def mle_reconstruct(
     means = outcomes.mean(axis=0)
     centered = outcomes - means
     sigma_blur = np.sqrt(noise / gain)
+    for name, column in zip(("y_c", "y_s"), record.shots.T):
+        if np.all(column == column[0]):
+            raise ValueError(
+                f"record has zero spread: all {len(column)} {name} shots equal {column[0]:.6g}"
+            )
     spread = float(np.std(centered, ddof=1))
     edges = np.linspace(-6.0 * spread, 6.0 * spread, 63)
 
@@ -271,16 +316,13 @@ def mle_reconstruct(
     total = counts.sum()
 
     active = counts > 0
-    povms_active = povms[active]
-    freqs = counts[active] / total
+    probabilities, weighted_sum = _likelihood_kernel(povms[active])
+    counts = counts[active]
+    freqs = counts / total
 
     def log_likelihood(rho: np.ndarray) -> tuple[float, np.ndarray]:
-        probs = np.real(np.einsum("kij,ji->k", povms_active, rho))
-        probs = np.maximum(probs, 1e-300)
-        return float(np.sum(counts[active] * np.log(probs))), probs
-
-    def r_operator(probs: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", freqs / probs, povms_active)
+        probs = np.maximum(probabilities(rho), 1e-300)
+        return float(np.sum(counts * np.log(probs))), probs
 
     rho = np.eye(dim, dtype=complex) / dim
     ll, probs = log_likelihood(rho)
@@ -288,7 +330,7 @@ def mle_reconstruct(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        r = r_operator(probs)
+        r = weighted_sum(freqs / probs)
         candidate = r @ rho @ r
         candidate /= np.trace(candidate).real
         candidate = (candidate + candidate.conj().T) / 2.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,11 +16,52 @@ from spintomo import (
     simulate_records,
     variances_from_rho,
 )
-from spintomo import tomography
-from spintomo.tomography import _binned_quadrature_povm, annihilation_operator
+from spintomo import ExperimentConfig, point_record, tomography
+from spintomo.tomography import _binned_quadrature_povm, _likelihood_kernel, annihilation_operator
+
+from conftest import random_density_matrix
 
 VACUUM = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
 SQUEEZED = CanonicalMoments(0.0, 0.0, 1.1, 0.25, 0.0)
+
+
+def _member(edges, sigma, x):
+    cdf = ndtr((edges[:, None] - x) / sigma)
+    return np.diff(cdf, axis=0, prepend=0.0, append=1.0)
+
+
+def hermite_povm(edges, sigma, dim, n_nodes=160):
+    """Binned POVM by n-node Gauss-Hermite quadrature, with weights w exp(x^2).
+
+    psi_k(x) exp(x^2 / 2) = H_k(x) / sqrt(2^k k! sqrt(pi)), from numpy's
+    Hermite series rather than the package's recurrence.
+    """
+    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    norm = [1.0 / math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi)) for k in range(dim)]
+    phi = np.polynomial.hermite.hermvander(x, dim - 1) * norm
+    return np.einsum("kx,xn,xm,x->knm", _member(edges, sigma, x), phi, phi, w, optimize=True)
+
+
+def legendre_povm(edges, sigma, dim):
+    """Binned POVM by 1600-node Gauss-Legendre quadrature over the package's +-half_width."""
+    span = max(abs(edges[0]), abs(edges[-1]))
+    half_width = max(span + 4.0 * sigma, np.sqrt(2.0 * dim + 1.0) + 6.0)
+    nodes, weights = np.polynomial.legendre.leggauss(1600)
+    x = nodes * half_width
+    psi = tomography._hermite_functions(dim - 1, x)
+    return np.einsum("kx,nx,mx,x->knm", _member(edges, sigma, x), psi, psi,
+                     weights * half_width, optimize=True)
+
+
+def einsum_kernel(povms):
+    """The per-element einsum probabilities and R sum that the flattened kernel replaced."""
+    def probabilities(rho):
+        return np.real(np.einsum("kij,ji->k", povms, rho))
+
+    def weighted_sum(weights):
+        return np.einsum("k,kij->ij", weights, povms)
+
+    return probabilities, weighted_sum
 
 
 class TestCorrectedVariance:
@@ -114,6 +157,57 @@ class TestPovm:
         for element in povm:
             assert np.linalg.eigvalsh(element).min() >= -1e-12
 
+    # 3 ** -0.25 ~ 0.76 is the smallest blur the readout model gives (at kappa2 = sqrt 12)
+    @pytest.mark.parametrize("sigma", [0.76, 1.147, 2.24])
+    @pytest.mark.parametrize("span", [6.0, 18.0])
+    @pytest.mark.parametrize("dim", [10, 16])
+    def test_matches_gauss_hermite(self, sigma, span, dim):
+        edges = np.linspace(-span, span, 63)
+        povm = _binned_quadrature_povm(edges, sigma, dim)
+        assert np.abs(povm - hermite_povm(edges, sigma, dim)).max() <= 1e-14
+
+    def test_matches_gauss_legendre(self):
+        # the 1600-node rule's own round-off is about 3e-14
+        edges = np.linspace(-8.0, 8.0, 63)
+        povm = _binned_quadrature_povm(edges, 1.147, 10)
+        assert np.abs(povm - legendre_povm(edges, 1.147, 10)).max() <= 1e-13
+
+    def test_needs_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the POVM quadrature must not solve for nodes")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        povm = _binned_quadrature_povm(np.linspace(-6.0, 6.0, 63), 1.147, 10)
+        assert np.abs(povm.sum(axis=0) - np.eye(10)).max() <= 1e-12
+
+
+class TestLikelihoodKernel:
+    def test_matches_traces_and_sums(self):
+        rng = np.random.default_rng(71)
+        edges = np.linspace(-6.0, 6.0, 63)
+        povm_x = _binned_quadrature_povm(edges, 1.147, 10)
+        povms = np.concatenate([povm_x, tomography._rotated_povm(povm_x, np.pi / 2.0, 10)])
+        rho = random_density_matrix(10, rng).rho
+        probabilities, weighted_sum = _likelihood_kernel(povms)
+        probs = probabilities(rho)
+        assert np.abs(probs - [np.trace(p @ rho).real for p in povms]).max() <= 1e-14
+        freqs = rng.dirichlet(np.ones(len(povms)))
+        r = sum(f / p * element for f, p, element in zip(freqs, probs, povms))
+        assert np.abs(weighted_sum(freqs / probs) - r).max() <= 1e-14
+
+    @pytest.mark.parametrize("t_r", [0.0, 0.8])
+    def test_iteration_matches_einsum_kernel(self, t_r, monkeypatch):
+        rec = point_record(ExperimentConfig(), t_r)
+        with pytest.warns(RuntimeWarning, match="max_iter"):
+            odm = mle_reconstruct(rec, max_iter=300)
+        monkeypatch.setattr(tomography, "_likelihood_kernel", einsum_kernel)
+        with pytest.warns(RuntimeWarning, match="max_iter"):
+            reference = mle_reconstruct(rec, max_iter=300)
+        assert odm.n_iterations == reference.n_iterations == 300
+        assert np.abs(odm.rho - reference.rho).max() <= 1e-12
+        assert_allclose(odm.log_likelihoods, reference.log_likelihoods, rtol=1e-12, atol=0.0)
+
 
 class TestMleReconstruct:
     def test_vacuum_round_trip(self):
@@ -198,6 +292,15 @@ class TestMleReconstruct:
         vac_rec = MeasurementRecord(shots=np.ones((10, 2)), kappa2=0.0, seed=0)
         with pytest.raises(ValueError):
             mle_reconstruct(vac_rec)
+
+    def test_zero_spread_rejected(self):
+        constant = MeasurementRecord(shots=np.full((100, 2), 0.1), kappa2=0.8, seed=0)
+        with pytest.raises(ValueError, match="record has zero spread: all 100 y_c shots equal 0.1"):
+            mle_reconstruct(constant)
+        shots = np.random.default_rng(72).normal(size=(100, 2))
+        shots[:, 1] = -0.3
+        with pytest.raises(ValueError, match="zero spread: all 100 y_s shots"):
+            mle_reconstruct(MeasurementRecord(shots=shots, kappa2=0.8, seed=0))
 
 
 class TestVariancesFromRho:
