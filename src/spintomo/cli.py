@@ -156,7 +156,7 @@ def _cmd_limits(args) -> None:
             f"scan: {SCAN_POINTS} points over (0, pi], refined to {REFINE_TOL:g}",
             "units: spin, 1, rad, 1, rad, 1, rad",
         ]
-        write_table(buf, comments, columns, rows)
+        write_table(buf, comments, columns, np.array(rows))
         text = buf.getvalue()
     _atomic_write(args.out, text)
 

@@ -287,7 +287,7 @@ class SweepResult:
 
     def to_csv(self, stream) -> None:
         comments = [f"config_sha256={self.config_hash}", "units: " + ",".join(self._UNITS)]
-        write_table(stream, comments, self._COLUMNS, (astuple(row) for row in self.rows))
+        write_table(stream, comments, self._COLUMNS, np.array([astuple(row) for row in self.rows]))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

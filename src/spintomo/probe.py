@@ -113,9 +113,10 @@ class MeasurementRecord:
             raise ValueError(f"shots must have shape (n, 2), got {shots.shape}")
         if shots.shape[0] < 1:
             raise ValueError("record must contain at least one shot")
-        bad = np.flatnonzero(~np.isfinite(shots).all(axis=1))
-        if bad.size:
-            raise ValueError(f"shot {bad[0]} is not finite: {shots[bad[0]].tolist()}")
+        finite = np.isfinite(shots)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.all(axis=1))[0]
+            raise ValueError(f"shot {bad} is not finite: {shots[bad].tolist()}")
         if self.kappa2 < 0:
             raise ValueError(f"kappa2 must be >= 0, got {self.kappa2}")
         shots = np.ascontiguousarray(shots)
@@ -271,18 +272,18 @@ def record_to_csv(record: MeasurementRecord, stream, header_comments: dict | Non
     """Serialize a record as a :mod:`~spintomo.tables` table; the round trip is bit-exact."""
     comments = [f"kappa2={record.kappa2:.17g}", f"n_shots={record.n_shots}", f"seed={record.seed}"]
     comments += [f"{key}={val}" for key, val in (header_comments or {}).items()]
-    write_table(stream, comments, ("y_c", "y_s"), record.shots.tolist())
+    write_table(stream, comments, ("y_c", "y_s"), record.shots)
 
 
 def record_from_csv(stream) -> MeasurementRecord:
     """Parse a record written by :func:`record_to_csv`."""
-    comments, columns, rows = read_table(stream)
+    comments, columns, shots = read_table(stream)
     if columns != ["y_c", "y_s"]:
         raise ValueError(f"record file header must be y_c,y_s, got {','.join(columns)!r}")
     header = {key.strip(): val for key, sep, val in (c.partition("=") for c in comments) if sep}
     if "kappa2" not in header:
         raise ValueError("record file is missing the kappa2 header")
-    if not rows:
+    if not len(shots):
         raise ValueError("record file contains no shots")
     seed = int(header.get("seed", 0))
-    return MeasurementRecord(shots=np.array(rows), kappa2=float(header["kappa2"]), seed=seed)
+    return MeasurementRecord(shots=shots, kappa2=float(header["kappa2"]), seed=seed)

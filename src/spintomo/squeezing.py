@@ -301,7 +301,7 @@ class HusimiGrid:
         theta, phi = np.meshgrid(self.thetas, self.phis, indexing="ij")
         rows = np.column_stack([theta.ravel(), phi.ravel(), self.values.ravel()])
         comments = [f"{key}={val}" for key, val in (header_comments or {}).items()]
-        write_table(stream, comments, ("theta_rad", "phi_rad", "q_value"), rows.tolist())
+        write_table(stream, comments, ("theta_rad", "phi_rad", "q_value"), rows)
 
     def to_csv_text(self, header_comments: dict | None = None) -> str:
         buf = io.StringIO()

@@ -3,44 +3,75 @@
 A table is ``# `` comment lines, a header row of column names, then
 comma-separated rows of numbers with 17 significant digits, so reading a
 table back gives bit-identical floats.
+
+The writer formats the whole table in one call: it fills one
+``%`` template, a ``%.17g`` row repeated n times, with every value of the
+(n, k) array; ``"%.17g" % x`` is the same CPython conversion as
+``f"{x:.17g}"``, so every byte is too, ``-0``, subnormals, ``inf`` and
+``nan`` included.  The reader takes the stream one line at a time, keeps
+each row's fields as text and converts them all with one numpy call, whose
+str-to-float conversion follows ``float()``.  Comment lines are read back
+verbatim: a comma or a quote in one is text, not a field separator.
 """
 
 from __future__ import annotations
 
-import csv
+import numpy as np
 
 __all__ = ["write_table", "read_table"]
 
 
 def write_table(stream, comments, columns, rows) -> None:
-    """Write ``comments`` as ``# `` lines, the header ``columns``, then numeric ``rows``."""
-    stream.writelines(f"# {line}\n" for line in comments)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+    """Write ``comments`` as ``# `` lines, the header ``columns``, then the (n, k) array ``rows``."""
+    rows = np.asarray(rows, dtype=float)
+    head = "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    stream.write(head + row * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def read_table(stream) -> tuple[list[str], list[str], list[tuple[float, ...]]]:
-    """(comments, columns, rows of floats) of a table; inverse of :func:`write_table`.
+def read_table(stream) -> tuple[list[str], list[str], np.ndarray]:
+    """(comments, columns, (n, k) float array) of a table; inverse of :func:`write_table`.
 
-    Blank lines are skipped.  A row whose field count differs from the
-    header's, or a field that is not a number, raises ``ValueError`` naming
-    its line.
+    Blank lines are skipped.  A line starting with ``#`` is a comment
+    wherever it stands; the first other line is the header.  A row whose
+    field count differs from the header's, or a field that is not a number,
+    raises ``ValueError`` naming its line.
     """
-    comments, columns, rows = [], None, []
-    reader = csv.reader(stream)
-    for fields in filter(None, reader):
-        if fields[0].startswith("#"):
-            comments.append(",".join(fields)[1:].strip())
+    comments, columns, fields, numbers = [], None, [], []
+    for number, line in enumerate(stream, 1):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        if line[0] == "#":
+            comments.append(line[1:].strip())
         elif columns is None:
-            columns = fields
+            columns = line.split(",")
+            k = len(columns)
         else:
-            try:
-                if len(fields) != len(columns):
-                    raise ValueError(f"{len(fields)} fields, header has {len(columns)}")
-                rows.append(tuple(map(float, fields)))
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            row = line.split(",")
+            if len(row) != k:
+                _raise_first_non_number(fields, numbers, k)
+                raise ValueError(f"line {number}: {len(row)} fields, header has {k}")
+            fields += row
+            numbers.append(number)
     if columns is None:
         raise ValueError("table has no header row")
-    return comments, columns, rows
+    try:
+        data = np.array(fields, dtype=float)
+    except ValueError:
+        _raise_first_non_number(fields, numbers, k)
+        raise
+    return comments, columns, data.reshape(-1, k)
+
+
+def _raise_first_non_number(fields, numbers, k) -> None:
+    """Raise the error naming the line of the first field that ``float()`` rejects.
+
+    ``fields`` holds k fields per row and ``numbers`` the line number of each row.
+    """
+    for row, number in enumerate(numbers):
+        for field in fields[row * k : (row + 1) * k]:
+            try:
+                float(field)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None

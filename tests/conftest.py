@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,36 @@ def secular_compensated_matrix(ops, beta: float) -> np.ndarray:
         light = -0.25 * (1.0 + np.cos(2.0 * theta)) * (-8.0 * beta * fz2)
         h += u @ light @ u.conj().T
     return h / 16 + beta * (ops.fx @ ops.fx)
+
+
+def csv_module_write_table(stream, comments, columns, rows) -> None:
+    """Per-field table writer on the :mod:`csv` module: an oracle for ``tables.write_table``."""
+    stream.writelines(f"# {line}\n" for line in comments)
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+
+
+def csv_module_read_table(stream) -> tuple[list[str], list[str], list[tuple[float, ...]]]:
+    """Per-field table reader on the :mod:`csv` module: an oracle for ``tables.read_table``.
+
+    It splits comment lines at commas and rejoins them without their quotes,
+    so it is an oracle only for comments free of quotes.
+    """
+    comments, columns, rows = [], None, []
+    reader = csv.reader(stream)
+    for fields in filter(None, reader):
+        if fields[0].startswith("#"):
+            comments.append(",".join(fields)[1:].strip())
+        elif columns is None:
+            columns = fields
+        else:
+            try:
+                if len(fields) != len(columns):
+                    raise ValueError(f"{len(fields)} fields, header has {len(columns)}")
+                rows.append(tuple(map(float, fields)))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if columns is None:
+        raise ValueError("table has no header row")
+    return comments, columns, rows

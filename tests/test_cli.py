@@ -75,17 +75,27 @@ class TestLimits:
         assert not out.exists()
 
 
-def test_import_loads_no_scipy():
-    # the package needs only numpy; importing scipy would slow every command
+def _modules_loaded_by_import(package: str) -> str:
+    """Sorted names of ``package`` and its submodules in a fresh interpreter after ``import spintomo.cli``."""
     code = (
         "import sys, spintomo, spintomo.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # the package needs only numpy; importing scipy would slow every command
+    assert _modules_loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_csv():
+    # tables are formatted and parsed as whole arrays, not field by field
+    assert _modules_loaded_by_import("csv") == "[]"
 
 
 class TestSweep:

@@ -284,3 +284,10 @@ class TestRecordSerialization:
             MeasurementRecord(shots=np.zeros((0, 2)), kappa2=0.1, seed=0)
         with pytest.raises(ValueError):
             MeasurementRecord(shots=np.zeros((5, 2)), kappa2=-0.1, seed=0)
+
+    def test_first_non_finite_shot_is_named(self):
+        shots = np.zeros((6, 2))
+        shots[4, 0] = np.nan
+        shots[2, 1] = -np.inf
+        with pytest.raises(ValueError, match=r"^shot 2 is not finite: \[0.0, -inf\]$"):
+            MeasurementRecord(shots=shots, kappa2=0.1, seed=0)
