@@ -180,14 +180,21 @@ def _cmd_records(args) -> None:
     _atomic_write(args.out, buf.getvalue())
 
 
+def _hashed_lines(lines, digest):
+    """Yield ``lines`` unchanged, feeding each one's UTF-8 bytes to ``digest`` on the way."""
+    for line in lines:
+        digest.update(line.encode())
+        yield line
+
+
 def _cmd_reconstruct(args) -> None:
     if not os.path.exists(args.records_csv):
         raise _UsageError(f"records file not found: {args.records_csv}")
+    digest = hashlib.sha256()
     with open(args.records_csv, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    record = record_from_csv(io.StringIO(source))
+        record = record_from_csv(_hashed_lines(fh, digest))
     payload = {
-        "source_sha256": hashlib.sha256(source.encode()).hexdigest(),
+        "source_sha256": digest.hexdigest(),
         "corrected_covariance": correct_covariance(record).to_dict(),
     }
     if args.mle:

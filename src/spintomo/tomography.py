@@ -238,60 +238,17 @@ def _rotated_povm(povm_x: np.ndarray, theta: float, dim: int) -> np.ndarray:
     return povm_x * phase[None, :, :]
 
 
-def _likelihood_kernel(povms: np.ndarray):
-    """Probabilities and R operator of a (K, d, d) POVM stack as matrix products.
+def _binned_povm(record: MeasurementRecord, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(means, povms, counts) of a record binned per quadrature, empty bins dropped.
 
-    Returns ``probabilities(rho)``, the K values Tr(P_k rho), and
-    ``weighted_sum(weights)``, the d x d operator sum_k weights_k P_k.  The
-    stack is flattened once to (K, d^2), so each is one product with vec(rho)
-    or with the weights.  Both products run on the float64 (re, im) views of
-    the complex arrays, (K, 2 d^2): the real dot product of two such views is
-    Re[conj(vec P_k) . vec(rho)] = Re sum_ij conj((P_k)_ij) rho_ij, which is
-    Tr(P_k rho) because P_k is Hermitian, so only the half of the complex
-    product that is used gets computed.  A complex matrix-vector product of
-    this size would also hand work to a second OpenBLAS thread, which then
-    spins through the whole iteration and about 0.1 s beyond it.
+    The outcomes are rescaled to atomic units and centered; ``means`` holds
+    the two subtracted means.  Each quadrature is binned into 64 bins: 62
+    equal ones over +-6 sample deviations plus two unbounded edge bins.
+    ``povms`` (K, dim, dim) and ``counts`` (K,) keep the K bins of both
+    quadratures that hold counts.  A record whose y_c or y_s shots are all
+    equal has no spread to bin and raises ValueError.
     """
-    k, d, _ = povms.shape
-    flat = povms.reshape(k, d * d).view(np.float64)
-
-    def probabilities(rho: np.ndarray) -> np.ndarray:
-        return flat @ rho.ravel().view(np.float64)
-
-    def weighted_sum(weights: np.ndarray) -> np.ndarray:
-        return (weights @ flat).view(np.complex128).reshape(d, d)
-
-    return probabilities, weighted_sum
-
-
-def mle_reconstruct(
-    record: MeasurementRecord,
-    dim: int = 10,
-    max_iter: int = 5000,
-    tol: float = 1e-10,
-) -> OscillatorDensityMatrix:
-    """Maximum-likelihood density matrix from a record, in dim levels.
-
-    The record's outcomes are rescaled to atomic units, centered (the means
-    are reported, not reconstructed), and binned per quadrature into 64 bins:
-    62 equal ones over +-6 sample deviations plus two unbounded edge bins.  The
-    fixed-point iteration rho <- N[R rho R], with R the frequency-weighted
-    sum of POVM elements over their predicted probabilities, runs until the
-    relative log-likelihood gain drops below ``tol``.  A step that would
-    lower the likelihood is replaced by a diluted step, keeping the
-    likelihood trace non-decreasing.  The POVM elements of the bins that hold
-    counts are flattened once into a (K, d^2) array, so the predicted
-    probabilities and R are each one matrix product per iteration (see
-    :func:`_likelihood_kernel`).  A record whose y_c or y_s shots are all equal
-    has no spread to bin and raises ValueError.
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    kappa2 = record.kappa2
-    if kappa2 <= 0:
-        raise ValueError("record has kappa2 = 0: outcomes carry no atomic signal")
-
-    gain, noise = readout_model(kappa2)
+    gain, noise = readout_model(record.kappa2)
     outcomes = record.shots / np.sqrt(gain)
     means = outcomes.mean(axis=0)
     centered = outcomes - means
@@ -313,16 +270,42 @@ def mle_reconstruct(
             np.histogram(centered[:, 1], bins=full_edges)[0],
         ]
     ).astype(float)
-    total = counts.sum()
-
     active = counts > 0
-    probabilities, weighted_sum = _likelihood_kernel(povms[active])
-    counts = counts[active]
-    freqs = counts / total
+    return means, povms[active], counts[active]
+
+
+def _rrr_iteration(
+    povms: np.ndarray, counts: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, int, bool, list[float]]:
+    """(rho, iterations, converged, log-likelihood trace) of the RrhoR fixed point.
+
+    Starting from I/d, rho <- N[R rho R], with R = sum_k f_k / p_k P_k the
+    frequency-weighted sum of the (K, d, d) POVM elements over their
+    predicted probabilities p_k = Tr(P_k rho), runs until the log-likelihood
+    sum_k counts_k log p_k gains less than ``tol`` relative, or for
+    ``max_iter`` steps.  A step that would lower the likelihood by more than
+    1e-12 relative is replaced by a step diluted toward the identity,
+    rho <- N[M rho M^dag] with M = (I + eps R) / (1 + eps) and eps halved from
+    1 until it ascends, so the trace is non-decreasing; when no eps above
+    1e-8 ascends, ConvergenceError names the iteration.  Each candidate is
+    Hermitized as c + c^dag and divided by its trace, so the factor 2 cancels.
+
+    The iteration is bound by numpy call overhead, not arithmetic, so each
+    step is a handful of calls on the stack flattened once to its float64
+    (re, im) view, (K, 2 d^2): p is that view times the view of vec(rho),
+    since Re sum_ij conj((P_k)_ij) rho_ij is Tr(P_k rho) for Hermitian P_k,
+    and R is the weights f / p times it, viewed back as complex.  Complex
+    products of this size would hand work to a second OpenBLAS thread,
+    which then spins through the iteration and about 0.1 s beyond it.
+    """
+    k, dim, _ = povms.shape
+    flat = povms.reshape(k, dim * dim).view(np.float64)
+    freqs = counts / counts.sum()
 
     def log_likelihood(rho: np.ndarray) -> tuple[float, np.ndarray]:
-        probs = np.maximum(probabilities(rho), 1e-300)
-        return float(np.sum(counts * np.log(probs))), probs
+        p = flat.dot(rho.reshape(-1).view(np.float64))
+        np.maximum(p, 1e-300, out=p)
+        return float(counts.dot(np.log(p))), p
 
     rho = np.eye(dim, dtype=complex) / dim
     ll, probs = log_likelihood(rho)
@@ -330,10 +313,10 @@ def mle_reconstruct(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        r = weighted_sum(freqs / probs)
-        candidate = r @ rho @ r
-        candidate /= np.trace(candidate).real
-        candidate = (candidate + candidate.conj().T) / 2.0
+        r = (freqs / probs).dot(flat).view(np.complex128).reshape(dim, dim)
+        candidate = r.dot(rho).dot(r)
+        candidate += candidate.conj().T
+        candidate /= candidate.trace().real
         new_ll, new_probs = log_likelihood(candidate)
         if new_ll < ll - 1e-12 * abs(ll):
             # dilute toward the identity direction until the step ascends
@@ -341,8 +324,8 @@ def mle_reconstruct(
             while eps > 1e-8:
                 mixed = (np.eye(dim) + eps * r) / (1.0 + eps)
                 candidate = mixed @ rho @ mixed.conj().T
-                candidate /= np.trace(candidate).real
-                candidate = (candidate + candidate.conj().T) / 2.0
+                candidate += candidate.conj().T
+                candidate /= candidate.trace().real
                 new_ll, new_probs = log_likelihood(candidate)
                 if new_ll >= ll - 1e-12 * abs(ll):
                     break
@@ -352,12 +335,39 @@ def mle_reconstruct(
                     f"likelihood iteration stalled at iteration {iterations}: "
                     f"no ascending step found"
                 )
-        gain = new_ll - ll
+        rise = new_ll - ll
         rho, ll, probs = candidate, new_ll, new_probs
         history.append(ll)
-        if gain < tol * abs(ll):
+        if rise < tol * abs(ll):
             converged = True
             break
+    return rho, iterations, converged, history
+
+
+def mle_reconstruct(
+    record: MeasurementRecord,
+    dim: int = 10,
+    max_iter: int = 5000,
+    tol: float = 1e-10,
+) -> OscillatorDensityMatrix:
+    """Maximum-likelihood density matrix from a record, in dim levels.
+
+    The record's outcomes are rescaled to atomic units, centered (the means
+    are reported, not reconstructed), and binned per quadrature into 64 bins
+    (see :func:`_binned_povm`).  The fixed-point iteration rho <- N[R rho R]
+    (see :func:`_rrr_iteration`) starts from I/dim and runs until the
+    relative log-likelihood gain drops below ``tol``; a step that would lower
+    the likelihood is replaced by a diluted step, keeping the likelihood
+    trace non-decreasing.  After ``max_iter`` steps the iterate is returned
+    unconverged, with a RuntimeWarning.  A record whose y_c or y_s shots are
+    all equal has no spread to bin and raises ValueError.
+    """
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    if record.kappa2 <= 0:
+        raise ValueError("record has kappa2 = 0: outcomes carry no atomic signal")
+    means, povms, counts = _binned_povm(record, dim)
+    rho, iterations, converged, history = _rrr_iteration(povms, counts, max_iter, tol)
     if not converged:
         last_gain = history[-1] - history[-2] if len(history) > 1 else float("nan")
         warnings.warn(

@@ -3,7 +3,13 @@ import csv
 import numpy as np
 import pytest
 
-from spintomo import QuantumState, coherent_spin_state, correct_covariance, spin_operators
+from spintomo import (
+    ConvergenceError,
+    QuantumState,
+    coherent_spin_state,
+    correct_covariance,
+    spin_operators,
+)
 
 
 @pytest.fixture(scope="session")
@@ -85,3 +91,65 @@ def csv_module_read_table(stream) -> tuple[list[str], list[str], list[tuple[floa
     if columns is None:
         raise ValueError("table has no header row")
     return comments, columns, rows
+
+
+def einsum_kernel(povms):
+    """Tr(P_k rho) and sum_k w_k P_k of a (K, d, d) POVM stack, each by one per-element einsum."""
+    def probabilities(rho):
+        return np.real(np.einsum("kij,ji->k", povms, rho))
+
+    def weighted_sum(weights):
+        return np.einsum("k,kij->ij", weights, povms)
+
+    return probabilities, weighted_sum
+
+
+def reference_rrr_iteration(povms, counts, max_iter, tol):
+    """The RrhoR loop of ``mle_reconstruct`` before its products were inlined: an oracle for
+    ``tomography._rrr_iteration``, on the einsum products of :func:`einsum_kernel`.
+
+    Returns (rho, iterations, converged, log-likelihood trace).
+    """
+    dim = povms.shape[1]
+    probabilities, weighted_sum = einsum_kernel(povms)
+    freqs = counts / counts.sum()
+
+    def log_likelihood(rho: np.ndarray) -> tuple[float, np.ndarray]:
+        probs = np.maximum(probabilities(rho), 1e-300)
+        return float(np.sum(counts * np.log(probs))), probs
+
+    rho = np.eye(dim, dtype=complex) / dim
+    ll, probs = log_likelihood(rho)
+    history = [ll]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        r = weighted_sum(freqs / probs)
+        candidate = r @ rho @ r
+        candidate /= np.trace(candidate).real
+        candidate = (candidate + candidate.conj().T) / 2.0
+        new_ll, new_probs = log_likelihood(candidate)
+        if new_ll < ll - 1e-12 * abs(ll):
+            # dilute toward the identity direction until the step ascends
+            eps = 1.0
+            while eps > 1e-8:
+                mixed = (np.eye(dim) + eps * r) / (1.0 + eps)
+                candidate = mixed @ rho @ mixed.conj().T
+                candidate /= np.trace(candidate).real
+                candidate = (candidate + candidate.conj().T) / 2.0
+                new_ll, new_probs = log_likelihood(candidate)
+                if new_ll >= ll - 1e-12 * abs(ll):
+                    break
+                eps /= 2.0
+            else:
+                raise ConvergenceError(
+                    f"likelihood iteration stalled at iteration {iterations}: "
+                    f"no ascending step found"
+                )
+        gain = new_ll - ll
+        rho, ll, probs = candidate, new_ll, new_probs
+        history.append(ll)
+        if gain < tol * abs(ll):
+            converged = True
+            break
+    return rho, iterations, converged, history

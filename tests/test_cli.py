@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -242,6 +243,15 @@ class TestRecordsAndReconstruct:
         flat = np.array(payload["mle"]["rho_row_major_re_im"])
         p0 = flat[0, 0]
         assert p0 > 0.8  # undriven point reconstructs to near-vacuum
+
+    def test_source_hash_is_of_the_text_read(self, tmp_path):
+        # text mode reads CRLF line ends as LF, so both files hash as the LF bytes
+        lf = b"# kappa2=0.8\ny_c,y_s\n2.5,-1.5\n-1.75,2\n0.5,1.25\n-2,-0.5\n"
+        for name, data in (("lf.csv", lf), ("crlf.csv", lf.replace(b"\n", b"\r\n"))):
+            rec_path, out = tmp_path / name, tmp_path / f"{name}.json"
+            rec_path.write_bytes(data)
+            assert run_cli("reconstruct", str(rec_path), "--out", str(out)) == 0
+            assert json.loads(out.read_text())["source_sha256"] == hashlib.sha256(lf).hexdigest()
 
     def test_records_deterministic(self, config_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.special import ndtr
 
 from spintomo import (
     CanonicalMoments,
+    ConvergenceError,
     MeasurementRecord,
     OscillatorDensityMatrix,
     PhysicalityError,
@@ -17,9 +19,9 @@ from spintomo import (
     variances_from_rho,
 )
 from spintomo import ExperimentConfig, point_record, tomography
-from spintomo.tomography import _binned_quadrature_povm, _likelihood_kernel, annihilation_operator
+from spintomo.tomography import _binned_quadrature_povm, annihilation_operator
 
-from conftest import random_density_matrix
+from conftest import reference_rrr_iteration
 
 VACUUM = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
 SQUEEZED = CanonicalMoments(0.0, 0.0, 1.1, 0.25, 0.0)
@@ -51,17 +53,6 @@ def legendre_povm(edges, sigma, dim):
     psi = tomography._hermite_functions(dim - 1, x)
     return np.einsum("kx,nx,mx,x->knm", _member(edges, sigma, x), psi, psi,
                      weights * half_width, optimize=True)
-
-
-def einsum_kernel(povms):
-    """The per-element einsum probabilities and R sum that the flattened kernel replaced."""
-    def probabilities(rho):
-        return np.real(np.einsum("kij,ji->k", povms, rho))
-
-    def weighted_sum(weights):
-        return np.einsum("k,kij->ij", weights, povms)
-
-    return probabilities, weighted_sum
 
 
 class TestCorrectedVariance:
@@ -184,29 +175,83 @@ class TestPovm:
 
 class TestLikelihoodKernel:
     def test_matches_traces_and_sums(self):
+        # two loop steps against Tr(P_k rho) and R = sum_k f_k / p_k P_k written out per element
         rng = np.random.default_rng(71)
         edges = np.linspace(-6.0, 6.0, 63)
         povm_x = _binned_quadrature_povm(edges, 1.147, 10)
         povms = np.concatenate([povm_x, tomography._rotated_povm(povm_x, np.pi / 2.0, 10)])
-        rho = random_density_matrix(10, rng).rho
-        probabilities, weighted_sum = _likelihood_kernel(povms)
-        probs = probabilities(rho)
-        assert np.abs(probs - [np.trace(p @ rho).real for p in povms]).max() <= 1e-14
-        freqs = rng.dirichlet(np.ones(len(povms)))
-        r = sum(f / p * element for f, p, element in zip(freqs, probs, povms))
-        assert np.abs(weighted_sum(freqs / probs) - r).max() <= 1e-14
+        counts = rng.integers(1, 500, len(povms)).astype(float)
+        rho, iterations, converged, history = tomography._rrr_iteration(povms, counts, 2, 0.0)
 
-    @pytest.mark.parametrize("t_r", [0.0, 0.8])
-    def test_iteration_matches_einsum_kernel(self, t_r, monkeypatch):
-        rec = point_record(ExperimentConfig(), t_r)
-        with pytest.warns(RuntimeWarning, match="max_iter"):
-            odm = mle_reconstruct(rec, max_iter=300)
-        monkeypatch.setattr(tomography, "_likelihood_kernel", einsum_kernel)
-        with pytest.warns(RuntimeWarning, match="max_iter"):
-            reference = mle_reconstruct(rec, max_iter=300)
-        assert odm.n_iterations == reference.n_iterations == 300
-        assert np.abs(odm.rho - reference.rho).max() <= 1e-12
-        assert_allclose(odm.log_likelihoods, reference.log_likelihoods, rtol=1e-12, atol=0.0)
+        def traces(state):
+            return np.array([np.trace(p @ state).real for p in povms])
+
+        state, expected = np.eye(10) / 10, []
+        for _ in range(2):
+            probs = traces(state)
+            expected.append(counts @ np.log(probs))
+            r = sum(c / counts.sum() / p * element for c, p, element in zip(counts, probs, povms))
+            step = r @ state @ r
+            state = step / np.trace(step).real
+        expected.append(counts @ np.log(traces(state)))
+        assert (iterations, converged) == (2, False)
+        assert np.abs(rho - state).max() <= 1e-14
+        assert_allclose(history, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "t_r, dim, max_iter, tol, converges",
+        [(0.0, 10, 5000, 1e-10, True), (0.8, 10, 300, 1e-10, False), (None, 12, 8000, 1e-9, True)],
+        ids=["0.0", "0.8", "thermal"],
+    )
+    def test_iteration_matches_einsum_kernel(self, t_r, dim, max_iter, tol, converges):
+        if t_r is None:  # test_thermal_round_trip's record
+            rec = simulate_records(CanonicalMoments(0.0, 0.0, 1.0, 1.0, 0.0), 0.8, 10_000, seed=21)
+        else:
+            rec = point_record(ExperimentConfig(), t_r)
+        _, povms, counts = tomography._binned_povm(rec, dim)
+        rho, iterations, converged, history = reference_rrr_iteration(povms, counts, max_iter, tol)
+        assert converged == converges
+        warns = contextlib.nullcontext() if converges else pytest.warns(RuntimeWarning, match="max_iter")
+        with warns:
+            odm = mle_reconstruct(rec, dim=dim, max_iter=max_iter, tol=tol)
+        assert (odm.n_iterations, odm.converged) == (iterations, converged)
+        assert np.abs(odm.rho - rho).max() <= 1e-12
+        assert_allclose(odm.log_likelihoods, history, rtol=1e-12, atol=0.0)
+
+
+class TestDilutedStep:
+    def test_descending_step_is_diluted(self):
+        # A projective number-basis measurement with counts 9 : 1.  Undiluted, R rho R
+        # maps the log-odds u of the two levels to 2 u* - u about their optimum u*, so
+        # from I/2 it goes to diag(81, 1)/82 and the second step back to I/2, lower.
+        povms = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        counts = np.array([9.0, 1.0])
+
+        def log_likelihood(q):
+            return 9.0 * math.log(q) + math.log(1.0 - q)
+
+        assert log_likelihood(0.5) < log_likelihood(81.0 / 82.0)
+        rho, _, converged, history = tomography._rrr_iteration(povms, counts, 500, 1e-10)
+        assert_allclose(history[:2], [log_likelihood(0.5), log_likelihood(81.0 / 82.0)], rtol=1e-14)
+        assert history[2] > history[1]
+        assert np.diff(history).min() >= 0.0
+        assert converged
+        assert np.abs(rho - np.diag([0.9, 0.1])).max() <= 1e-5
+
+    def test_no_ascending_step_raises_naming_the_iteration(self, monkeypatch):
+        _, povms, counts = tomography._binned_povm(simulate_records(VACUUM, 0.8, 2_000, seed=45), 10)
+        log, calls = np.log, []
+
+        def sinking_log(x):
+            # after the start state and two steps, each evaluation reads lower than the last
+            calls.append(None)
+            return log(x) - max(0, len(calls) - 3)
+
+        monkeypatch.setattr(np, "log", sinking_log)
+        with pytest.raises(ConvergenceError, match="stalled at iteration 3: no ascending step found"):
+            tomography._rrr_iteration(povms, counts, 100, 1e-10)
+        # the full step and the 27 diluted ones, eps = 1, 1/2, ..., 2^-26
+        assert len(calls) == 3 + 1 + 27
 
 
 class TestMleReconstruct:
