@@ -11,10 +11,8 @@ from .dynamics import (
     DecayChannels,
     Hamiltonian,
     compensated_hamiltonian,
-    evolve_unitary,
     light_shift_hamiltonian,
     lindblad_trajectory,
-    oat_hamiltonian,
     tact_hamiltonian,
     zeeman_hamiltonian,
 )
@@ -26,7 +24,6 @@ from .experiment import (
     evolved_state,
     point_record,
     prepare_initial_state,
-    reconstruct_sweep,
     run_sweep,
 )
 from .probe import (
@@ -34,15 +31,12 @@ from .probe import (
     MeasurementRecord,
     THERMAL_TRANSVERSE_VARIANCE,
     canonical_moments,
-    output_variance,
     readout_model,
     record_from_csv,
     record_to_csv,
     simulate_records,
     simulate_thermal_records,
-    simulate_vacuum_records,
     thermal_calibration,
-    vacuum_calibration,
 )
 from .spin_algebra import (
     QuantumState,
@@ -50,10 +44,7 @@ from .spin_algebra import (
     SpinQuantumNumber,
     coherent_spin_state,
     coherent_state_vector,
-    covariance,
-    expectation,
     moments,
-    rotate,
     spin_operators,
     variance_extrema,
 )

@@ -19,12 +19,10 @@ from .spin_algebra import QuantumState, SpinOperators, rotation_unitary, spin_op
 __all__ = [
     "Hamiltonian",
     "DecayChannels",
-    "oat_hamiltonian",
     "tact_hamiltonian",
     "light_shift_hamiltonian",
     "zeeman_hamiltonian",
     "compensated_hamiltonian",
-    "evolve_unitary",
     "lindblad_trajectory",
 ]
 
@@ -103,11 +101,6 @@ class DecayChannels:
         return 2.0 * (1.0 / self.t2 - 1.0 / self.t1)
 
 
-def oat_hamiltonian(ops: SpinOperators, alpha: float) -> Hamiltonian:
-    """One-axis twisting generator alpha * Fz^2."""
-    return Hamiltonian(alpha * (ops.fz @ ops.fz), label=f"oat(alpha={alpha:g})")
-
-
 def tact_hamiltonian(ops: SpinOperators, alpha: float) -> Hamiltonian:
     """Two-axis countertwisting generator alpha * (Fz^2 - Fy^2)."""
     m = alpha * (ops.fz @ ops.fz - ops.fy @ ops.fy)
@@ -165,19 +158,6 @@ def compensated_hamiltonian(
     return Hamiltonian(
         (h + h.conj().T) / 2.0, label=f"compensated(beta={beta:g}, residual={residual:g})"
     )
-
-
-def evolve_unitary(state: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
-    """Closed-system evolution rho -> U rho U^dag with U = exp(-i H t)."""
-    if h.dimension != state.dimension:
-        raise ValueError(
-            f"Hamiltonian dimension {h.dimension} does not match state {state.dimension}"
-        )
-    w, v = np.linalg.eigh(h.matrix)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    rho = u @ state.rho @ u.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return QuantumState(rho)
 
 
 def _liouvillian(h: Hamiltonian, decay: DecayChannels, fx: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .probe import MeasurementRecord, canonical_moments, readout_model, simulate
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
 from .squeezing import SqueezingReport, squeezing_report
 from .tables import write_table
-from .tomography import CorrectedCovariance, OscillatorDensityMatrix, correct_covariance, mle_reconstruct
+from .tomography import CorrectedCovariance, correct_covariance
 
 __all__ = [
     "ExperimentConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "prepare_initial_state",
     "point_record",
     "run_sweep",
-    "reconstruct_sweep",
 ]
 
 # Shipped defaults for the free drive parameters.  The twisting rate sets
@@ -285,13 +284,10 @@ class SweepResult:
     _COLUMNS = tuple(f.name for f in fields(SweepRow))
     _UNITS = ("ms", "1", "1", "1", "1", "1", "1", "hbar")
 
-    def to_csv(self, stream) -> None:
-        comments = [f"config_sha256={self.config_hash}", "units: " + ",".join(self._UNITS)]
-        write_table(stream, comments, self._COLUMNS, np.array([astuple(row) for row in self.rows]))
-
     def to_csv_text(self) -> str:
+        comments = [f"config_sha256={self.config_hash}", "units: " + ",".join(self._UNITS)]
         buf = io.StringIO()
-        self.to_csv(buf)
+        write_table(buf, comments, self._COLUMNS, np.array([astuple(row) for row in self.rows]))
         return buf.getvalue()
 
     def to_dict(self) -> dict:
@@ -302,8 +298,8 @@ class SweepResult:
             "rows": [dict(zip(self._COLUMNS, astuple(row))) for row in self.rows],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -349,25 +345,3 @@ def _zeta2_error(corrected: CorrectedCovariance, kappa2: float) -> float:
     gain, noise = readout_model(kappa2)
     return 2.0 * corrected.statistical_error * (noise + gain * v_min) / gain
 
-
-def reconstruct_sweep(
-    config: ExperimentConfig, durations=None
-) -> list[tuple[float, OscillatorDensityMatrix]]:
-    """Maximum-likelihood reconstruction at each drive duration (heavy pass).
-
-    ``durations`` defaults to the config's sweep grid.  Records are
-    regenerated deterministically from the config, so each reconstruction
-    corresponds shot-for-shot to the same duration in ``run_sweep(config)``.
-    A failure at one point raises :class:`SweepPointError` naming it.
-    """
-    if durations is None:
-        durations = config.raman_durations
-    states = _evolved_states(config, durations)
-    out = []
-    for t_r, state in zip(durations, states):
-        try:
-            _, record = _probe_point(config, t_r, state)
-            out.append((t_r, mle_reconstruct(record)))
-        except Exception as exc:
-            raise SweepPointError(t_r, exc) from exc
-    return out

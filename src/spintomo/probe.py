@@ -1,5 +1,5 @@
 """Faraday-probe measurement model: canonical moments, per-shot record
-synthesis, and the vacuum / thermal calibration procedures.
+synthesis, and the thermal-ensemble calibration of the coupling.
 
 The probe demodulates the polarization signal at the Larmor frequency into a
 cosine and a sine component per shot.  In the large-ensemble harmonic
@@ -23,7 +23,7 @@ calibrated in the lab against the thermal ensemble noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +37,10 @@ __all__ = [
     "MeasurementRecord",
     "THERMAL_TRANSVERSE_VARIANCE",
     "canonical_moments",
-    "output_variance",
     "readout_model",
     "simulate_records",
     "simulate_thermal_records",
-    "simulate_vacuum_records",
     "thermal_calibration",
-    "vacuum_calibration",
     "record_to_csv",
     "record_from_csv",
 ]
@@ -99,6 +96,12 @@ class CanonicalMoments:
         return float(variance_extrema(self.covariance_matrix)[0])
 
 
+def _check_kappa2(kappa2: float) -> None:
+    """Reject a negative or non-finite probe coupling."""
+    if not 0.0 <= kappa2 < np.inf:
+        raise ValueError(f"kappa2 must be finite and >= 0, got {kappa2}")
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Per-shot pairs (y_c, y_s) in vacuum units plus coupling metadata."""
@@ -117,8 +120,7 @@ class MeasurementRecord:
         if not finite.all():
             bad = np.flatnonzero(~finite.all(axis=1))[0]
             raise ValueError(f"shot {bad} is not finite: {shots[bad].tolist()}")
-        if self.kappa2 < 0:
-            raise ValueError(f"kappa2 must be >= 0, got {self.kappa2}")
+        _check_kappa2(self.kappa2)
         shots = np.ascontiguousarray(shots)
         shots.setflags(write=False)
         object.__setattr__(self, "shots", shots)
@@ -134,10 +136,6 @@ class MeasurementRecord:
     @property
     def y_s(self) -> np.ndarray:
         return self.shots[:, 1]
-
-    def scaled(self, factor: float) -> "MeasurementRecord":
-        """Record with every outcome multiplied by ``factor`` (detector gain)."""
-        return replace(self, shots=self.shots * float(factor))
 
 
 def canonical_moments(report: SqueezingReport) -> CanonicalMoments:
@@ -157,15 +155,8 @@ def readout_model(kappa2: float) -> tuple[float, float]:
     the light shot noise plus the back-action (kappa2^2/12 times its vacuum
     variance 1/2).  Every inversion of the probe's variance budget uses this.
     """
-    if kappa2 < 0:
-        raise ValueError(f"kappa2 must be >= 0, got {kappa2}")
+    _check_kappa2(kappa2)
     return kappa2 / 2.0, 0.5 + kappa2**2 / 24.0
-
-
-def output_variance(moments: CanonicalMoments, kappa2: float) -> tuple[float, float]:
-    """Variances of the demodulated outputs (y_c, y_s) for given atomic moments."""
-    gain, noise = readout_model(kappa2)
-    return noise + gain * moments.var_x, noise + gain * moments.var_p
 
 
 def simulate_records(
@@ -181,8 +172,7 @@ def simulate_records(
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if kappa2 < 0:
-        raise ValueError(f"kappa2 must be >= 0, got {kappa2}")
+    _check_kappa2(kappa2)
     rng = np.random.default_rng(seed)
     cov = moments.covariance_matrix
     chol = np.linalg.cholesky(cov)
@@ -209,27 +199,12 @@ def simulate_thermal_records(
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if kappa2 < 0:
-        raise ValueError(f"kappa2 must be >= 0, got {kappa2}")
+    _check_kappa2(kappa2)
     rng = np.random.default_rng(seed)
     atomic = rng.standard_normal((n_shots, 2)) * np.sqrt(atomic_variance)
     light = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
     shots = light + np.sqrt(kappa2 / 2.0) * atomic
     return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
-
-
-def simulate_vacuum_records(n_shots: int, seed: int, raw_scale: float = 1.0) -> MeasurementRecord:
-    """Record with no atoms: pure shot noise, optionally in raw detector units."""
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    rng = np.random.default_rng(seed)
-    shots = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5) * raw_scale
-    return MeasurementRecord(shots=shots, kappa2=0.0, seed=int(seed))
-
-
-def _pooled_variance(record: MeasurementRecord) -> float:
-    """Mean of the per-quadrature sample variances (ddof=1)."""
-    return float(np.mean(np.var(record.shots, axis=0, ddof=1)))
 
 
 def thermal_calibration(
@@ -249,23 +224,12 @@ def thermal_calibration(
     """
     if not (0 < pump_fraction_reference <= 1):
         raise ValueError(f"pump_fraction_reference must be in (0, 1], got {pump_fraction_reference}")
-    sample_var = _pooled_variance(record)
+    sample_var = float(np.mean(np.var(record.shots, axis=0, ddof=1)))
     if sample_var <= 0.5:
         raise PhysicalityError(
             f"no atomic noise resolved: pooled variance {sample_var:.6g} <= vacuum 1/2"
         )
     return (sample_var - 0.5) * 2.0 * pump_fraction_reference / thermal_variance
-
-
-def vacuum_calibration(record: MeasurementRecord) -> float:
-    """Amplitude scale that maps a no-atom record onto vacuum units.
-
-    Returns s with s^2 * var_raw = 1/2; apply with ``record.scaled(s)``.
-    """
-    raw_var = _pooled_variance(record)
-    if raw_var <= 0:
-        raise PhysicalityError("vacuum record has zero variance; cannot set the noise scale")
-    return float(np.sqrt(0.5 / raw_var))
 
 
 def record_to_csv(record: MeasurementRecord, stream, header_comments: dict | None = None) -> None:
@@ -276,7 +240,11 @@ def record_to_csv(record: MeasurementRecord, stream, header_comments: dict | Non
 
 
 def record_from_csv(stream) -> MeasurementRecord:
-    """Parse a record written by :func:`record_to_csv`."""
+    """Parse a record written by :func:`record_to_csv`.
+
+    The ``kappa2`` header is required; an ``n_shots`` header, when present,
+    must equal the number of rows, so a truncated file is an error.
+    """
     comments, columns, shots = read_table(stream)
     if columns != ["y_c", "y_s"]:
         raise ValueError(f"record file header must be y_c,y_s, got {','.join(columns)!r}")
@@ -285,5 +253,8 @@ def record_from_csv(stream) -> MeasurementRecord:
         raise ValueError("record file is missing the kappa2 header")
     if not len(shots):
         raise ValueError("record file contains no shots")
+    stated = header.get("n_shots", "").strip()
+    if stated and stated != str(len(shots)):
+        raise ValueError(f"record file holds {len(shots)} shots, its n_shots header says {stated}")
     seed = int(header.get("seed", 0))
     return MeasurementRecord(shots=shots, kappa2=float(header["kappa2"]), seed=seed)

@@ -29,9 +29,6 @@ __all__ = [
     "coherent_spin_state",
     "moments",
     "variance_extrema",
-    "expectation",
-    "covariance",
-    "rotate",
 ]
 
 
@@ -84,14 +81,12 @@ class SpinQuantumNumber:
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """Matrix representations of fx, fy, fz and the ladder pair for one spin."""
+    """Matrix representations of fx, fy and fz for one spin."""
 
     f: SpinQuantumNumber
     fx: np.ndarray
     fy: np.ndarray
     fz: np.ndarray
-    f_plus: np.ndarray
-    f_minus: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -112,14 +107,7 @@ def _spin_operators(two_f: int) -> SpinOperators:
     f_minus = f_plus.conj().T
     fx = (f_plus + f_minus) / 2.0
     fy = (f_plus - f_minus) / 2.0j
-    return SpinOperators(
-        f=f,
-        fx=_readonly(fx),
-        fy=_readonly(fy),
-        fz=_readonly(fz),
-        f_plus=_readonly(f_plus),
-        f_minus=_readonly(f_minus),
-    )
+    return SpinOperators(f=f, fx=_readonly(fx), fy=_readonly(fy), fz=_readonly(fz))
 
 
 def spin_operators(f) -> SpinOperators:
@@ -174,9 +162,6 @@ class QuantumState:
             raise ValueError("zero state vector")
         psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
 
 
 def coherent_state_vector(f, theta, phi) -> np.ndarray:
@@ -237,18 +222,6 @@ def variance_extrema(cov) -> tuple[np.ndarray, np.ndarray]:
     return mid - radius, mid + radius
 
 
-def expectation(state: QuantumState, op: np.ndarray) -> float:
-    """<op> = Tr(rho op) for a Hermitian operator."""
-    mean, _ = moments(state.rho, [op])
-    return float(mean[0])
-
-
-def covariance(state: QuantumState, a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetrized covariance (1/2)<ab + ba> - <a><b> of Hermitian a, b."""
-    _, cov = moments(state.rho, [a, b])
-    return float(cov[0, 1])
-
-
 def rotation_unitary(ops: SpinOperators, axis, angle: float) -> np.ndarray:
     """exp(-i angle (n . F)) via eigendecomposition of the Hermitian generator."""
     axis = np.asarray(axis, dtype=float).ravel()
@@ -262,11 +235,3 @@ def rotation_unitary(ops: SpinOperators, axis, angle: float) -> np.ndarray:
     w, v = np.linalg.eigh(gen)
     return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
-
-def rotate(state: QuantumState, axis, angle: float) -> QuantumState:
-    """Rotate a state about a spatial axis; trace and spectrum are preserved."""
-    ops = spin_operators(state.spin)
-    u = rotation_unitary(ops, axis, angle)
-    rho = u @ state.rho @ u.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return QuantumState(rho)

@@ -90,11 +90,6 @@ class SqueezingReport:
         """Transverse variance at the optimal angle: the smaller eigenvalue of ``cov``."""
         return float(variance_extrema(self.cov)[0])
 
-    @property
-    def max_variance(self) -> float:
-        """Transverse variance at 90 degrees from the optimal angle: the larger eigenvalue."""
-        return float(variance_extrema(self.cov)[1])
-
 
 def optimal_quadrature_angle(cov: np.ndarray) -> float:
     """Angle in (-pi/2, pi/2] minimizing the quadrature variance of a 2x2 covariance.
@@ -281,31 +276,13 @@ class HusimiGrid:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @property
-    def n_theta(self) -> int:
-        return len(self.thetas)
-
-    @property
-    def n_phi(self) -> int:
-        return len(self.phis)
-
-    def normalization(self) -> float:
-        """Quadrature-weighted sum scaled by (2F+1)/(4 pi); approx 1 on fine grids."""
-        d_theta = np.pi / self.n_theta
-        d_phi = 2.0 * np.pi / self.n_phi
-        weighted = (self.values * np.sin(self.thetas)[:, None]).sum() * d_theta * d_phi
-        return float(weighted * (self.f.two_f + 1) / (4.0 * np.pi))
-
-    def to_csv(self, stream, header_comments: dict | None = None) -> None:
-        """Write rows (theta, phi, value), theta-major; angles in radians."""
+    def to_csv_text(self, header_comments: dict | None = None) -> str:
+        """CSV table of rows (theta, phi, value), theta-major; angles in radians."""
         theta, phi = np.meshgrid(self.thetas, self.phis, indexing="ij")
         rows = np.column_stack([theta.ravel(), phi.ravel(), self.values.ravel()])
         comments = [f"{key}={val}" for key, val in (header_comments or {}).items()]
-        write_table(stream, comments, ("theta_rad", "phi_rad", "q_value"), rows)
-
-    def to_csv_text(self, header_comments: dict | None = None) -> str:
         buf = io.StringIO()
-        self.to_csv(buf, header_comments)
+        write_table(buf, comments, ("theta_rad", "phi_rad", "q_value"), rows)
         return buf.getvalue()
 
 

@@ -232,9 +232,14 @@ def _binned_quadrature_povm(
 
 
 def _rotated_povm(povm_x: np.ndarray, theta: float, dim: int) -> np.ndarray:
-    """Apply the quadrature rotation x -> x cos(theta) + p sin(theta)."""
+    """POVM of the quadrature x cos(theta) + p sin(theta) from that of x.
+
+    With U = exp(-i theta n), U^dag x U = (a e^(-i theta) + a^dag e^(i theta)) / sqrt 2
+    is that quadrature, so each element becomes U^dag P U, whose (n, m) entry
+    is e^(+i theta (n - m)) P_nm.
+    """
     n = np.arange(dim)
-    phase = np.exp(-1j * theta * (n[:, None] - n[None, :]))
+    phase = np.exp(1j * theta * (n[:, None] - n[None, :]))
     return povm_x * phase[None, :, :]
 
 

@@ -5,11 +5,14 @@ import pytest
 
 from spintomo import (
     ConvergenceError,
+    Hamiltonian,
     QuantumState,
     coherent_spin_state,
     correct_covariance,
+    moments,
     spin_operators,
 )
+from spintomo.spin_algebra import rotation_unitary
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +30,48 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> QuantumState:
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     return QuantumState((rho + rho.conj().T) / 2.0)
+
+
+def expectation(state: QuantumState, op: np.ndarray) -> float:
+    """<op> = Tr(rho op) for a Hermitian operator."""
+    mean, _ = moments(state.rho, [op])
+    return float(mean[0])
+
+
+def covariance(state: QuantumState, a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetrized covariance (1/2)<ab + ba> - <a><b> of Hermitian a, b."""
+    _, cov = moments(state.rho, [a, b])
+    return float(cov[0, 1])
+
+
+def rotate(state: QuantumState, axis, angle: float) -> QuantumState:
+    """Rotate a state about a spatial axis; trace and spectrum are preserved."""
+    ops = spin_operators(state.spin)
+    u = rotation_unitary(ops, axis, angle)
+    rho = u @ state.rho @ u.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return QuantumState(rho)
+
+
+def oat_hamiltonian(ops, alpha: float) -> Hamiltonian:
+    """One-axis twisting generator alpha * Fz^2."""
+    return Hamiltonian(alpha * (ops.fz @ ops.fz), label=f"oat(alpha={alpha:g})")
+
+
+def evolve_unitary(state: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
+    """Closed-system evolution rho -> U rho U^dag with U = exp(-i H t).
+
+    An oracle for the decay-free limit of ``lindblad_trajectory``.
+    """
+    if h.dimension != state.dimension:
+        raise ValueError(
+            f"Hamiltonian dimension {h.dimension} does not match state {state.dimension}"
+        )
+    w, v = np.linalg.eigh(h.matrix)
+    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    rho = u @ state.rho @ u.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return QuantumState(rho)
 
 
 def fail_at_call(n: int, exc: BaseException, target=correct_covariance):

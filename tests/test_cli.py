@@ -295,6 +295,25 @@ class TestRecordsAndReconstruct:
         assert err.startswith("usage error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "header, n_rows, message",
+        [
+            ("# kappa2=nan\n# n_shots=200\n", 200, "kappa2 must be finite and >= 0, got nan"),
+            ("# kappa2=inf\n# n_shots=200\n", 200, "kappa2 must be finite and >= 0, got inf"),
+            ("# kappa2=0.8\n# n_shots=200\n", 54,
+             "record file holds 54 shots, its n_shots header says 200"),
+        ],
+        ids=["nan-kappa2", "inf-kappa2", "truncated"],
+    )
+    def test_malformed_records_header(self, tmp_path, capsys, header, n_rows, message):
+        rows = np.random.default_rng(3).standard_normal((n_rows, 2))
+        rec_path = tmp_path / "bad.csv"
+        rec_path.write_text(header + "y_c,y_s\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in rows))
+        out = tmp_path / "o.json"
+        assert run_cli("reconstruct", str(rec_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
 
 class TestQpd:
     def test_grid_output(self, config_path, tmp_path):

@@ -9,18 +9,21 @@ from spintomo import (
     PhysicalityError,
     coherent_spin_state,
     compensated_hamiltonian,
-    covariance,
-    evolve_unitary,
-    expectation,
     light_shift_hamiltonian,
     lindblad_trajectory,
-    oat_hamiltonian,
     spin_operators,
     tact_hamiltonian,
     zeeman_hamiltonian,
 )
 from spintomo import dynamics
-from conftest import random_density_matrix, secular_compensated_matrix
+from conftest import (
+    covariance,
+    evolve_unitary,
+    expectation,
+    oat_hamiltonian,
+    random_density_matrix,
+    secular_compensated_matrix,
+)
 
 HALF_STEPS = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
@@ -280,7 +283,7 @@ class TestLindblad:
         decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
         states = lindblad_trajectory(css_x4, h, decay, [0.5, 1.0, 2.0, 4.0])
-        purities = [s.purity() for s in states]
+        purities = [np.trace(s.rho @ s.rho).real for s in states]
         assert all(b < a for a, b in zip(purities, purities[1:]))
         assert purities[0] < 1.0
 

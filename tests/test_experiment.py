@@ -10,10 +10,9 @@ from spintomo import (
     PhysicalityError,
     SweepPointError,
     correct_covariance,
-    expectation,
+    mle_reconstruct,
     point_record,
     prepare_initial_state,
-    reconstruct_sweep,
     run_sweep,
     simulate_records,
     squeezing_report,
@@ -21,7 +20,7 @@ from spintomo import (
 )
 from spintomo import experiment
 from spintomo.experiment import _evolved_states, _point_seed
-from conftest import fail_at_call
+from conftest import covariance, expectation, fail_at_call
 
 
 def short_config(**overrides):
@@ -131,7 +130,7 @@ class TestPrepareInitialState:
         cfg = ExperimentConfig(pump_fraction=1.0)
         state = prepare_initial_state(cfg)
         assert abs(expectation(state, ops4.fx) - 4.0) <= 1e-12
-        assert abs(state.purity() - 1.0) <= 1e-12
+        assert abs(np.trace(state.rho @ state.rho).real - 1.0) <= 1e-12
 
     def test_partial_pumping_mean_spin(self, ops4):
         state = prepare_initial_state(ExperimentConfig())  # 98% pumped
@@ -140,8 +139,6 @@ class TestPrepareInitialState:
     def test_partial_pumping_variance_oracle(self, ops4):
         # direct density-matrix arithmetic: the mixed fraction adds the
         # unpolarized manifold variance <Fz^2> = F(F+1)/3 = 20/3
-        from spintomo import covariance
-
         state = prepare_initial_state(ExperimentConfig())
         expected = 0.98 * 2.0 + 0.02 * (20.0 / 3.0)
         assert abs(covariance(state, ops4.fz, ops4.fz) - expected) <= 1e-12
@@ -213,24 +210,18 @@ class TestRunSweep:
             assert isinstance(info.value.__cause__, cause)
 
     @pytest.mark.parametrize(
-        "sweep, target, injected",
+        "injected",
         [
-            (run_sweep, "correct_covariance",
-             UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")),
-            (run_sweep, "correct_covariance",
-             PhysicalityError("covariance below the Heisenberg floor")),
-            (reconstruct_sweep, "mle_reconstruct",
-             PhysicalityError("population 0.002 of the highest level breaks the truncation")),
+            UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+            PhysicalityError("covariance below the Heisenberg floor"),
         ],
-        ids=["unicode-decode", "physicality", "mle-top-level"],
+        ids=["unicode-decode", "physicality"],
     )
-    def test_point_error_chains_cause(self, monkeypatch, sweep, target, injected):
-        # the original exception survives whatever its constructor signature;
-        # the MLE stand-in skips the real fit at the first point
-        stand_in = correct_covariance if target == "correct_covariance" else lambda *a, **k: None
-        monkeypatch.setattr(experiment, target, fail_at_call(2, injected, stand_in))
+    def test_point_error_chains_cause(self, monkeypatch, injected):
+        # the original exception survives whatever its constructor signature
+        monkeypatch.setattr(experiment, "correct_covariance", fail_at_call(2, injected))
         with pytest.raises(SweepPointError) as info:
-            sweep(short_config())
+            run_sweep(short_config())
         assert info.value.t_r == 0.4
         assert info.value.__cause__ is injected
         assert str(info.value) == f"sweep point t_r=0.4 ms: {injected}"
@@ -282,7 +273,7 @@ class TestReconstructSweep:
     @pytest.mark.filterwarnings("default:likelihood iteration stopped:RuntimeWarning")
     def test_round_trip_and_cross_method(self):
         cfg = short_config(raman_durations=(0.0, 0.8), n_shots=8000)
-        out = reconstruct_sweep(cfg, durations=(0.0, 0.8))
+        out = [(t, mle_reconstruct(point_record(cfg, t))) for t in (0.0, 0.8)]
         assert [t for t, _ in out] == [0.0, 0.8]
         vacuum_like = out[0][1]
         assert vacuum_like.populations[0] > 0.9

@@ -13,22 +13,23 @@ from spintomo import (
     THERMAL_TRANSVERSE_VARIANCE,
     canonical_moments,
     coherent_spin_state,
-    covariance,
-    evolve_unitary,
-    expectation,
-    output_variance,
+    readout_model,
     record_from_csv,
     record_to_csv,
-    rotate,
     simulate_records,
     simulate_thermal_records,
-    simulate_vacuum_records,
     spin_operators,
     squeezing_report,
     tact_hamiltonian,
     thermal_calibration,
-    vacuum_calibration,
 )
+from conftest import covariance, evolve_unitary, expectation, rotate
+
+
+def output_variance(moments, kappa2):
+    """Variances of the demodulated outputs (y_c, y_s) for given atomic moments."""
+    gain, noise = readout_model(kappa2)
+    return noise + gain * moments.var_x, noise + gain * moments.var_p
 
 
 def _tact_state(tau):
@@ -217,7 +218,7 @@ class TestThermalCalibration:
         assert abs(partial - 0.98 * full) <= 1e-12
 
     def test_no_atomic_noise_rejected(self):
-        rec = simulate_vacuum_records(50_000, seed=7)
+        rec = simulate_thermal_records(0.0, 50_000, seed=7)  # pure shot noise
         with pytest.raises(PhysicalityError, match="no atomic noise"):
             thermal_calibration(rec)
 
@@ -227,33 +228,6 @@ class TestThermalCalibration:
         assert abs(np.var(rec.y_c, ddof=1) - 0.5) <= 1e-12
         with pytest.raises(PhysicalityError):
             thermal_calibration(rec)
-
-
-class TestVacuumCalibration:
-    def test_exact_scale_example(self):
-        # raw variance 2.0 -> amplitude scale 1/2 brings it to vacuum 1/2
-        shots = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]) * np.sqrt(1.5)
-        rec = MeasurementRecord(shots=shots, kappa2=0.0, seed=0)
-        assert abs(np.var(rec.y_c, ddof=1) - 2.0) <= 1e-12
-        scale = vacuum_calibration(rec)
-        assert abs(scale - 0.5) <= 1e-12
-        scaled = rec.scaled(scale)
-        assert abs(np.var(scaled.y_c, ddof=1) - 0.5) <= 1e-12
-
-    def test_zero_variance_rejected(self):
-        rec = MeasurementRecord(shots=np.zeros((10, 2)), kappa2=0.0, seed=0)
-        with pytest.raises(PhysicalityError):
-            vacuum_calibration(rec)
-
-    def test_gain_pipeline_round_trip(self):
-        # raw-unit records: vacuum sets the scale, thermal then yields kappa2
-        gain = 3.7
-        vac = simulate_vacuum_records(200_000, seed=8, raw_scale=gain)
-        thermal = simulate_thermal_records(0.8, 200_000, seed=9).scaled(gain)
-        scale = vacuum_calibration(vac)
-        assert abs(scale - 1.0 / gain) <= 0.01 / gain
-        est = thermal_calibration(thermal.scaled(scale))
-        assert abs(est - 0.8) <= 0.05
 
 
 class TestRecordSerialization:
@@ -284,6 +258,13 @@ class TestRecordSerialization:
             MeasurementRecord(shots=np.zeros((0, 2)), kappa2=0.1, seed=0)
         with pytest.raises(ValueError):
             MeasurementRecord(shots=np.zeros((5, 2)), kappa2=-0.1, seed=0)
+
+    @pytest.mark.parametrize("kappa2", [np.nan, np.inf])
+    def test_non_finite_kappa2_rejected(self, kappa2):
+        with pytest.raises(ValueError, match="kappa2 must be finite and >= 0"):
+            MeasurementRecord(shots=np.zeros((5, 2)), kappa2=kappa2, seed=0)
+        with pytest.raises(ValueError, match="kappa2 must be finite and >= 0"):
+            readout_model(kappa2)
 
     def test_first_non_finite_shot_is_named(self):
         shots = np.zeros((6, 2))

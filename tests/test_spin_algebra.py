@@ -9,15 +9,12 @@ from spintomo import (
     SpinQuantumNumber,
     coherent_spin_state,
     coherent_state_vector,
-    covariance,
-    expectation,
     moments,
-    rotate,
     spin_operators,
     variance_extrema,
     variances_from_rho,
 )
-from conftest import random_density_matrix
+from conftest import covariance, expectation, random_density_matrix, rotate
 
 ALL_F = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
@@ -57,7 +54,7 @@ class TestSpinOperators:
         assert_allclose(ops.fz, np.diag([1.0, 0.0, -1.0]), atol=1e-15)
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 2] = np.sqrt(2.0)
-        assert_allclose(ops.f_plus, expected, atol=1e-15)
+        assert_allclose(ops.fx + 1j * ops.fy, expected, atol=1e-15)
 
     @pytest.mark.parametrize("f", ALL_F)
     def test_commutators(self, f):
@@ -74,9 +71,13 @@ class TestSpinOperators:
 
     @pytest.mark.parametrize("f", ALL_F)
     def test_ladder_combinations(self, f):
+        # F+ = Fx + i Fy raises m by one with <m+1|F+|m> = sqrt(F(F+1) - m(m+1)),
+        # and F- = Fx - i Fy is its adjoint
         ops = spin_operators(f)
-        assert np.abs(ops.f_plus - (ops.fx + 1j * ops.fy)).max() <= 1e-14
-        assert np.abs(ops.f_minus - (ops.fx - 1j * ops.fy)).max() <= 1e-14
+        m = ops.f.m_values[1:]
+        f_plus = np.diag(np.sqrt(f * (f + 1.0) - m * (m + 1.0)), k=1)
+        assert np.abs(f_plus - (ops.fx + 1j * ops.fy)).max() <= 1e-14
+        assert np.abs(f_plus.T - (ops.fx - 1j * ops.fy)).max() <= 1e-14
 
     @pytest.mark.parametrize("f", ALL_F)
     def test_hermiticity(self, f):
@@ -310,7 +311,7 @@ class TestQuantumStateValidation:
     def test_from_vector_normalizes(self):
         state = QuantumState.from_vector(np.array([3.0, 4.0]))
         assert abs(np.trace(state.rho).real - 1.0) <= 1e-14
-        assert abs(state.purity() - 1.0) <= 1e-14
+        assert abs(np.trace(state.rho @ state.rho).real - 1.0) <= 1e-14
 
     def test_rho_is_readonly(self, css_x4):
         with pytest.raises(ValueError):

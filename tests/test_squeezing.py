@@ -10,12 +10,9 @@ from spintomo import (
     PhysicalityError,
     QuantumState,
     coherent_spin_state,
-    evolve_unitary,
     lindblad_trajectory,
     husimi,
-    oat_hamiltonian,
     optimal_quadrature_angle,
-    rotate,
     spin_operators,
     squeezing_report,
     tact_hamiltonian,
@@ -23,7 +20,7 @@ from spintomo import (
 )
 from spintomo import squeezing
 from spintomo.squeezing import _first_local_min
-from conftest import random_density_matrix
+from conftest import evolve_unitary, oat_hamiltonian, random_density_matrix, rotate
 
 
 def _evolved_tact(f, tau):
@@ -79,7 +76,7 @@ class TestSqueezingReport:
     def test_heisenberg_floor_unitary(self, tau):
         report = squeezing_report(_evolved_tact(4, tau))
         floor = report.mean_spin_length**2 / 4.0
-        assert report.min_variance * report.max_variance >= floor - 1e-9
+        assert np.linalg.det(report.cov) >= floor - 1e-9
 
     def test_heisenberg_floor_lindblad(self, ops4, css_x4):
         decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
@@ -87,7 +84,7 @@ class TestSqueezingReport:
         for t in (0.5, 1.5, 3.0):
             report = squeezing_report(lindblad_trajectory(css_x4, h, decay, [t])[0])
             floor = report.mean_spin_length**2 / 4.0
-            assert report.min_variance * report.max_variance >= floor - 1e-9
+            assert np.linalg.det(report.cov) >= floor - 1e-9
 
 
 class TestOptimalAngle:
@@ -274,7 +271,10 @@ class TestHusimi:
     def test_normalization(self, state_tau, css_x4):
         state = css_x4 if state_tau is None else _evolved_tact(4, state_tau)
         grid = husimi(state, 64, 64)
-        assert abs(grid.normalization() - 1.0) <= 1e-3
+        # quadrature-weighted sum times (2F+1)/(4 pi), by the SU(2) resolution of identity
+        d_theta, d_phi = np.pi / len(grid.thetas), 2.0 * np.pi / len(grid.phis)
+        weighted = (grid.values * np.sin(grid.thetas)[:, None]).sum() * d_theta * d_phi
+        assert abs(weighted * grid.f.dimension / (4.0 * np.pi) - 1.0) <= 1e-3
 
     def test_shear_rotates_principal_axis(self, ops4, css_x4):
         # one-axis twisting shears the distribution; the principal axis of

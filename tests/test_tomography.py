@@ -173,6 +173,37 @@ class TestPovm:
         assert np.abs(povm.sum(axis=0) - np.eye(10)).max() <= 1e-12
 
 
+class TestQuadratureRotation:
+    def test_coherent_state_mean_outcome_follows_the_angle(self):
+        # |alpha> with alpha = (<x> + i <p>) / sqrt 2 = i sqrt 2 has <x> = 0 and <p> = +2,
+        # so the quadrature x cos(theta) + p sin(theta) has mean 2 sin(theta)
+        dim = 40
+        n = np.arange(dim)
+        alpha = 1j * np.sqrt(2.0)
+        factorials = np.array([math.factorial(k) for k in n], dtype=float)
+        psi = np.exp(-abs(alpha) ** 2 / 2.0) * alpha**n / np.sqrt(factorials)
+        rho = np.outer(psi, psi.conj())
+        edges = np.linspace(-12.0, 12.0, 241)
+        centres = np.concatenate([[edges[0]], (edges[1:] + edges[:-1]) / 2.0, [edges[-1]]])
+        povm_x = _binned_quadrature_povm(edges, 1.147, dim)
+        for theta, expected in ((np.pi / 2.0, 2.0), (np.pi / 4.0, np.sqrt(2.0))):
+            povm = tomography._rotated_povm(povm_x, theta, dim)
+            probs = np.einsum("kij,ji->k", povm, rho).real
+            assert abs(probs @ centres - expected) <= 1e-9
+
+    def test_rotated_shots_reconstruct_the_rotated_state(self):
+        # U = exp(-i pi n / 2) maps (x, p) to (p, -x): U^dag x U = p and U^dag p U = -x,
+        # so the shots (y_s, -y_c) come from U rho U^dag
+        rec = point_record(ExperimentConfig(), 0.8)
+        turned = MeasurementRecord(np.column_stack([rec.y_s, -rec.y_c]), rec.kappa2, rec.seed)
+        with pytest.warns(RuntimeWarning, match="max_iter"):
+            rho = mle_reconstruct(rec, max_iter=300).rho
+        with pytest.warns(RuntimeWarning, match="max_iter"):
+            rho_turned = mle_reconstruct(turned, max_iter=300).rho
+        u = np.diag(np.exp(-0.5j * np.pi * np.arange(10)))
+        assert np.abs(rho_turned - u @ rho @ u.conj().T).max() <= 1e-12
+
+
 class TestLikelihoodKernel:
     def test_matches_traces_and_sums(self):
         # two loop steps against Tr(P_k rho) and R = sum_k f_k / p_k P_k written out per element
