@@ -11,10 +11,8 @@ from .dynamics import (
     DecayChannels,
     Hamiltonian,
     compensated_hamiltonian,
-    light_shift_hamiltonian,
     lindblad_trajectory,
     tact_hamiltonian,
-    zeeman_hamiltonian,
 )
 from .errors import ConvergenceError, PhysicalityError, SweepPointError
 from .experiment import (

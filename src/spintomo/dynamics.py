@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .spin_algebra import QuantumState, SpinOperators, rotation_unitary, spin_operators
+from .spin_algebra import QuantumState, SpinOperators, spin_operators
 
 __all__ = [
     "Hamiltonian",
     "DecayChannels",
     "tact_hamiltonian",
-    "light_shift_hamiltonian",
-    "zeeman_hamiltonian",
     "compensated_hamiltonian",
     "lindblad_trajectory",
 ]
@@ -107,21 +105,6 @@ def tact_hamiltonian(ops: SpinOperators, alpha: float) -> Hamiltonian:
     return Hamiltonian((m + m.conj().T) / 2.0, label=f"tact(alpha={alpha:g})")
 
 
-def light_shift_hamiltonian(ops: SpinOperators, a2: float) -> Hamiltonian:
-    """Tensor AC-Stark shift of z-polarized off-resonant light: -a2 Fz^2 / 4.
-
-    a2 is the tensor polarizability already multiplied by the light
-    intensity, in rad/ms.  The scalar shift is a multiple of the identity
-    and is left out.
-    """
-    return Hamiltonian(-0.25 * a2 * (ops.fz @ ops.fz), label=f"light_shift(a2={a2:g})")
-
-
-def zeeman_hamiltonian(ops: SpinOperators, beta: float) -> Hamiltonian:
-    """Quadratic Zeeman shift beta * Fx^2 in the frame rotating at the Larmor frequency."""
-    return Hamiltonian(beta * (ops.fx @ ops.fx), label=f"zeeman(beta={beta:g})")
-
-
 def compensated_hamiltonian(
     ops: SpinOperators,
     beta: float,
@@ -130,33 +113,24 @@ def compensated_hamiltonian(
     """Effective rotating-frame generator of the tuned light shift + quadratic Zeeman.
 
     The drive light is intensity-modulated at twice the Larmor frequency so
-    that its tensor shift stays resonant in the rotating frame; the static
-    quadratic Zeeman term beta * Fx^2 commutes with the frame rotation.  This
-    constructor performs the one-period secular average of
+    that its tensor shift -a2 Fz^2 / 4 stays resonant in the rotating frame,
+    where the quadratic Zeeman term beta * Fx^2 is static.  At the tuning
+    a2 = -8 beta the transverse-symmetric parts of the one-period average
+    cancel, leaving two-axis countertwisting at half the Zeeman rate:
 
-        -(1 + cos 2theta)/4 * a2 Fz^2   (rotated by theta about x)
-        + beta Fx^2
+        beta F(F+1) I + (beta/2)(Fz^2 - Fy^2)
 
-    at the tuning a2 = -8 beta, under which the transverse-symmetric parts
-    cancel and the average collapses to
-
-        beta F(F+1) I + (beta/2)(Fz^2 - Fy^2).
-
-    The identity multiple is kept in ``matrix``; the scalar light shift
-    would only add another one and is left out.  ``residual`` adds an
-    uncompensated delta * Fx^2 term modelling slight over/under-compensation;
-    the default is exact tuning.
-
-    The average is taken in closed form: under the weight (1 + cos 2theta),
-    Fz^2 rotated by theta about x averages to (3/4) Fz^2 + (1/4) Fy^2, i.e.
-    3/4 of the light shift plus 1/4 of it rotated by pi/2 about x.
+    (Kitagawa & Ueda, Phys. Rev. A 47, 5138 (1993)), which is returned as
+    is, identity multiple included.  ``residual`` adds an uncompensated
+    residual * Fx^2 term modelling slight over/under-compensation; the
+    default is exact tuning.  The test helper ``secular_compensated_matrix``
+    averages the modulated drive numerically and checks this form.
     """
-    light = light_shift_hamiltonian(ops, -8.0 * beta).matrix
-    u = rotation_unitary(ops, [1.0, 0.0, 0.0], np.pi / 2.0)
-    h = 0.75 * light + 0.25 * (u @ light @ u.conj().T)
-    h += zeeman_hamiltonian(ops, beta + residual).matrix
+    f = ops.f.f_value
+    h = tact_hamiltonian(ops, beta / 2.0).matrix + residual * (ops.fx @ ops.fx)
     return Hamiltonian(
-        (h + h.conj().T) / 2.0, label=f"compensated(beta={beta:g}, residual={residual:g})"
+        h + beta * f * (f + 1.0) * np.eye(ops.dimension),
+        label=f"compensated(beta={beta:g}, residual={residual:g})",
     )
 
 

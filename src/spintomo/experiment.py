@@ -22,7 +22,7 @@ from .errors import SweepPointError
 from .probe import MeasurementRecord, canonical_moments, readout_model, simulate_records
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
 from .squeezing import SqueezingReport, squeezing_report
-from .tables import write_table
+from .tables import parse_number, write_table
 from .tomography import CorrectedCovariance, correct_covariance
 
 __all__ = [
@@ -75,8 +75,9 @@ class ExperimentConfig:
 
     Unknown keys are rejected with ``ValueError``, and so are non-finite
     values (only t1 and t2 may be inf: that decay channel is off),
-    fractional n_shots or seed, and seed < 0.  The dynamics are in the
-    frame rotating at the Larmor frequency, so it is not a parameter.
+    fractional n_shots or seed, seed < 0, and a key that a file sets
+    twice.  The dynamics are in the frame rotating at the Larmor
+    frequency, so it is not a parameter.
     """
 
     f: float = 4.0
@@ -141,12 +142,14 @@ class ExperimentConfig:
         kwargs = {}
         for key, raw in mapping.items():
             raw = str(raw).strip()
-            kwargs[key] = _parse_durations(raw) if key == "raman_durations" else _number(key, raw)
+            kwargs[key] = (
+                _parse_durations(raw) if key == "raman_durations" else parse_number(key, raw)
+            )
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        mapping = {}
+        mapping, first_line = {}, {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -155,7 +158,13 @@ class ExperimentConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                mapping[key.strip()] = value.strip()
+                key = key.strip()
+                if key in first_line:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} is set again, first set on line {first_line[key]}"
+                    )
+                first_line[key] = lineno
+                mapping[key] = value.strip()
         return cls.from_mapping(mapping)
 
     def canonical_text(self) -> str:
@@ -178,14 +187,6 @@ class ExperimentConfig:
         return replace(self, seed=int(seed))
 
 
-def _number(key: str, text: str) -> float:
-    """float(text), or a ValueError that names the config key it came from."""
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{key}: {text!r} is not a number") from None
-
-
 def _parse_durations(text: str) -> tuple[float, ...]:
     """Parse '0,0.5,1.0' or 'start:stop:step' (stop inclusive up to round-off)."""
     text = text.strip()
@@ -193,14 +194,14 @@ def _parse_durations(text: str) -> tuple[float, ...]:
         pieces = text.split(":")
         if len(pieces) != 3:
             raise ValueError(f"duration range must be start:stop:step, got {text!r}")
-        start, stop, step = (_number("raman_durations", p) for p in pieces)
+        start, stop, step = (parse_number("raman_durations", p) for p in pieces)
         if not np.isfinite([start, stop, step]).all():
             raise ValueError(f"raman_durations range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("duration step must be positive")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         return tuple(np.round(start + step * np.arange(n), 12))
-    return tuple(_number("raman_durations", p) for p in text.split(",") if p.strip())
+    return tuple(parse_number("raman_durations", p) for p in text.split(",") if p.strip())
 
 
 def prepare_initial_state(config: ExperimentConfig) -> QuantumState:

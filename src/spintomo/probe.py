@@ -30,7 +30,7 @@ import numpy as np
 from .errors import PhysicalityError
 from .spin_algebra import variance_extrema
 from .squeezing import SqueezingReport
-from .tables import read_table, write_table
+from .tables import parse_number, read_table, write_table
 
 __all__ = [
     "CanonicalMoments",
@@ -243,18 +243,25 @@ def record_from_csv(stream) -> MeasurementRecord:
     """Parse a record written by :func:`record_to_csv`.
 
     The ``kappa2`` header is required; an ``n_shots`` header, when present,
-    must equal the number of rows, so a truncated file is an error.
+    must equal the number of rows, so a truncated file is an error.  A
+    header value that is not a number, or a seed that is not a whole
+    number, raises ``ValueError`` naming its key.
     """
     comments, columns, shots = read_table(stream)
     if columns != ["y_c", "y_s"]:
         raise ValueError(f"record file header must be y_c,y_s, got {','.join(columns)!r}")
-    header = {key.strip(): val for key, sep, val in (c.partition("=") for c in comments) if sep}
+    header = {
+        key.strip(): val.strip() for key, sep, val in (c.partition("=") for c in comments) if sep
+    }
     if "kappa2" not in header:
         raise ValueError("record file is missing the kappa2 header")
     if not len(shots):
         raise ValueError("record file contains no shots")
-    stated = header.get("n_shots", "").strip()
+    stated = header.get("n_shots", "")
     if stated and stated != str(len(shots)):
         raise ValueError(f"record file holds {len(shots)} shots, its n_shots header says {stated}")
-    seed = int(header.get("seed", 0))
-    return MeasurementRecord(shots=shots, kappa2=float(header["kappa2"]), seed=seed)
+    seed = parse_number("seed", header.get("seed", "0"))
+    if not seed.is_integer():
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    kappa2 = parse_number("kappa2", header["kappa2"])
+    return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))

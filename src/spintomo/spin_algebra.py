@@ -220,18 +220,3 @@ def variance_extrema(cov) -> tuple[np.ndarray, np.ndarray]:
     mid = (a + b) / 2.0
     radius = np.hypot((a - b) / 2.0, c)
     return mid - radius, mid + radius
-
-
-def rotation_unitary(ops: SpinOperators, axis, angle: float) -> np.ndarray:
-    """exp(-i angle (n . F)) via eigendecomposition of the Hermitian generator."""
-    axis = np.asarray(axis, dtype=float).ravel()
-    if axis.shape != (3,):
-        raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
-    norm = np.linalg.norm(axis)
-    if norm < 1e-12:
-        raise ValueError("rotation axis must be non-zero")
-    n = axis / norm
-    gen = n[0] * ops.fx + n[1] * ops.fy + n[2] * ops.fz
-    w, v = np.linalg.eigh(gen)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
-

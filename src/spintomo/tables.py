@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_table", "read_table"]
+__all__ = ["write_table", "read_table", "parse_number"]
 
 
 def write_table(stream, comments, columns, rows) -> None:
@@ -75,3 +75,11 @@ def _raise_first_non_number(fields, numbers, k) -> None:
                 float(field)
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from None
+
+
+def parse_number(key: str, text: str) -> float:
+    """float(text), or a ValueError that names the key the value came from."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{key}: {text!r} is not a number") from None

@@ -12,7 +12,6 @@ from spintomo import (
     moments,
     spin_operators,
 )
-from spintomo.spin_algebra import rotation_unitary
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +41,20 @@ def covariance(state: QuantumState, a: np.ndarray, b: np.ndarray) -> float:
     """Symmetrized covariance (1/2)<ab + ba> - <a><b> of Hermitian a, b."""
     _, cov = moments(state.rho, [a, b])
     return float(cov[0, 1])
+
+
+def rotation_unitary(ops, axis, angle: float) -> np.ndarray:
+    """exp(-i angle (n . F)) via eigendecomposition of the Hermitian generator."""
+    axis = np.asarray(axis, dtype=float).ravel()
+    if axis.shape != (3,):
+        raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
+    norm = np.linalg.norm(axis)
+    if norm < 1e-12:
+        raise ValueError("rotation axis must be non-zero")
+    n = axis / norm
+    gen = n[0] * ops.fx + n[1] * ops.fy + n[2] * ops.fz
+    w, v = np.linalg.eigh(gen)
+    return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
 
 def rotate(state: QuantumState, axis, angle: float) -> QuantumState:

@@ -192,11 +192,23 @@ class TestSweep:
     )
     def test_invalid_config_is_usage_error(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"n_shots = 100\n{line}\n")
+        # a key may be set only once, so a bad n_shots line replaces the small default
+        base = "" if line.startswith("n_shots") else "n_shots = 100\n"
+        cfg.write_text(f"{base}{line}\n")
         out = tmp_path / "o.csv"
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
+        assert not out.exists()
+
+    def test_key_set_twice_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("kappa2 = 0.8\nraman_durations = 0.5\n# note\nkappa2 = 0.5\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {cfg}:4: kappa2 is set again, first set on line 1\n"
+        )
         assert not out.exists()
 
     def test_decay_off_config_runs(self, tmp_path):
@@ -302,8 +314,10 @@ class TestRecordsAndReconstruct:
             ("# kappa2=inf\n# n_shots=200\n", 200, "kappa2 must be finite and >= 0, got inf"),
             ("# kappa2=0.8\n# n_shots=200\n", 54,
              "record file holds 54 shots, its n_shots header says 200"),
+            ("# kappa2=abc\n# n_shots=200\n", 200, "kappa2: 'abc' is not a number"),
+            ("# kappa2=0.8\n# n_shots=200\n# seed=1.5\n", 200, "seed must be an integer, got 1.5"),
         ],
-        ids=["nan-kappa2", "inf-kappa2", "truncated"],
+        ids=["nan-kappa2", "inf-kappa2", "truncated", "abc-kappa2", "fractional-seed"],
     )
     def test_malformed_records_header(self, tmp_path, capsys, header, n_rows, message):
         rows = np.random.default_rng(3).standard_normal((n_rows, 2))

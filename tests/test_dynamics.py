@@ -9,11 +9,9 @@ from spintomo import (
     PhysicalityError,
     coherent_spin_state,
     compensated_hamiltonian,
-    light_shift_hamiltonian,
     lindblad_trajectory,
     spin_operators,
     tact_hamiltonian,
-    zeeman_hamiltonian,
 )
 from spintomo import dynamics
 from conftest import (
@@ -83,18 +81,6 @@ class TestLightShift:
         evolved = evolve_unitary(state, h, 2.5)
         assert np.abs(evolved.rho - state.rho).max() <= 1e-12
 
-    def test_pure_tensor_matches_oat(self, ops4):
-        h_light = light_shift_hamiltonian(ops4, a2=-4.0)
-        h_oat = oat_hamiltonian(ops4, 1.0)
-        assert np.abs(h_light.matrix - h_oat.matrix).max() <= 1e-14
-
-    def test_eigenvalues(self, ops4):
-        a2 = -0.8
-        h = light_shift_hamiltonian(ops4, a2)
-        m = ops4.f.m_values
-        expected = np.sort(-0.25 * a2 * m**2)
-        assert_allclose(np.linalg.eigvalsh(h.matrix), expected, atol=1e-12)
-
 
 class TestZeeman:
     def test_pure_larmor_keeps_css_x(self, ops4, css_x4):
@@ -109,13 +95,6 @@ class TestZeeman:
         for t in (0.1, 0.75):
             evolved = evolve_unitary(css_z, h, t)
             assert abs(expectation(evolved, ops4.fz) - 4.0 * np.cos(omega * t)) <= 1e-10
-
-    def test_eigenvalues_in_x_basis(self, ops4):
-        beta = 0.4
-        h = zeeman_hamiltonian(ops4, beta)
-        m = ops4.f.m_values
-        expected = np.sort(beta * m**2)
-        assert_allclose(np.linalg.eigvalsh(h.matrix), expected, atol=1e-12)
 
     def test_larmor_period_at_322_kHz(self, ops4):
         # 2*pi*322 rad/ms precession returns <Fz> after 1/322 ms
@@ -380,8 +359,6 @@ class TestHamiltonianContainer:
         for h in (
             oat_hamiltonian(ops, 0.3),
             tact_hamiltonian(ops, -1.2),
-            light_shift_hamiltonian(ops, 2.0),
-            zeeman_hamiltonian(ops, 0.2),
             compensated_hamiltonian(ops, 0.7, residual=0.02),
         ):
             assert np.abs(h.matrix - h.matrix.conj().T).max() <= 1e-12

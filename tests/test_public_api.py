@@ -1,8 +1,9 @@
-"""The package exports only what the pipeline calls.
+"""The package holds only what the pipeline calls.
 
-Every name that ``spintomo`` exports must be used, as a ``Name`` or an
-``Attribute``, somewhere in the package modules or in the benchmark harness;
-a name only the tests call belongs in the tests.
+Every name that ``spintomo`` exports, and every public function and class
+defined at module level in ``src/spintomo``, must be used, as a ``Name`` or
+an ``Attribute``, somewhere in the package modules or in the benchmark
+harness; a name only the tests call belongs in the tests.
 """
 
 import ast
@@ -21,9 +22,11 @@ AWAITING_CALLERS = {
 }
 
 
+MODULES = [p for p in (ROOT / "src" / "spintomo").glob("*.py") if p.name != "__init__.py"]
+
+
 def _used_names() -> set[str]:
-    sources = [p for p in (ROOT / "src" / "spintomo").glob("*.py") if p.name != "__init__.py"]
-    sources += (ROOT / "perfbench").glob("*.py")
+    sources = MODULES + list((ROOT / "perfbench").glob("*.py"))
     used = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -43,5 +46,19 @@ def test_every_export_has_a_caller_outside_the_tests():
     unused = exported - _used_names()
     assert unused == AWAITING_CALLERS, (
         f"exported with no caller outside the tests: {sorted(unused - AWAITING_CALLERS)}; "
+        f"exempt but now called: {sorted(AWAITING_CALLERS - unused)}"
+    )
+
+
+def test_every_module_level_definition_has_a_caller_outside_the_tests():
+    defined = {
+        node.name
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    unused = defined - _used_names()
+    assert unused == AWAITING_CALLERS, (
+        f"defined with no caller outside the tests: {sorted(unused - AWAITING_CALLERS)}; "
         f"exempt but now called: {sorted(AWAITING_CALLERS - unused)}"
     )
