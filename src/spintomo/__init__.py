@@ -27,14 +27,11 @@ from .experiment import (
 from .probe import (
     CanonicalMoments,
     MeasurementRecord,
-    THERMAL_TRANSVERSE_VARIANCE,
     canonical_moments,
     readout_model,
     record_from_csv,
     record_to_csv,
     simulate_records,
-    simulate_thermal_records,
-    thermal_calibration,
 )
 from .spin_algebra import (
     QuantumState,
@@ -51,7 +48,6 @@ from .squeezing import (
     SqueezingReport,
     TactOptimum,
     husimi,
-    optimal_quadrature_angle,
     squeezing_report,
     tact_optimum,
 )
@@ -61,7 +57,6 @@ from .tomography import (
     correct_covariance,
     corrected_variance,
     mle_reconstruct,
-    variances_from_rho,
 )
 
 __version__ = "0.1.0"

@@ -191,9 +191,10 @@ def lindblad_trajectory(
     their spacing.  The eigenbasis is checked against an independent second
     method, the Pade-13 scaling-and-squaring matrix exponential (Higham,
     SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), at the last time: a
-    mismatch above 1e-10 means an ill-conditioned eigenbasis and raises
-    :class:`PhysicalityError`.  Each state must pass the :class:`QuantumState`
-    checks at their default tolerances; a failure names its time.
+    mismatch above 1e-10, or one that overflows at an extreme time, means an
+    ill-conditioned eigenbasis and raises :class:`PhysicalityError`.  Each
+    state must pass the :class:`QuantumState` checks at their default
+    tolerances; a failure names its time.
     """
     if h.dimension != state.dimension:
         raise ValueError(
@@ -214,10 +215,11 @@ def lindblad_trajectory(
     vec0 = state.rho.ravel()
     w, v = np.linalg.eig(lv)
     c = np.linalg.solve(v, vec0)
-    vecs = v @ (np.exp(np.outer(w, times)) * c[:, None])
     t_max = times[-1]
-    mismatch = np.abs(_expm(lv * t_max) @ vec0 - vecs[:, -1]).max()
-    if not mismatch <= 1e-10:  # also catches NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        vecs = v @ (np.exp(np.outer(w, times)) * c[:, None])
+        mismatch = np.abs(_expm(lv * t_max) @ vec0 - vecs[:, -1]).max()
+    if not mismatch <= 1e-10:  # also catches inf and NaN
         raise PhysicalityError(
             f"Liouvillian eigenbasis is ill-conditioned: at t_max={t_max:g} ms the "
             f"eigen-solution differs from expm(L t) by {mismatch:.3g}"

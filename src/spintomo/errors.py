@@ -11,8 +11,8 @@ class PhysicalityError(Exception):
     """A state, channel, or derived quantity violates a physical invariant.
 
     Raised for non-unit traces, negative eigenvalues beyond tolerance,
-    covariances below the Heisenberg floor, unresolvable calibrations, and
-    ill-conditioned propagators.
+    covariances below the Heisenberg floor, and ill-conditioned or
+    overflowing propagators.
     """
 
 

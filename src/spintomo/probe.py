@@ -1,5 +1,5 @@
 """Faraday-probe measurement model: canonical moments, per-shot record
-synthesis, and the thermal-ensemble calibration of the coupling.
+synthesis, and the record file format.
 
 The probe demodulates the polarization signal at the Larmor frequency into a
 cosine and a sine component per shot.  In the large-ensemble harmonic
@@ -17,8 +17,9 @@ var(x) = var(p) = 1/2.  Each demodulated outcome is then
 
 with l (input light shot noise) and b (probe back-action fed into the
 readout) independent zero-mean Gaussians of variance 1/2.  kappa2 is the
-dimensionless atom-light coupling of one probe pass; it is an input here,
-calibrated in the lab against the thermal ensemble noise.
+dimensionless atom-light coupling of one probe pass.  The lab calibrates it
+against the thermal ensemble noise; here it is an input, and a record file
+carries it in its ``kappa2`` header.
 """
 
 from __future__ import annotations
@@ -28,30 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .spin_algebra import variance_extrema
 from .squeezing import SqueezingReport
 from .tables import parse_number, read_table, write_table
 
 __all__ = [
     "CanonicalMoments",
     "MeasurementRecord",
-    "THERMAL_TRANSVERSE_VARIANCE",
     "canonical_moments",
     "readout_model",
     "simulate_records",
-    "simulate_thermal_records",
-    "thermal_calibration",
     "record_to_csv",
     "record_from_csv",
 ]
-
-# Transverse spin variance per atom of the unpolarized 16-level Cs ground
-# state, in canonical units.  Only the F=4 manifold precesses at the probed
-# Larmor phase: an atom occupies it with probability 9/16 and contributes
-# <Fz^2> = (1/9) sum_{m=-4..4} m^2 = 20/3 there, giving a per-atom spin
-# variance of (9/16)(20/3) = 15/4.  Canonical units divide by the fully
-# pumped reference <Fx> = 4, hence (15/4)/4 = 15/16.
-THERMAL_TRANSVERSE_VARIANCE = 15.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -89,11 +78,6 @@ class CanonicalMoments:
     @property
     def covariance_matrix(self) -> np.ndarray:
         return np.array([[self.var_x, self.cov_xp], [self.cov_xp, self.var_p]])
-
-    @property
-    def min_variance(self) -> float:
-        """Smaller eigenvalue of the (x, p) covariance."""
-        return float(variance_extrema(self.covariance_matrix)[0])
 
 
 def _check_kappa2(kappa2: float) -> None:
@@ -185,53 +169,6 @@ def simulate_records(
     return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
 
 
-def simulate_thermal_records(
-    kappa2: float,
-    n_shots: int,
-    seed: int,
-    atomic_variance: float = THERMAL_TRANSVERSE_VARIANCE,
-) -> MeasurementRecord:
-    """Record of an unpolarized ensemble: atomic noise only, no back-action.
-
-    The thermal state carries no mean spin for the probe to act back on, so
-    the outputs are y = l + sqrt(kappa2/2) * xi with xi the thermal
-    transverse noise in canonical units.
-    """
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    _check_kappa2(kappa2)
-    rng = np.random.default_rng(seed)
-    atomic = rng.standard_normal((n_shots, 2)) * np.sqrt(atomic_variance)
-    light = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
-    shots = light + np.sqrt(kappa2 / 2.0) * atomic
-    return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
-
-
-def thermal_calibration(
-    record: MeasurementRecord,
-    pump_fraction_reference: float = 1.0,
-    thermal_variance: float = THERMAL_TRANSVERSE_VARIANCE,
-) -> float:
-    """Estimate kappa2 from the resonant noise of a thermal-ensemble record.
-
-    With back-action absent the output variance is
-    1/2 + (kappa2/2) * thermal_variance / pump_fraction_reference, so
-
-        kappa2 = (sample_var - 1/2) * 2 * pump_fraction_reference / thermal_variance.
-
-    ``pump_fraction_reference`` rescales the canonical normalization when the
-    reference ensemble used to define <F_x> was not fully pumped.
-    """
-    if not (0 < pump_fraction_reference <= 1):
-        raise ValueError(f"pump_fraction_reference must be in (0, 1], got {pump_fraction_reference}")
-    sample_var = float(np.mean(np.var(record.shots, axis=0, ddof=1)))
-    if sample_var <= 0.5:
-        raise PhysicalityError(
-            f"no atomic noise resolved: pooled variance {sample_var:.6g} <= vacuum 1/2"
-        )
-    return (sample_var - 0.5) * 2.0 * pump_fraction_reference / thermal_variance
-
-
 def record_to_csv(record: MeasurementRecord, stream, header_comments: dict | None = None) -> None:
     """Serialize a record as a :mod:`~spintomo.tables` table; the round trip is bit-exact."""
     comments = [f"kappa2={record.kappa2:.17g}", f"n_shots={record.n_shots}", f"seed={record.seed}"]
@@ -244,24 +181,37 @@ def record_from_csv(stream) -> MeasurementRecord:
 
     The ``kappa2`` header is required; an ``n_shots`` header, when present,
     must equal the number of rows, so a truncated file is an error.  A
-    header value that is not a number, or a seed that is not a whole
-    number, raises ``ValueError`` naming its key.
+    header key set twice, a header value that is not a number, or an
+    ``n_shots`` or seed that is not a whole number raises ``ValueError``
+    naming its key.
     """
     comments, columns, shots = read_table(stream)
     if columns != ["y_c", "y_s"]:
         raise ValueError(f"record file header must be y_c,y_s, got {','.join(columns)!r}")
-    header = {
-        key.strip(): val.strip() for key, sep, val in (c.partition("=") for c in comments) if sep
-    }
+    header = {}
+    for key, sep, val in (c.partition("=") for c in comments):
+        if not sep:
+            continue
+        key = key.strip()
+        if key in header:
+            raise ValueError(f"record file sets its {key} header twice")
+        header[key] = val.strip()
     if "kappa2" not in header:
         raise ValueError("record file is missing the kappa2 header")
     if not len(shots):
         raise ValueError("record file contains no shots")
-    stated = header.get("n_shots", "")
-    if stated and stated != str(len(shots)):
-        raise ValueError(f"record file holds {len(shots)} shots, its n_shots header says {stated}")
-    seed = parse_number("seed", header.get("seed", "0"))
-    if not seed.is_integer():
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    stated = _whole_number("n_shots", header.get("n_shots", str(len(shots))))
+    if stated != len(shots):
+        raise ValueError(
+            f"record file holds {len(shots)} shots, its n_shots header says {header['n_shots']}"
+        )
+    seed = _whole_number("seed", header.get("seed", "0"))
     kappa2 = parse_number("kappa2", header["kappa2"])
-    return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
+    return MeasurementRecord(shots=shots, kappa2=kappa2, seed=seed)
+
+
+def _whole_number(key: str, text: str) -> int:
+    value = parse_number(key, text)
+    if not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)

@@ -1,5 +1,5 @@
-"""Squeezing diagnostics: transverse covariance, optimal quadrature angle,
-the three squeezing parameters, countertwisting limits, and Husimi grids.
+"""Squeezing diagnostics: transverse covariance, the three squeezing
+parameters, countertwisting limits, and Husimi grids.
 
 The three parameters compare the minimal transverse variance v_min of a spin
 state to three references:
@@ -36,7 +36,6 @@ __all__ = [
     "SqueezingReport",
     "TactOptimum",
     "HusimiGrid",
-    "optimal_quadrature_angle",
     "squeezing_report",
     "tact_optimum",
     "husimi",
@@ -54,14 +53,11 @@ class SqueezingReport:
     """Mean spin, transverse covariance and squeezing parameters of one state.
 
     ``cov`` is the symmetric 2x2 covariance matrix of the transverse pair
-    (F_y', F_z') in the frame whose x' axis points along the mean spin;
-    ``optimal_angle`` is the angle in that plane minimizing the variance of
-    cos(t) F_y' + sin(t) F_z', in (-pi/2, pi/2].
+    (F_y', F_z') in the frame whose x' axis points along the mean spin.
     """
 
     mean_spin: np.ndarray
     cov: np.ndarray
-    optimal_angle: float
     chi2: float
     zeta2: float
     xi2: float
@@ -84,28 +80,6 @@ class SqueezingReport:
     @property
     def mean_spin_length(self) -> float:
         return float(np.linalg.norm(self.mean_spin))
-
-    @property
-    def min_variance(self) -> float:
-        """Transverse variance at the optimal angle: the smaller eigenvalue of ``cov``."""
-        return float(variance_extrema(self.cov)[0])
-
-
-def optimal_quadrature_angle(cov: np.ndarray) -> float:
-    """Angle in (-pi/2, pi/2] minimizing the quadrature variance of a 2x2 covariance.
-
-    Closed form: the variance along angle t is A + R cos(2t - phase), so the
-    minimum sits at (phase + pi)/2 folded into the principal branch.  An
-    isotropic covariance has no preferred angle and returns 0 by convention.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (2, 2):
-        raise ValueError(f"cov must be 2x2, got {cov.shape}")
-    v_min, v_max = variance_extrema(cov)
-    if v_max - v_min <= 1e-12 * max(v_max + v_min, 1e-300):
-        return 0.0
-    theta = (np.arctan2(cov[0, 1] + cov[1, 0], cov[0, 0] - cov[1, 1]) + np.pi) / 2.0
-    return float(theta - np.pi if theta > np.pi / 2.0 else theta)
 
 
 def _transverse_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,17 +123,9 @@ def squeezing_report(state: QuantumState) -> SqueezingReport:
     # covariance of (F_y', F_z') = E C E^T with E the rows of the transverse frame
     frame = np.array(_transverse_frame(mean))
     cov = frame @ cov_spin @ frame.T
-    angle = optimal_quadrature_angle(cov)
     v_min = float(variance_extrema(cov)[0])
     chi2, zeta2, xi2 = _squeezing_parameters(v_min, length, ops.f.f_value)
-    return SqueezingReport(
-        mean_spin=mean,
-        cov=cov,
-        optimal_angle=angle,
-        chi2=chi2,
-        zeta2=zeta2,
-        xi2=xi2,
-    )
+    return SqueezingReport(mean_spin=mean, cov=cov, chi2=chi2, zeta2=zeta2, xi2=xi2)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PhysicalityError
-from .probe import CanonicalMoments, MeasurementRecord, readout_model
-from .spin_algebra import QuantumState, moments, variance_extrema
+from .probe import MeasurementRecord, readout_model
+from .spin_algebra import QuantumState, variance_extrema
 
 __all__ = [
     "CorrectedCovariance",
@@ -31,7 +31,6 @@ __all__ = [
     "corrected_variance",
     "correct_covariance",
     "mle_reconstruct",
-    "variances_from_rho",
 ]
 
 
@@ -392,27 +391,3 @@ def mle_reconstruct(
         log_likelihoods=tuple(history),
     )
 
-
-def annihilation_operator(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def variances_from_rho(rho) -> CanonicalMoments:
-    """Canonical (x, p) moments of a state in the truncated excitation basis.
-
-    Accepts an OscillatorDensityMatrix or a bare matrix.  The state is
-    padded with two empty levels before the quadratic forms are taken, so
-    the second moments (which reach two levels up) are exact for any state
-    supported on the truncated basis and the Heisenberg floor is preserved.
-    The moments come from :func:`~spintomo.spin_algebra.moments`.
-    """
-    if isinstance(rho, OscillatorDensityMatrix):
-        rho = rho.rho
-    padded = np.pad(np.asarray(rho, dtype=complex), ((0, 2), (0, 2)))
-    a = annihilation_operator(padded.shape[0])
-    x = (a + a.conj().T) / np.sqrt(2.0)
-    p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    return CanonicalMoments.from_moments(*moments(padded, (x, p)))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from spintomo import (
+    CanonicalMoments,
     ConvergenceError,
     Hamiltonian,
+    OscillatorDensityMatrix,
     QuantumState,
     coherent_spin_state,
     correct_covariance,
@@ -85,6 +87,31 @@ def evolve_unitary(state: QuantumState, h: Hamiltonian, t: float) -> QuantumStat
     rho = u @ state.rho @ u.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return QuantumState(rho)
+
+
+def annihilation_operator(dim: int) -> np.ndarray:
+    a = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(1, dim)
+    a[n - 1, n] = np.sqrt(n)
+    return a
+
+
+def variances_from_rho(rho) -> CanonicalMoments:
+    """Canonical (x, p) moments of a state in the truncated excitation basis.
+
+    Accepts an OscillatorDensityMatrix or a bare matrix.  The state is
+    padded with two empty levels before the quadratic forms are taken, so
+    the second moments (which reach two levels up) are exact for any state
+    supported on the truncated basis and the Heisenberg floor is preserved.
+    The moments come from :func:`~spintomo.spin_algebra.moments`.
+    """
+    if isinstance(rho, OscillatorDensityMatrix):
+        rho = rho.rho
+    padded = np.pad(np.asarray(rho, dtype=complex), ((0, 2), (0, 2)))
+    a = annihilation_operator(padded.shape[0])
+    x = (a + a.conj().T) / np.sqrt(2.0)
+    p = (a - a.conj().T) / (1j * np.sqrt(2.0))
+    return CanonicalMoments.from_moments(*moments(padded, (x, p)))
 
 
 def fail_at_call(n: int, exc: BaseException, target=correct_covariance):

@@ -21,10 +21,9 @@ from spintomo import (
     spin_operators,
     squeezing_report,
     tact_hamiltonian,
-    variances_from_rho,
 )
 from spintomo.cli import main as cli_main
-from conftest import covariance, evolve_unitary, secular_compensated_matrix
+from conftest import covariance, evolve_unitary, secular_compensated_matrix, variances_from_rho
 
 HALF_STEPS = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 

@@ -283,6 +283,24 @@ class TestRecordsAndReconstruct:
         assert err == f"usage error: evolution time {t_r} ms is not finite\n"
         assert not out.exists()
 
+    def test_extreme_duration_fails_on_one_line(self, config_path, tmp_path, capsys):
+        # the propagation overflows at 1e30 ms; that is one error line, not numpy warnings
+        out = tmp_path / "o.csv"
+        assert run_cli("records", "--config", config_path, "--tr", "1e30", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_n_shots_header_in_exponent_form(self, tmp_path):
+        # a config accepts n_shots = 1e4, and so does a record header
+        rows = np.random.default_rng(3).standard_normal((10_000, 2))
+        rec_path = tmp_path / "rec.csv"
+        rec_path.write_text("# kappa2=0.8\n# n_shots=1e4\ny_c,y_s\n"
+                            + "".join(f"{a:.17g},{b:.17g}\n" for a, b in rows))
+        out = tmp_path / "o.json"
+        assert run_cli("reconstruct", str(rec_path), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["corrected_covariance"]["n_shots"] == 10_000
+
     def test_missing_records_file(self, tmp_path, capsys):
         assert run_cli("reconstruct", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o.json")) == 2
         assert "records file not found" in capsys.readouterr().err
@@ -316,8 +334,15 @@ class TestRecordsAndReconstruct:
              "record file holds 54 shots, its n_shots header says 200"),
             ("# kappa2=abc\n# n_shots=200\n", 200, "kappa2: 'abc' is not a number"),
             ("# kappa2=0.8\n# n_shots=200\n# seed=1.5\n", 200, "seed must be an integer, got 1.5"),
+            ("# kappa2=0.8\n# n_shots=9999\n", 10_000,
+             "record file holds 10000 shots, its n_shots header says 9999"),
+            ("# kappa2=0.8\n# n_shots=abc\n", 200, "n_shots: 'abc' is not a number"),
+            ("# kappa2=0.8\n# n_shots=199.5\n", 200, "n_shots must be an integer, got 199.5"),
+            ("# kappa2=0.8\n# n_shots=200\n# kappa2=0.5\n", 200,
+             "record file sets its kappa2 header twice"),
         ],
-        ids=["nan-kappa2", "inf-kappa2", "truncated", "abc-kappa2", "fractional-seed"],
+        ids=["nan-kappa2", "inf-kappa2", "truncated", "abc-kappa2", "fractional-seed",
+             "short-n_shots", "abc-n_shots", "fractional-n_shots", "kappa2-twice"],
     )
     def test_malformed_records_header(self, tmp_path, capsys, header, n_rows, message):
         rows = np.random.default_rng(3).standard_normal((n_rows, 2))

@@ -16,11 +16,10 @@ from spintomo import (
     run_sweep,
     simulate_records,
     squeezing_report,
-    variances_from_rho,
 )
 from spintomo import experiment
 from spintomo.experiment import _evolved_states, _point_seed
-from conftest import covariance, expectation, fail_at_call
+from conftest import covariance, expectation, fail_at_call, variances_from_rho
 
 
 def short_config(**overrides):

@@ -10,18 +10,16 @@ from spintomo import (
     MeasurementRecord,
     PhysicalityError,
     QuantumState,
-    THERMAL_TRANSVERSE_VARIANCE,
     canonical_moments,
     coherent_spin_state,
     readout_model,
     record_from_csv,
     record_to_csv,
     simulate_records,
-    simulate_thermal_records,
     spin_operators,
     squeezing_report,
     tact_hamiltonian,
-    thermal_calibration,
+    variance_extrema,
 )
 from conftest import covariance, evolve_unitary, expectation, rotate
 
@@ -56,8 +54,10 @@ class TestCanonicalMoments:
         def aligned_var_p(tau):
             state = _tact_state(tau)
             report = squeezing_report(state)
-            # rotate the squeezed axis onto z
-            angle = report.optimal_angle - np.pi / 2.0
+            # rotate the squeezed axis, the eigenvector of the smaller
+            # eigenvalue of the transverse covariance, onto z
+            squeezed = np.linalg.eigh(report.cov)[1][:, 0]
+            angle = np.arctan2(squeezed[1], squeezed[0]) - np.pi / 2.0
             rotated = rotate(state, [1.0, 0.0, 0.0], -angle)
             return canonical_moments(squeezing_report(rotated)), tau
 
@@ -85,7 +85,7 @@ class TestCanonicalMoments:
             pair = (ops4.fy, ops4.fz)
             lab = np.array([[covariance(state, a, b) for b in pair] for a in pair]) / jx
             assert np.abs(m.covariance_matrix - lab).max() <= 1e-12
-            assert abs(m.min_variance - report.zeta2 / 2.0) <= 1e-12
+            assert abs(variance_extrema(m.covariance_matrix)[0] - report.zeta2 / 2.0) <= 1e-12
 
     def test_heisenberg_validation(self):
         with pytest.raises(PhysicalityError):
@@ -180,54 +180,6 @@ class TestSimulateRecords:
             simulate_records(m, 0.8, 0, seed=1)
         with pytest.raises(ValueError):
             simulate_records(m, -0.1, 10, seed=1)
-
-
-class TestThermalCalibration:
-    def test_sixteen_level_oracle_fixes_thermal_factor(self):
-        # brute force: uniform mixture over every Cs ground sublevel.  Only
-        # the F=4 manifold precesses at the probed phase; its per-atom Fz
-        # variance is P(F=4) * <Fz^2>_uniform = (9/16)(20/3) = 15/4, and the
-        # canonical normalization divides by the fully pumped <Fx> = 4.
-        ops = spin_operators(4)
-        rho_f4 = np.eye(9) / 16.0  # each of the 16 sublevels equally likely
-        var_fz_per_atom = float(np.real(np.trace(rho_f4 @ ops.fz @ ops.fz)))
-        assert abs(var_fz_per_atom - 15.0 / 4.0) <= 1e-12
-        assert abs(var_fz_per_atom / 4.0 - THERMAL_TRANSVERSE_VARIANCE) <= 1e-15
-        assert abs(THERMAL_TRANSVERSE_VARIANCE - 15.0 / 16.0) <= 1e-15
-
-    def test_round_trip(self):
-        rec = simulate_thermal_records(0.8, 200_000, seed=5)
-        est = thermal_calibration(rec)
-        # kappa2 error propagated from the pooled variance estimate
-        total = 0.5 + 0.4 * THERMAL_TRANSVERSE_VARIANCE
-        se = total * np.sqrt(2.0 / (2 * rec.n_shots - 1)) * 2.0 / THERMAL_TRANSVERSE_VARIANCE
-        assert abs(est - 0.8) <= 4 * se
-
-    def test_consistency_improves_with_n(self):
-        errs = []
-        for n in (2_000, 200_000):
-            errors = [abs(thermal_calibration(simulate_thermal_records(0.8, n, seed=s)) - 0.8)
-                      for s in range(8)]
-            errs.append(np.mean(errors))
-        assert errs[1] < errs[0]
-
-    def test_pump_fraction_reference_scaling(self):
-        rec = simulate_thermal_records(0.8, 100_000, seed=6)
-        full = thermal_calibration(rec, pump_fraction_reference=1.0)
-        partial = thermal_calibration(rec, pump_fraction_reference=0.98)
-        assert abs(partial - 0.98 * full) <= 1e-12
-
-    def test_no_atomic_noise_rejected(self):
-        rec = simulate_thermal_records(0.0, 50_000, seed=7)  # pure shot noise
-        with pytest.raises(PhysicalityError, match="no atomic noise"):
-            thermal_calibration(rec)
-
-    def test_exactly_vacuum_variance_rejected(self):
-        shots = np.array([[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5]]) * np.sqrt(1.5)
-        rec = MeasurementRecord(shots=shots, kappa2=0.8, seed=0)
-        assert abs(np.var(rec.y_c, ddof=1) - 0.5) <= 1e-12
-        with pytest.raises(PhysicalityError):
-            thermal_calibration(rec)
 
 
 class TestRecordSerialization:

@@ -12,9 +12,8 @@ from spintomo import (
     moments,
     spin_operators,
     variance_extrema,
-    variances_from_rho,
 )
-from conftest import covariance, expectation, random_density_matrix, rotate
+from conftest import covariance, expectation, random_density_matrix, rotate, variances_from_rho
 
 ALL_F = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 

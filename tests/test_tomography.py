@@ -16,12 +16,11 @@ from spintomo import (
     corrected_variance,
     mle_reconstruct,
     simulate_records,
-    variances_from_rho,
 )
 from spintomo import ExperimentConfig, point_record, tomography
-from spintomo.tomography import _binned_quadrature_povm, annihilation_operator
+from spintomo.tomography import _binned_quadrature_povm
 
-from conftest import reference_rrr_iteration
+from conftest import annihilation_operator, reference_rrr_iteration, variances_from_rho
 
 VACUUM = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
 SQUEEZED = CanonicalMoments(0.0, 0.0, 1.1, 0.25, 0.0)
