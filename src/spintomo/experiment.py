@@ -22,7 +22,7 @@ from .errors import SweepPointError
 from .probe import MeasurementRecord, canonical_moments, readout_model, simulate_records
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
 from .squeezing import SqueezingReport, squeezing_report
-from .tables import parse_number, write_table
+from .tables import parse_number, parse_whole_number, write_table
 from .tomography import CorrectedCovariance, correct_covariance
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
 DEFAULT_TWISTING_RATE = 0.12  # rad/ms, effective coefficient of (Fz^2 - Fy^2)
 DEFAULT_EXTRA_SCATTER_RATE = 0.01  # 1/ms while the drive pulse is on
 DEFAULT_COMPENSATION_RESIDUAL = 0.15  # rad/ms of uncompensated Fx^2
+
+_WHOLE_NUMBER_KEYS = ("n_shots", "seed")
 
 
 def _default_durations() -> tuple[float, ...]:
@@ -76,8 +78,9 @@ class ExperimentConfig:
     Unknown keys are rejected with ``ValueError``, and so are non-finite
     values (only t1 and t2 may be inf: that decay channel is off),
     fractional n_shots or seed, seed < 0, and a key that a file sets
-    twice.  The dynamics are in the frame rotating at the Larmor
-    frequency, so it is not a parameter.
+    twice.  n_shots and seed are kept exactly, at any integer size.  The
+    dynamics are in the frame rotating at the Larmor frequency, so it is
+    not a parameter.
     """
 
     f: float = 4.0
@@ -99,12 +102,11 @@ class ExperimentConfig:
             raise ValueError("raman_durations is empty; a start:stop:step range needs stop >= start")
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if np.isnan(value).any() or (np.isinf(value).any() and spec.name not in ("t1", "t2")):
+            if spec.name in _WHOLE_NUMBER_KEYS:
+                # read as text, not by numpy, so an integer of any size is kept exactly
+                object.__setattr__(self, spec.name, parse_whole_number(spec.name, str(value)))
+            elif np.isnan(value).any() or (np.isinf(value).any() and spec.name not in ("t1", "t2")):
                 raise ValueError(f"{spec.name} must be finite, got {value!r}")
-            if spec.name in ("n_shots", "seed"):
-                if not float(value).is_integer():
-                    raise ValueError(f"{spec.name} must be an integer, got {value!r}")
-                object.__setattr__(self, spec.name, int(value))
         SpinQuantumNumber.coerce(self.f)  # validates integer/half-integer
         if not (self.t1 > 0 and self.t2 > 0):
             raise ValueError("t1 and t2 must be positive")
@@ -142,9 +144,12 @@ class ExperimentConfig:
         kwargs = {}
         for key, raw in mapping.items():
             raw = str(raw).strip()
-            kwargs[key] = (
-                _parse_durations(raw) if key == "raman_durations" else parse_number(key, raw)
-            )
+            if key == "raman_durations":
+                kwargs[key] = _parse_durations(raw)
+            elif key in _WHOLE_NUMBER_KEYS:
+                kwargs[key] = parse_whole_number(key, raw)
+            else:
+                kwargs[key] = parse_number(key, raw)
         return cls(**kwargs)
 
     @classmethod
@@ -184,7 +189,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 def _parse_durations(text: str) -> tuple[float, ...]:

@@ -20,6 +20,10 @@ readout) independent zero-mean Gaussians of variance 1/2.  kappa2 is the
 dimensionless atom-light coupling of one probe pass.  The lab calibrates it
 against the thermal ensemble noise; here it is an input, and a record file
 carries it in its ``kappa2`` header.
+
+The three terms sum to one Gaussian pair, of mean sqrt(gain) (<x>, <p>) and
+covariance gain * cov(x, p) + noise * I with (gain, noise) from
+:func:`readout_model`, so a record draws each shot as that one pair.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import PhysicalityError
 from .squeezing import SqueezingReport
-from .tables import parse_number, read_table, write_table
+from .tables import parse_number, parse_whole_number, read_table, write_table
 
 __all__ = [
     "CanonicalMoments",
@@ -151,21 +155,17 @@ def simulate_records(
 ) -> MeasurementRecord:
     """Draw a seeded record of (y_c, y_s) pairs from the Gaussian probe model.
 
-    Draw order is fixed (atomic pair, then light, then back-action) so a
-    given seed always produces bit-identical records.
+    Each shot is one correlated normal pair, the sum of the atomic signal,
+    light shot noise and back-action terms of the module docstring, drawn in
+    one step from the output covariance of :func:`readout_model`.  A given
+    seed always produces bit-identical records.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    _check_kappa2(kappa2)
-    rng = np.random.default_rng(seed)
-    cov = moments.covariance_matrix
-    chol = np.linalg.cholesky(cov)
-    atomic = np.array([moments.mean_x, moments.mean_p]) + rng.standard_normal(
-        (n_shots, 2)
-    ) @ chol.T
-    light = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
-    back = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
-    shots = light + np.sqrt(kappa2 / 2.0) * atomic + np.sqrt(kappa2**2 / 12.0) * back
+    gain, noise = readout_model(kappa2)
+    chol = np.linalg.cholesky(gain * moments.covariance_matrix + noise * np.eye(2))
+    shots = np.random.default_rng(seed).standard_normal((n_shots, 2)) @ chol.T
+    shots += np.sqrt(gain) * np.array([moments.mean_x, moments.mean_p])
     return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
 
 
@@ -200,18 +200,11 @@ def record_from_csv(stream) -> MeasurementRecord:
         raise ValueError("record file is missing the kappa2 header")
     if not len(shots):
         raise ValueError("record file contains no shots")
-    stated = _whole_number("n_shots", header.get("n_shots", str(len(shots))))
+    stated = parse_whole_number("n_shots", header.get("n_shots", str(len(shots))))
     if stated != len(shots):
         raise ValueError(
             f"record file holds {len(shots)} shots, its n_shots header says {header['n_shots']}"
         )
-    seed = _whole_number("seed", header.get("seed", "0"))
+    seed = parse_whole_number("seed", header.get("seed", "0"))
     kappa2 = parse_number("kappa2", header["kappa2"])
     return MeasurementRecord(shots=shots, kappa2=kappa2, seed=seed)
-
-
-def _whole_number(key: str, text: str) -> int:
-    value = parse_number(key, text)
-    if not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)

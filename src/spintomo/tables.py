@@ -16,9 +16,11 @@ verbatim: a comma or a quote in one is text, not a field separator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["write_table", "read_table", "parse_number"]
+__all__ = ["write_table", "read_table", "parse_number", "parse_whole_number"]
 
 
 def write_table(stream, comments, columns, rows) -> None:
@@ -83,3 +85,21 @@ def parse_number(key: str, text: str) -> float:
         return float(text)
     except ValueError:
         raise ValueError(f"{key}: {text!r} is not a number") from None
+
+
+def parse_whole_number(key: str, text: str) -> int:
+    """The whole number ``text`` names, or a ValueError that names the key.
+
+    Integer text is read exactly, whatever its size; any other text is read by
+    :func:`parse_number` and must be a finite whole number, so ``1e4`` is 10000.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    value = parse_number(key, text)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)

@@ -7,6 +7,7 @@ from spintomo import (
     CanonicalMoments,
     ConvergenceError,
     Hamiltonian,
+    MeasurementRecord,
     OscillatorDensityMatrix,
     QuantumState,
     coherent_spin_state,
@@ -143,6 +144,27 @@ def secular_compensated_matrix(ops, beta: float) -> np.ndarray:
         light = -0.25 * (1.0 + np.cos(2.0 * theta)) * (-8.0 * beta * fz2)
         h += u @ light @ u.conj().T
     return h / 16 + beta * (ops.fx @ ops.fx)
+
+
+def three_term_simulate_records(
+    moments: CanonicalMoments,
+    kappa2: float,
+    n_shots: int,
+    seed: int,
+) -> MeasurementRecord:
+    """The probe sampler that sums its three terms (atomic pair, then light, then back-action),
+    each from its own normal pair: an oracle for ``probe.simulate_records``.
+    """
+    rng = np.random.default_rng(seed)
+    cov = moments.covariance_matrix
+    chol = np.linalg.cholesky(cov)
+    atomic = np.array([moments.mean_x, moments.mean_p]) + rng.standard_normal(
+        (n_shots, 2)
+    ) @ chol.T
+    light = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
+    back = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
+    shots = light + np.sqrt(kappa2 / 2.0) * atomic + np.sqrt(kappa2**2 / 12.0) * back
+    return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
 
 
 def csv_module_write_table(stream, comments, columns, rows) -> None:

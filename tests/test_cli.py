@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spintomo import PhysicalityError, cli, experiment
+from spintomo import ExperimentConfig, PhysicalityError, cli, experiment, record_from_csv
 from spintomo.cli import main
 from conftest import fail_at_call
 
@@ -118,6 +118,15 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
         assert run_cli("sweep", "--config", config_path, "--out", str(c), "--seed", "99") == 0
         assert a.read_bytes() != c.read_bytes()
+
+    def test_seed_beyond_int64_runs(self, config_path, tmp_path, capsys):
+        # 2^70 is a valid seed: the sweep runs under it and its hash names it
+        out = tmp_path / "big.csv"
+        seed = 2**70
+        assert run_cli("sweep", "--config", config_path, "--out", str(out), "--seed", str(seed)) == 0
+        assert capsys.readouterr().err == ""
+        config = ExperimentConfig.from_file(config_path).with_seed(seed)
+        assert f"# config_sha256={config.config_hash}\n" in out.read_text()
 
     def test_json_format(self, config_path, tmp_path):
         out = tmp_path / "sweep.json"
@@ -270,6 +279,15 @@ class TestRecordsAndReconstruct:
         run_cli("records", "--config", config_path, "--tr", "0.8", "--out", str(a))
         run_cli("records", "--config", config_path, "--tr", "0.8", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_records_file_reads_back_its_point_seed(self, config_path, tmp_path):
+        # per-point seeds are uint64, mostly above 2^53, where float would round them
+        out = tmp_path / "rec.csv"
+        assert run_cli("records", "--config", config_path, "--tr", "0.8", "--out", str(out)) == 0
+        seed = experiment._point_seed(ExperimentConfig.from_file(config_path), 0.8)
+        assert seed > 2**53 and float(seed) != seed
+        with open(out) as fh:
+            assert record_from_csv(fh).seed == seed
 
     @pytest.mark.parametrize(
         "command, t_r",

@@ -102,6 +102,19 @@ class TestConfig:
         assert cfg == ExperimentConfig()
         assert type(cfg.n_shots) is int and type(cfg.seed) is int
 
+    def test_seed_above_2_53_is_read_exactly(self, tmp_path):
+        path = tmp_path / "big.cfg"
+        path.write_text("seed = 2968926473542706253\n")
+        cfg = ExperimentConfig.from_file(path)
+        assert cfg.seed == 2968926473542706253
+        assert "seed=2968926473542706253\n" in cfg.canonical_text()
+
+    def test_integer_fields_of_any_size(self):
+        # checked without numpy, which cannot hold 2^70
+        assert ExperimentConfig().with_seed(2**70).seed == 2**70
+        with pytest.raises(ValueError, match="seed must be finite, got nan"):
+            ExperimentConfig(seed=float("nan"))
+
     def test_default_hash_is_pinned(self):
         # the config hash tags every output file; parsing changes must not move it
         assert ExperimentConfig().config_hash == (

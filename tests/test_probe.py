@@ -21,7 +21,7 @@ from spintomo import (
     tact_hamiltonian,
     variance_extrema,
 )
-from conftest import covariance, evolve_unitary, expectation, rotate
+from conftest import covariance, evolve_unitary, expectation, rotate, three_term_simulate_records
 
 
 def output_variance(moments, kappa2):
@@ -174,11 +174,45 @@ class TestSimulateRecords:
         se_cov = np.sqrt(var_yc * var_ys / n)
         assert abs(cov - gain * moments.cov_xp) <= 5 * se_cov
 
+    @pytest.mark.parametrize("kappa2", [0.0, 0.8, 2.0])
+    @pytest.mark.parametrize(
+        "moments",
+        [
+            CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0),
+            CanonicalMoments(0.0, 0.0, 1.2, 0.3, 0.25),
+            CanonicalMoments(1.5, -0.7, 0.5, 0.5, 0.0),
+        ],
+        ids=["vacuum", "squeezed-correlated", "displaced"],
+    )
+    def test_matches_three_term_oracle(self, moments, kappa2):
+        # the one-pair draw against the sum of its three terms drawn apart, and both
+        # against the closed form: means and (xx, pp, xp) covariance within 5 sigma
+        n = 200_000
+        one = simulate_records(moments, kappa2, n, seed=71).shots
+        three = three_term_simulate_records(moments, kappa2, n, seed=72).shots
+        gain = kappa2 / 2.0
+        mean = np.sqrt(gain) * np.array([moments.mean_x, moments.mean_p])
+        cov = gain * moments.covariance_matrix + (0.5 + kappa2**2 / 24.0) * np.eye(2)
+        se_mean = np.sqrt(np.diag(cov) / n)
+        rows, cols = [0, 1, 0], [0, 1, 1]  # the xx, pp and xp entries
+        # var of a sample covariance: (S_aa S_bb + S_ab^2) / n for Gaussian data
+        se_cov = np.sqrt((cov[rows, rows] * cov[cols, cols] + cov[rows, cols] ** 2) / n)
+
+        def stats(shots):
+            return shots.mean(axis=0), np.cov(shots, rowvar=False)[rows, cols]
+
+        (mean_one, cov_one), (mean_three, cov_three) = stats(one), stats(three)
+        for sample_mean, sample_cov in ((mean_one, cov_one), (mean_three, cov_three)):
+            assert np.all(np.abs(sample_mean - mean) <= 5 * se_mean)
+            assert np.all(np.abs(sample_cov - cov[rows, cols]) <= 5 * se_cov)
+        assert np.all(np.abs(mean_one - mean_three) <= 5 * np.sqrt(2) * se_mean)
+        assert np.all(np.abs(cov_one - cov_three) <= 5 * np.sqrt(2) * se_cov)
+
     def test_validation(self):
         m = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_shots must be >= 1, got 0"):
             simulate_records(m, 0.8, 0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kappa2 must be finite and >= 0, got -0.1"):
             simulate_records(m, -0.1, 10, seed=1)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import csv_module_read_table, csv_module_write_table
 from spintomo import MeasurementRecord, record_from_csv, record_to_csv
-from spintomo.tables import read_table, write_table
+from spintomo.tables import parse_whole_number, read_table, write_table
 
 # every kind of float the 17-digit text must carry: signed zeros, the
 # smallest subnormal, the smallest normal, the extremes, inf and nan
@@ -153,3 +153,23 @@ def test_record_header_comments_with_commas_and_quotes_round_trip():
     back = record_from_csv(io.StringIO(text))
     assert back.shots.tobytes() == record.shots.tobytes()
     assert (back.kappa2, back.seed) == (0.8, 4)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("2968926473542706253", 2968926473542706253), ("1180591620717411303424", 2**70),
+     (" 7 ", 7), ("1e4", 10_000), ("12345.0", 12345)],
+)
+def test_whole_numbers_parse_exactly(text, value):
+    # integer text above 2^53 keeps every digit; other text goes through float
+    assert parse_whole_number("seed", text) == value
+    assert type(parse_whole_number("seed", text)) is int
+
+
+def test_record_seed_above_2_53_round_trips():
+    seed = 2968926473542706253
+    assert float(seed) != seed
+    buf = io.StringIO()
+    record_to_csv(MeasurementRecord(np.zeros((3, 2)), 0.8, seed), buf)
+    assert f"# seed={seed}\n" in buf.getvalue()
+    assert record_from_csv(io.StringIO(buf.getvalue())).seed == seed
