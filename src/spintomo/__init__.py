@@ -17,7 +17,6 @@ from .dynamics import (
 from .errors import ConvergenceError, PhysicalityError, SweepPointError
 from .experiment import (
     ExperimentConfig,
-    SweepResult,
     SweepRow,
     evolved_state,
     point_record,
@@ -55,7 +54,6 @@ from .tomography import (
     CorrectedCovariance,
     OscillatorDensityMatrix,
     correct_covariance,
-    corrected_variance,
     mle_reconstruct,
 )
 

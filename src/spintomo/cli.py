@@ -4,6 +4,11 @@ Subcommands: limits, sweep, records, reconstruct, qpd.  Exit codes: 0 on
 success, 1 on numerical failure, 2 on usage or I/O errors; failures print a
 single machine-readable line to stderr.  Output files are written atomically
 (temp file + rename), so no partial files are left behind.
+
+The ``limits`` and ``sweep`` tables are written by one function: as CSV, a
+table is ``# key=value`` comment lines, a ``# units:`` line, a header and
+rows; as JSON, it is an object with the same keys plus ``columns``,
+``units`` and ``rows``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -30,10 +36,6 @@ __all__ = ["main", "build_parser"]
 
 
 class _UsageError(Exception):
-    pass
-
-
-class _ConfigNotFound(Exception):
     pass
 
 
@@ -96,9 +98,27 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _table_text(fmt: str, meta: dict, rows) -> str:
+    """``rows`` of one frozen dataclass as a CSV or JSON table headed by ``meta``.
+
+    The columns are the row type's fields and the units its ``UNITS``.
+    """
+    columns = [spec.name for spec in fields(rows[0])]
+    units = list(rows[0].UNITS)
+    values = [astuple(row) for row in rows]
+    if fmt == "json":
+        table = {**meta, "columns": columns, "units": units,
+                 "rows": [dict(zip(columns, row)) for row in values]}
+        return json.dumps(table, indent=2) + "\n"
+    comments = [f"{key}={value}" for key, value in meta.items()] + ["units: " + ",".join(units)]
+    buf = io.StringIO()
+    write_table(buf, comments, columns, np.array(values))
+    return buf.getvalue()
+
+
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     if not os.path.exists(path):
-        raise _ConfigNotFound(path)
+        raise _UsageError(f"config not found: {path}")
     config = ExperimentConfig.from_file(path)
     if seed_override is not None:
         config = config.with_seed(seed_override)
@@ -117,55 +137,14 @@ def _cmd_limits(args) -> None:
     params_hash = hashlib.sha256(
         f"limits f={args.f:.17g} scan={SCAN_POINTS} refine={REFINE_TOL:g}".encode()
     ).hexdigest()
-    columns = (
-        "f",
-        "chi2_min",
-        "alpha_t_chi2",
-        "zeta2_min",
-        "alpha_t_zeta2",
-        "xi2_min",
-        "alpha_t_xi2",
-    )
-    rows = [
-        (
-            opt.f.f_value,
-            opt.chi2_min,
-            opt.chi2_time,
-            opt.zeta2_min,
-            opt.zeta2_time,
-            opt.xi2_min,
-            opt.xi2_time,
-        )
-        for opt in optima
-    ]
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "params_sha256": params_hash,
-                "scan_points": SCAN_POINTS,
-                "refine_tol": REFINE_TOL,
-                "columns": list(columns),
-                "rows": [dict(zip(columns, row)) for row in rows],
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        buf = io.StringIO()
-        comments = [
-            f"params_sha256={params_hash}",
-            f"scan: {SCAN_POINTS} points over (0, pi], refined to {REFINE_TOL:g}",
-            "units: spin, 1, rad, 1, rad, 1, rad",
-        ]
-        write_table(buf, comments, columns, np.array(rows))
-        text = buf.getvalue()
-    _atomic_write(args.out, text)
+    meta = {"params_sha256": params_hash, "scan_points": SCAN_POINTS, "refine_tol": REFINE_TOL}
+    _atomic_write(args.out, _table_text(args.format, meta, optima))
 
 
 def _cmd_sweep(args) -> None:
     config = _load_config(args.config, args.seed)
-    result = run_sweep(config)
-    text = result.to_json() + "\n" if args.format == "json" else result.to_csv_text()
-    _atomic_write(args.out, text)
+    rows = run_sweep(config)
+    _atomic_write(args.out, _table_text(args.format, {"config_sha256": config.config_hash}, rows))
 
 
 def _cmd_records(args) -> None:
@@ -233,9 +212,6 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except _ConfigNotFound as exc:
-        print(f"config not found: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # a failed sweep point is classified by the error it wraps

@@ -11,9 +11,8 @@ back to their parameters.
 from __future__ import annotations
 
 import hashlib
-import io
-import json
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,13 +21,12 @@ from .errors import SweepPointError
 from .probe import MeasurementRecord, canonical_moments, readout_model, simulate_records
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
 from .squeezing import SqueezingReport, squeezing_report
-from .tables import parse_number, parse_whole_number, write_table
+from .tables import parse_number, parse_whole_number
 from .tomography import CorrectedCovariance, correct_covariance
 
 __all__ = [
     "ExperimentConfig",
     "SweepRow",
-    "SweepResult",
     "prepare_initial_state",
     "point_record",
     "run_sweep",
@@ -52,7 +50,7 @@ _WHOLE_NUMBER_KEYS = ("n_shots", "seed")
 
 
 def _default_durations() -> tuple[float, ...]:
-    return tuple(np.round(np.arange(0.0, 6.0 + 1e-9, 0.1), 10))
+    return _parse_durations("0:6:0.1")
 
 
 @dataclass(frozen=True)
@@ -270,6 +268,8 @@ def point_record(config: ExperimentConfig, t_r: float) -> MeasurementRecord:
 class SweepRow:
     """One sweep point: model-exact parameters plus the sampled reconstruction."""
 
+    UNITS: ClassVar[tuple[str, ...]] = ("ms", "1", "1", "1", "1", "1", "1", "hbar")
+
     t_r: float
     chi2_true: float
     zeta2_true: float
@@ -280,36 +280,8 @@ class SweepRow:
     css_reference_variance: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Rows of a drive-duration sweep, tagged with the config hash."""
-
-    rows: tuple[SweepRow, ...]
-    config_hash: str
-
-    _COLUMNS = tuple(f.name for f in fields(SweepRow))
-    _UNITS = ("ms", "1", "1", "1", "1", "1", "1", "hbar")
-
-    def to_csv_text(self) -> str:
-        comments = [f"config_sha256={self.config_hash}", "units: " + ",".join(self._UNITS)]
-        buf = io.StringIO()
-        write_table(buf, comments, self._COLUMNS, np.array([astuple(row) for row in self.rows]))
-        return buf.getvalue()
-
-    def to_dict(self) -> dict:
-        return {
-            "config_sha256": self.config_hash,
-            "columns": list(self._COLUMNS),
-            "units": list(self._UNITS),
-            "rows": [dict(zip(self._COLUMNS, astuple(row))) for row in self.rows],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-
-def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Evolve, probe and reconstruct every drive duration in the config.
+def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
+    """Evolve, probe and reconstruct every drive duration in the config, one row each.
 
     zeta2_true / chi2_true / xi2_true come from the evolved density matrix;
     zeta2_reconstructed applies the covariance correction to the synthesized
@@ -342,7 +314,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 css_reference_variance=report.mean_spin_length / 2.0,
             )
         )
-    return SweepResult(rows=tuple(rows), config_hash=config.config_hash)
+    return tuple(rows)
 
 
 def _zeta2_error(corrected: CorrectedCovariance, kappa2: float) -> float:

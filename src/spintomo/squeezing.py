@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -130,21 +131,24 @@ def squeezing_report(state: QuantumState) -> SqueezingReport:
 
 @dataclass(frozen=True)
 class TactOptimum:
-    """Per-parameter minima of the countertwisting scan for one spin.
+    """Per-parameter minima of the countertwisting scan for one spin: one ``limits`` row.
 
     The reported values are the minima of the first squeezing window: the
-    interval from t=0 up to the first turning point of each parameter.  The
-    evolution revives and can dip again at later times, but those recurrences
-    live on a collapsed mean spin and are not the operating point.
+    interval from t=0 up to the first turning point of each parameter, with
+    the scaled time alpha*t at which each is reached.  The evolution revives
+    and can dip again at later times, but those recurrences live on a
+    collapsed mean spin and are not the operating point.
     """
 
-    f: SpinQuantumNumber
+    UNITS: ClassVar[tuple[str, ...]] = ("spin", "1", "rad", "1", "rad", "1", "rad")
+
+    f: float
     chi2_min: float
-    chi2_time: float
+    alpha_t_chi2: float
     zeta2_min: float
-    zeta2_time: float
+    alpha_t_zeta2: float
     xi2_min: float
-    xi2_time: float
+    alpha_t_xi2: float
 
 
 def _first_local_min(values: np.ndarray) -> int:
@@ -207,13 +211,13 @@ def tact_optimum(f) -> TactOptimum:
         centres, minima = grids[cols, best], values[cols, best]
         step *= 2.0 / (BRACKET_POINTS - 1)
     return TactOptimum(
-        f=f,
+        f=f.f_value,
         chi2_min=float(minima[0]),
-        chi2_time=float(centres[0]),
+        alpha_t_chi2=float(centres[0]),
         zeta2_min=float(minima[1]),
-        zeta2_time=float(centres[1]),
+        alpha_t_zeta2=float(centres[1]),
         xi2_min=float(minima[2]),
-        xi2_time=float(centres[2]),
+        alpha_t_xi2=float(centres[2]),
     )
 
 

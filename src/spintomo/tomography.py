@@ -28,7 +28,6 @@ from .spin_algebra import QuantumState, variance_extrema
 __all__ = [
     "CorrectedCovariance",
     "OscillatorDensityMatrix",
-    "corrected_variance",
     "correct_covariance",
     "mle_reconstruct",
 ]
@@ -70,18 +69,6 @@ class CorrectedCovariance:
         return {**asdict(self), "statistical_error": self.statistical_error}
 
 
-def corrected_variance(total_variance: float, kappa2: float) -> float:
-    """Invert the output variance budget of :func:`~spintomo.probe.readout_model`.
-
-    atomic_var = (total - noise) / gain, i.e. remove light shot noise and
-    back-action, then undo the coupling gain.
-    """
-    if kappa2 <= 0:
-        raise ValueError("kappa2 must be positive to invert the variance budget")
-    gain, noise = readout_model(kappa2)
-    return (total_variance - noise) / gain
-
-
 def correct_covariance(record: MeasurementRecord) -> CorrectedCovariance:
     """Recover atomic canonical moments from a record by noise subtraction.
 
@@ -99,13 +86,14 @@ def correct_covariance(record: MeasurementRecord) -> CorrectedCovariance:
     var_yc = float(np.var(y_c, ddof=1))
     var_ys = float(np.var(y_s, ddof=1))
     cov_cs = float(np.cov(y_c, y_s, ddof=1)[0, 1])
-    gain, _ = readout_model(kappa2)
+    # variances invert var(y) = gain * var(atomic) + noise
+    gain, noise = readout_model(kappa2)
     amplitude_gain = np.sqrt(gain)
     corrected = CorrectedCovariance(
         mean_x=float(np.mean(y_c)) / amplitude_gain,
         mean_p=float(np.mean(y_s)) / amplitude_gain,
-        var_x=corrected_variance(var_yc, kappa2),
-        var_p=corrected_variance(var_ys, kappa2),
+        var_x=(var_yc - noise) / gain,
+        var_p=(var_ys - noise) / gain,
         cov_xp=cov_cs / gain,
         n_shots=n,
     )

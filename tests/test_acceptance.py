@@ -209,8 +209,8 @@ def test_criterion_6_physics_invariant_suite():
 
 def test_criterion_7_experiment_band():
     sweep = run_sweep(ExperimentConfig())
-    zetas = np.array([row.zeta2_true for row in sweep.rows])
-    times = np.array([row.t_r for row in sweep.rows])
+    zetas = np.array([row.zeta2_true for row in sweep])
+    times = np.array([row.t_r for row in sweep])
     i = int(np.argmin(zetas))
     in_band = 0.35 <= zetas[i] <= 0.6 and 0.5 < times[i] < 4.0
 
@@ -222,7 +222,7 @@ def test_criterion_7_experiment_band():
         compensation_residual=0.0,
         raman_durations=tuple(np.round(np.arange(0.0, 2.0001, 0.05), 10)),
     )
-    control_min = min(row.zeta2_true for row in run_sweep(control).rows)
+    control_min = min(row.zeta2_true for row in run_sweep(control))
     control_ok = abs(control_min - 0.247) <= 0.02
 
     ok = in_band and control_ok

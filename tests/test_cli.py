@@ -9,6 +9,7 @@ import pytest
 
 from spintomo import ExperimentConfig, PhysicalityError, cli, experiment, record_from_csv
 from spintomo.cli import main
+from spintomo.tables import read_table
 from conftest import fail_at_call
 
 
@@ -74,6 +75,33 @@ class TestLimits:
         assert run_cli("limits", f, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
+
+    def test_csv_header_lines(self, tmp_path):
+        out = tmp_path / "limits.csv"
+        assert run_cli("limits", "2", "--out", str(out)) == 0
+        comments, columns, _ = read_table(out.open())
+        assert len(comments[0].removeprefix("params_sha256=")) == 64
+        assert comments[1:] == ["scan_points=2000", "refine_tol=1e-06", "units: spin,1,rad,1,rad,1,rad"]
+        assert columns == ["f", "chi2_min", "alpha_t_chi2", "zeta2_min", "alpha_t_zeta2",
+                           "xi2_min", "alpha_t_xi2"]
+
+
+@pytest.mark.parametrize("command", [["limits", "2"], ["sweep", "--config"]], ids=["limits", "sweep"])
+def test_csv_and_json_carry_the_same_table(command, config_path, tmp_path):
+    argv = command + [config_path] if command[0] == "sweep" else command
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert run_cli(*argv, "--out", str(csv_out)) == 0
+    assert run_cli(*argv, "--out", str(json_out), "--format", "json") == 0
+    comments, columns, data = read_table(csv_out.open())
+    meta = dict(line.split("=", 1) for line in comments if "=" in line)
+    (units,) = [line.removeprefix("units: ").split(",") for line in comments if "=" not in line]
+    payload = json.loads(json_out.read_text())
+    assert payload["columns"] == columns
+    assert payload["units"] == units
+    assert {key: str(value) for key, value in payload.items()
+            if key not in ("columns", "units", "rows")} == meta
+    values = np.array([[row[name] for name in columns] for row in payload["rows"]])
+    assert values.tobytes() == data.tobytes()
 
 
 def _modules_loaded_by_import(package: str) -> str:

@@ -126,7 +126,7 @@ class TestTactOptimum:
         i = int(np.argmin(vals))
         opt = tact_optimum(4)
         assert abs(opt.zeta2_min - vals[i]) <= 1e-5
-        assert abs(opt.zeta2_time - taus[i]) <= 5e-4
+        assert abs(opt.alpha_t_zeta2 - taus[i]) <= 5e-4
 
     def test_f1_regression_fixture(self):
         # spin-1 countertwisting reaches a perfectly squeezed quadrature at
@@ -135,20 +135,20 @@ class TestTactOptimum:
         assert opt.chi2_min <= 1e-10
         assert opt.zeta2_min <= 1e-4
         assert abs(opt.xi2_min - 0.5) <= 1e-6
-        assert abs(opt.chi2_time - np.pi / 4.0) <= 1e-3
-        assert abs(opt.xi2_time - np.pi / 4.0) <= 1e-3
+        assert abs(opt.alpha_t_chi2 - np.pi / 4.0) <= 1e-3
+        assert abs(opt.alpha_t_xi2 - np.pi / 4.0) <= 1e-3
 
     def test_minima_ordered_in_time(self):
         # anti-squeezing grows monotonically, so the stricter parameters
         # bottom out earlier
         opt = tact_optimum(4)
-        assert opt.xi2_time < opt.zeta2_time < opt.chi2_time
+        assert opt.alpha_t_xi2 < opt.alpha_t_zeta2 < opt.alpha_t_chi2
 
     def test_report_matches_zeta2_minimum(self):
         # independent path: unitary evolution of the density matrix and the
         # squeezing report at the optimal time reproduce the scanned minimum
         opt = tact_optimum(4)
-        report = squeezing_report(_evolved_tact(4, opt.zeta2_time))
+        report = squeezing_report(_evolved_tact(4, opt.alpha_t_zeta2))
         assert abs(report.zeta2 - opt.zeta2_min) <= 1e-9
 
     @pytest.mark.parametrize("bracket_points", [4, 8, 16, 64, 128])

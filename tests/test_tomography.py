@@ -13,7 +13,6 @@ from spintomo import (
     OscillatorDensityMatrix,
     PhysicalityError,
     correct_covariance,
-    corrected_variance,
     mle_reconstruct,
     simulate_records,
 )
@@ -54,18 +53,37 @@ def legendre_povm(edges, sigma, dim):
                      weights * half_width, optimize=True)
 
 
+def _output_record(var_x, var_p, kappa2=0.8, n_shots=1000):
+    """Record whose sample covariance is the closed-form output covariance to round-off.
+
+    A normal block is centred and whitened to unit sample covariance, then
+    coloured with the Cholesky factor of diag(noise + gain * var), where
+    gain = kappa2/2 and noise = 1/2 + kappa2^2/12 * 1/2.
+    """
+    gain, noise = kappa2 / 2.0, 0.5 + kappa2**2 / 12.0 * 0.5
+    z = np.random.default_rng(5).standard_normal((n_shots, 2))
+    z -= z.mean(axis=0)
+    white = z @ np.linalg.inv(np.linalg.cholesky(np.cov(z, rowvar=False)).T)
+    output = np.diag([noise + gain * var_x, noise + gain * var_p])
+    return MeasurementRecord(shots=white @ np.linalg.cholesky(output).T, kappa2=kappa2, seed=0)
+
+
 class TestCorrectedVariance:
     def test_inverts_css_output(self):
-        total = 0.5 + 0.4 * 0.5 + (0.8**2 / 12.0) * 0.5
-        assert abs(corrected_variance(total, 0.8) - 0.5) <= 1e-12
+        cc = correct_covariance(_output_record(0.5, 0.5))
+        assert abs(cc.var_x - 0.5) <= 1e-12
+        assert abs(cc.var_p - 0.5) <= 1e-12
+        assert abs(cc.cov_xp) <= 1e-12
 
     def test_inverts_squeezed_output(self):
-        total = 0.5 + 0.4 * 0.25 + (0.8**2 / 12.0) * 0.5
-        assert abs(corrected_variance(total, 0.8) - 0.25) <= 1e-12
+        cc = correct_covariance(_output_record(0.25, 1.0))
+        assert abs(cc.var_x - 0.25) <= 1e-12
+        assert abs(cc.var_p - 1.0) <= 1e-12
+        assert abs(cc.cov_xp) <= 1e-12
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
-            corrected_variance(0.7, 0.0)
+            correct_covariance(MeasurementRecord(shots=np.full((4, 2), 0.7), kappa2=0.0, seed=0))
 
 
 class TestCorrectCovariance:
