@@ -7,13 +7,7 @@ reconstructs the state from synthetic measurement records by covariance
 correction and maximum-likelihood tomography.
 """
 
-from .dynamics import (
-    DecayChannels,
-    Hamiltonian,
-    compensated_hamiltonian,
-    lindblad_trajectory,
-    tact_hamiltonian,
-)
+from .dynamics import compensated_hamiltonian, lindblad_trajectory, tact_hamiltonian
 from .errors import ConvergenceError, PhysicalityError, SweepPointError
 from .experiment import (
     ExperimentConfig,
@@ -24,7 +18,6 @@ from .experiment import (
     run_sweep,
 )
 from .probe import (
-    CanonicalMoments,
     MeasurementRecord,
     canonical_moments,
     readout_model,

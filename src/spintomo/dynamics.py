@@ -1,15 +1,14 @@
 """Hamiltonians of the squeezing interaction and exact time evolution.
 
-Energies are in rad/ms and times in ms.  All squeezing dynamics are written
-in the frame co-rotating with the Larmor precession about x; lab-frame
-precession only matters to the probe demodulation, which consumes it
-implicitly.
+A Hamiltonian is a Hermitian numpy matrix.  Energies are in rad/ms, decay
+rates in 1/ms and times in ms.  All squeezing dynamics are written in the
+frame co-rotating with the Larmor precession about x; lab-frame precession
+only matters to the probe demodulation, which consumes it implicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +16,10 @@ from .errors import PhysicalityError
 from .spin_algebra import QuantumState, SpinOperators, spin_operators
 
 __all__ = [
-    "Hamiltonian",
-    "DecayChannels",
     "tact_hamiltonian",
     "compensated_hamiltonian",
     "lindblad_trajectory",
 ]
-
-_HERM_ATOL = 1e-12
 
 # Pade-13 coefficients b_0..b_13 and the 1-norm bound theta_13 up to which
 # the unscaled approximant is accurate to double precision (Higham 2005)
@@ -36,80 +31,17 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Hermitian generator in rad/ms."""
-
-    matrix: np.ndarray
-    label: str
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"Hamiltonian matrix must be square, got {m.shape}")
-        resid = np.abs(m - m.conj().T).max()
-        if resid > _HERM_ATOL:
-            raise PhysicalityError(f"Hamiltonian '{self.label}' not Hermitian: residue {resid:.3g}")
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class DecayChannels:
-    """Depolarization / dephasing rates for the master equation.
-
-    t1 is the isotropic depolarization time (relaxation toward the fully
-    mixed state), t2 the transverse coherence time in the x-basis.
-    ``extra_scatter_rate`` adds light-induced depolarization while a drive
-    pulse is on.  Infinite times are allowed and give zero rates.
-
-    The dephasing jump operator is sqrt(gamma_phi) * Fx with gamma_phi fixed
-    so that the decay rate of m,m+-1 coherences (gamma_phi/2) plus the
-    depolarization contribution (1/t1) equals 1/t2.  Complete positivity
-    then requires t2 <= t1.
-    """
-
-    t1: float
-    t2: float
-    extra_scatter_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise ValueError(f"decay times must be positive, got t1={self.t1}, t2={self.t2}")
-        if self.extra_scatter_rate < 0:
-            raise ValueError(f"extra_scatter_rate must be >= 0, got {self.extra_scatter_rate}")
-        if self.dephasing_rate < 0:
-            raise ValueError(
-                f"t2={self.t2} > t1={self.t1} violates complete positivity of the "
-                "depolarization + Fx-dephasing channel pair"
-            )
-
-    @property
-    def depolarization_rate(self) -> float:
-        return 1.0 / self.t1 + self.extra_scatter_rate
-
-    @property
-    def dephasing_rate(self) -> float:
-        """Rate multiplying the Fx dephasing dissipator."""
-        return 2.0 * (1.0 / self.t2 - 1.0 / self.t1)
-
-
-def tact_hamiltonian(ops: SpinOperators, alpha: float) -> Hamiltonian:
+def tact_hamiltonian(ops: SpinOperators, alpha: float) -> np.ndarray:
     """Two-axis countertwisting generator alpha * (Fz^2 - Fy^2)."""
     m = alpha * (ops.fz @ ops.fz - ops.fy @ ops.fy)
-    return Hamiltonian((m + m.conj().T) / 2.0, label=f"tact(alpha={alpha:g})")
+    return (m + m.conj().T) / 2.0
 
 
 def compensated_hamiltonian(
     ops: SpinOperators,
     beta: float,
     residual: float = 0.0,
-) -> Hamiltonian:
+) -> np.ndarray:
     """Effective rotating-frame generator of the tuned light shift + quadratic Zeeman.
 
     The drive light is intensity-modulated at twice the Larmor frequency so
@@ -127,27 +59,25 @@ def compensated_hamiltonian(
     averages the modulated drive numerically and checks this form.
     """
     f = ops.f.f_value
-    h = tact_hamiltonian(ops, beta / 2.0).matrix + residual * (ops.fx @ ops.fx)
-    return Hamiltonian(
-        h + beta * f * (f + 1.0) * np.eye(ops.dimension),
-        label=f"compensated(beta={beta:g}, residual={residual:g})",
-    )
+    h = tact_hamiltonian(ops, beta / 2.0) + residual * (ops.fx @ ops.fx)
+    return h + beta * f * (f + 1.0) * np.eye(ops.dimension)
 
 
-def _liouvillian(h: Hamiltonian, decay: DecayChannels, fx: np.ndarray) -> np.ndarray:
+def _liouvillian(
+    h: np.ndarray, depolarization: float, dephasing: float, fx: np.ndarray
+) -> np.ndarray:
     """Superoperator L of the master equation acting on the row-major vec(rho).
 
     Uses vec(A rho B) = kron(A, B^T) vec(rho) for row-major (C-order)
     flattening, so d vec(rho)/dt = L vec(rho).
     """
-    d = h.dimension
+    d = h.shape[0]
     eye = np.eye(d)
     fx2 = fx @ fx
     return (
-        -1j * (np.kron(h.matrix, eye) - np.kron(eye, h.matrix.T))
-        + decay.depolarization_rate * (np.outer(eye.ravel(), eye.ravel()) / d - np.eye(d * d))
-        + decay.dephasing_rate
-        * (np.kron(fx, fx.T) - 0.5 * (np.kron(fx2, eye) + np.kron(eye, fx2.T)))
+        -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        + depolarization * (np.outer(eye.ravel(), eye.ravel()) / d - np.eye(d * d))
+        + dephasing * (np.kron(fx, fx.T) - 0.5 * (np.kron(fx2, eye) + np.kron(eye, fx2.T)))
     )
 
 
@@ -178,12 +108,20 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def lindblad_trajectory(
     state: QuantumState,
-    h: Hamiltonian,
-    decay: DecayChannels,
+    h: np.ndarray,
+    depolarization: float,
+    dephasing: float,
     times,
 ) -> list[QuantumState]:
     """States at each requested time, by exact propagation of the master equation.
 
+    The master equation has the Hamiltonian ``h`` (rad/ms), isotropic
+    depolarization toward the fully mixed state at rate ``depolarization``
+    and the dephasing dissipator of the jump operator sqrt(``dephasing``) Fx
+    (both in 1/ms).  ``h`` must be a (d, d) matrix for the state's dimension
+    d (else ``ValueError``) and Hermitian to 1e-12 (else
+    :class:`PhysicalityError`); a rate that is negative or not finite
+    raises ``ValueError``.
     ``times`` must be finite, non-decreasing and non-negative.  The d^2 x d^2
     Liouvillian L (Havel, J. Math. Phys. 44, 534 (2003)) is diagonalized
     once, L = V diag(lambda) V^-1; with c = V^-1 vec(rho0) every state is
@@ -196,10 +134,15 @@ def lindblad_trajectory(
     state must pass the :class:`QuantumState` checks at their default
     tolerances; a failure names its time.
     """
-    if h.dimension != state.dimension:
-        raise ValueError(
-            f"Hamiltonian dimension {h.dimension} does not match state {state.dimension}"
-        )
+    d = state.dimension
+    h = np.asarray(h)
+    if h.shape != (d, d):
+        raise ValueError(f"Hamiltonian shape {h.shape} does not match state dimension {d}")
+    resid = np.abs(h - h.conj().T).max()
+    if not resid <= 1e-12:  # also catches NaN
+        raise PhysicalityError(f"Hamiltonian is not Hermitian: residue {resid:.3g}")
+    if not (0 <= depolarization < math.inf and 0 <= dephasing < math.inf):
+        raise ValueError(f"decay rates must be finite and >= 0, got {depolarization}, {dephasing}")
     times = np.asarray(times, dtype=float)
     if not times.size:
         return []
@@ -210,8 +153,7 @@ def lindblad_trajectory(
     if (np.diff(times) < 0).any():
         raise ValueError("times must be non-decreasing")
 
-    d = state.dimension
-    lv = _liouvillian(h, decay, np.asarray(spin_operators(state.spin).fx))
+    lv = _liouvillian(h, depolarization, dephasing, np.asarray(spin_operators(state.spin).fx))
     vec0 = state.rho.ravel()
     w, v = np.linalg.eig(lv)
     c = np.linalg.solve(v, vec0)

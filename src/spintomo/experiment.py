@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dynamics import DecayChannels, compensated_hamiltonian, lindblad_trajectory
+from .dynamics import compensated_hamiltonian, lindblad_trajectory
 from .errors import SweepPointError
 from .probe import MeasurementRecord, canonical_moments, readout_model, simulate_records
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
@@ -48,6 +48,12 @@ DEFAULT_COMPENSATION_RESIDUAL = 0.15  # rad/ms of uncompensated Fx^2
 
 _WHOLE_NUMBER_KEYS = ("n_shots", "seed")
 
+# size bounds, checked before anything of that size is allocated: a desk run
+# needs 61 durations and 10^4 shots per point, and one point's record at
+# 10^7 shots is already 160 MB
+MAX_DURATIONS = 100_000
+MAX_SHOTS = 10**7
+
 
 def _default_durations() -> tuple[float, ...]:
     return _parse_durations("0:6:0.1")
@@ -75,10 +81,13 @@ class ExperimentConfig:
 
     Unknown keys are rejected with ``ValueError``, and so are non-finite
     values (only t1 and t2 may be inf: that decay channel is off),
-    fractional n_shots or seed, seed < 0, and a key that a file sets
-    twice.  n_shots and seed are kept exactly, at any integer size.  The
-    dynamics are in the frame rotating at the Larmor frequency, so it is
-    not a parameter.
+    t2 > t1 (which breaks complete positivity of the decay channels, so a
+    finite t1 needs a finite t2), extra_scatter_rate < 0, fractional
+    n_shots or seed, n_shots outside [1, MAX_SHOTS], seed < 0, and a key
+    that a file sets twice; a file's raman_durations may hold at most
+    MAX_DURATIONS values.  n_shots and seed are kept exactly, at any
+    integer size.  The dynamics are in the frame rotating at the Larmor
+    frequency, so it is not a parameter.
     """
 
     f: float = 4.0
@@ -106,8 +115,10 @@ class ExperimentConfig:
             elif np.isnan(value).any() or (np.isinf(value).any() and spec.name not in ("t1", "t2")):
                 raise ValueError(f"{spec.name} must be finite, got {value!r}")
         SpinQuantumNumber.coerce(self.f)  # validates integer/half-integer
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise ValueError("t1 and t2 must be positive")
+        if not 0 < self.t2 <= self.t1:
+            raise ValueError(f"decay times need 0 < t2 <= t1, got t1={self.t1!r}, t2={self.t2!r}")
+        if self.extra_scatter_rate < 0:
+            raise ValueError(f"extra_scatter_rate must be >= 0, got {self.extra_scatter_rate!r}")
         if not (0.0 < self.pump_fraction <= 1.0):
             raise ValueError(f"pump_fraction must be in (0, 1], got {self.pump_fraction}")
         if any(t < 0 for t in durations):
@@ -118,18 +129,14 @@ class ExperimentConfig:
             raise ValueError(f"kappa2 must be >= 0, got {self.kappa2}")
         if self.n_shots < 1:
             raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
+        if self.n_shots > MAX_SHOTS:
+            raise ValueError(f"n_shots must be <= {MAX_SHOTS}, got {self.n_shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def spin(self) -> SpinQuantumNumber:
         return SpinQuantumNumber.coerce(self.f)
-
-    @property
-    def decay(self) -> DecayChannels:
-        return DecayChannels(
-            t1=self.t1, t2=self.t2, extra_scatter_rate=self.extra_scatter_rate
-        )
 
     # -- serialization ---------------------------------------------------
 
@@ -191,20 +198,31 @@ class ExperimentConfig:
 
 
 def _parse_durations(text: str) -> tuple[float, ...]:
-    """Parse '0,0.5,1.0' or 'start:stop:step' (stop inclusive up to round-off)."""
+    """Parse '0,0.5,1.0' or 'start:stop:step' (stop inclusive up to round-off).
+
+    More than MAX_DURATIONS durations raise ValueError before the tuple is built.
+    """
     text = text.strip()
-    if ":" in text:
-        pieces = text.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"duration range must be start:stop:step, got {text!r}")
-        start, stop, step = (parse_number("raman_durations", p) for p in pieces)
-        if not np.isfinite([start, stop, step]).all():
-            raise ValueError(f"raman_durations range must be finite, got {text!r}")
-        if step <= 0:
-            raise ValueError("duration step must be positive")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(np.round(start + step * np.arange(n), 12))
-    return tuple(parse_number("raman_durations", p) for p in text.split(",") if p.strip())
+    if ":" not in text:
+        pieces = [p for p in text.split(",") if p.strip()]
+        _check_duration_count(len(pieces))
+        return tuple(parse_number("raman_durations", p) for p in pieces)
+    pieces = text.split(":")
+    if len(pieces) != 3:
+        raise ValueError(f"duration range must be start:stop:step, got {text!r}")
+    start, stop, step = (parse_number("raman_durations", p) for p in pieces)
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(f"raman_durations range must be finite, got {text!r}")
+    if step <= 0:
+        raise ValueError("duration step must be positive")
+    n = np.floor((stop - start) / step + 1e-9) + 1  # inf when the step underflows
+    _check_duration_count(n)
+    return tuple(np.round(start + step * np.arange(int(n)), 12))
+
+
+def _check_duration_count(n) -> None:
+    if not n <= MAX_DURATIONS:
+        raise ValueError(f"raman_durations must hold at most {MAX_DURATIONS} values, got {n:g}")
 
 
 def prepare_initial_state(config: ExperimentConfig) -> QuantumState:
@@ -236,8 +254,15 @@ def _evolved_states(config: ExperimentConfig, durations) -> list[QuantumState]:
     h = compensated_hamiltonian(
         ops, beta=2.0 * config.twisting_rate, residual=config.compensation_residual
     )
+    # t1 depolarizes toward the fully mixed state, and the drive adds its
+    # scatter rate.  The dephasing jump operator is sqrt(gamma_phi) Fx, with
+    # gamma_phi set so that the decay rate of the m, m+-1 coherences in the
+    # x basis, gamma_phi/2 plus the depolarization 1/t1, is 1/t2; so
+    # gamma_phi >= 0, complete positivity, is the config's t2 <= t1.
+    depolarization = 1.0 / config.t1 + config.extra_scatter_rate
+    dephasing = 2.0 * (1.0 / config.t2 - 1.0 / config.t1)
     state0 = prepare_initial_state(config)
-    return lindblad_trajectory(state0, h, config.decay, durations)
+    return lindblad_trajectory(state0, h, depolarization, dephasing, durations)
 
 
 def evolved_state(config: ExperimentConfig, t_r: float) -> QuantumState:
@@ -254,8 +279,8 @@ def _probe_point(
     mirroring the auxiliary mean-spin monitor of the measurement sequence.
     """
     report = squeezing_report(state)
-    moments = canonical_moments(report)
-    record = simulate_records(moments, config.kappa2, config.n_shots, _point_seed(config, t_r))
+    cov = canonical_moments(report)
+    record = simulate_records(cov, config.kappa2, config.n_shots, _point_seed(config, t_r))
     return report, record
 
 

@@ -1,4 +1,4 @@
-"""Faraday-probe measurement model: canonical moments, per-shot record
+"""Faraday-probe measurement model: canonical covariance, per-shot record
 synthesis, and the record file format.
 
 The probe demodulates the polarization signal at the Larmor frequency into a
@@ -21,9 +21,9 @@ dimensionless atom-light coupling of one probe pass.  The lab calibrates it
 against the thermal ensemble noise; here it is an input, and a record file
 carries it in its ``kappa2`` header.
 
-The three terms sum to one Gaussian pair, of mean sqrt(gain) (<x>, <p>) and
-covariance gain * cov(x, p) + noise * I with (gain, noise) from
-:func:`readout_model`, so a record draws each shot as that one pair.
+The three terms sum to one zero-mean Gaussian pair of covariance
+gain * cov(x, p) + noise * I with (gain, noise) from :func:`readout_model`,
+so a record draws each shot as that one pair.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .squeezing import SqueezingReport
 from .tables import parse_number, parse_whole_number, read_table, write_table
 
 __all__ = [
-    "CanonicalMoments",
     "MeasurementRecord",
     "canonical_moments",
     "readout_model",
@@ -45,43 +44,6 @@ __all__ = [
     "record_to_csv",
     "record_from_csv",
 ]
-
-
-@dataclass(frozen=True)
-class CanonicalMoments:
-    """First and second moments of the canonical quadrature pair (x, p)."""
-
-    mean_x: float
-    mean_p: float
-    var_x: float
-    var_p: float
-    cov_xp: float
-
-    def __post_init__(self) -> None:
-        if not (self.var_x > 0 and self.var_p > 0):
-            raise PhysicalityError(
-                f"variances must be positive, got var_x={self.var_x}, var_p={self.var_p}"
-            )
-        det = self.var_x * self.var_p - self.cov_xp**2
-        if det < 0.25 - 1e-9:
-            raise PhysicalityError(
-                f"covariance determinant {det:.6g} below the Heisenberg floor 1/4"
-            )
-
-    @classmethod
-    def from_moments(cls, mean: np.ndarray, cov: np.ndarray) -> "CanonicalMoments":
-        """Build from the (x, p) mean 2-vector and 2x2 covariance of :func:`moments`."""
-        return cls(
-            mean_x=float(mean[0]),
-            mean_p=float(mean[1]),
-            var_x=float(cov[0, 0]),
-            var_p=float(cov[1, 1]),
-            cov_xp=float(cov[0, 1]),
-        )
-
-    @property
-    def covariance_matrix(self) -> np.ndarray:
-        return np.array([[self.var_x, self.cov_xp], [self.cov_xp, self.var_p]])
 
 
 def _check_kappa2(kappa2: float) -> None:
@@ -126,14 +88,14 @@ class MeasurementRecord:
         return self.shots[:, 1]
 
 
-def canonical_moments(report: SqueezingReport) -> CanonicalMoments:
-    """Canonical (x, p) moments of a state from its squeezing report.
+def canonical_moments(report: SqueezingReport) -> np.ndarray:
+    """2x2 covariance of the canonical (x, p) pair of a state, from its squeezing report.
 
     The quadratures are the report's transverse pair (F_y', F_z') divided by
     sqrt(|<F>|), under which their commutator is exactly canonical.  Their
     means vanish by construction of the frame.
     """
-    return CanonicalMoments.from_moments(np.zeros(2), report.cov / report.mean_spin_length)
+    return report.cov / report.mean_spin_length
 
 
 def readout_model(kappa2: float) -> tuple[float, float]:
@@ -147,25 +109,29 @@ def readout_model(kappa2: float) -> tuple[float, float]:
     return kappa2 / 2.0, 0.5 + kappa2**2 / 24.0
 
 
-def simulate_records(
-    moments: CanonicalMoments,
-    kappa2: float,
-    n_shots: int,
-    seed: int,
-) -> MeasurementRecord:
+def simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> MeasurementRecord:
     """Draw a seeded record of (y_c, y_s) pairs from the Gaussian probe model.
 
-    Each shot is one correlated normal pair, the sum of the atomic signal,
-    light shot noise and back-action terms of the module docstring, drawn in
-    one step from the output covariance of :func:`readout_model`.  A given
-    seed always produces bit-identical records.
+    ``cov`` is the symmetric 2x2 (x, p) covariance of :func:`canonical_moments`;
+    variances that are not positive or a determinant below the Heisenberg floor
+    1/4 (to 1e-9) raise :class:`PhysicalityError`.  Each shot is one zero-mean
+    normal pair, the sum of the three terms of the module docstring, drawn from
+    the output covariance of :func:`readout_model`.  A given seed always
+    produces bit-identical records.
     """
+    cov = np.asarray(cov, dtype=float)
+    if not (cov[0, 0] > 0 and cov[1, 1] > 0):
+        raise PhysicalityError(
+            f"variances must be positive, got var_x={cov[0, 0]}, var_p={cov[1, 1]}"
+        )
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    if det < 0.25 - 1e-9:
+        raise PhysicalityError(f"covariance determinant {det:.6g} below the Heisenberg floor 1/4")
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     gain, noise = readout_model(kappa2)
-    chol = np.linalg.cholesky(gain * moments.covariance_matrix + noise * np.eye(2))
+    chol = np.linalg.cholesky(gain * cov + noise * np.eye(2))
     shots = np.random.default_rng(seed).standard_normal((n_shots, 2)) @ chol.T
-    shots += np.sqrt(gain) * np.array([moments.mean_x, moments.mean_p])
     return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
 
 

@@ -48,6 +48,10 @@ SCAN_POINTS = 2000
 BRACKET_POINTS = 32
 REFINE_TOL = 1e-6
 
+# most nodes a Husimi grid may have: 10^6 nodes of an F = 4 state take 144 MB
+# of coherent-state amplitudes
+MAX_GRID_NODES = 10**6
+
 
 @dataclass(frozen=True)
 class SqueezingReport:
@@ -176,7 +180,7 @@ def tact_optimum(f) -> TactOptimum:
             "below F=1 (for F=1/2 both squares are proportional to the identity)"
         )
     ops = spin_operators(f)
-    w, v = np.linalg.eigh(tact_hamiltonian(ops, 1.0).matrix)
+    w, v = np.linalg.eigh(tact_hamiltonian(ops, 1.0))
     coeffs = v.conj().T @ coherent_state_vector(f, np.pi / 2.0, 0.0)
     j_init = f.f_value
 
@@ -230,7 +234,6 @@ class HusimiGrid:
     quadrature-weighted sum times (2F+1)/(4 pi) approximates 1.
     """
 
-    f: SpinQuantumNumber
     thetas: np.ndarray
     phis: np.ndarray
     values: np.ndarray
@@ -261,13 +264,16 @@ def husimi(state: QuantumState, n_theta: int, n_phi: int) -> HusimiGrid:
 
     One broadcast :func:`~spintomo.spin_algebra.coherent_state_vector` call
     gives the amplitudes of every node; round-off outside [0, 1] is clipped.
+    A grid of more than ``MAX_GRID_NODES`` nodes raises ``ValueError``.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
+    if n_theta * n_phi > MAX_GRID_NODES:
+        raise ValueError(f"grid must have at most {MAX_GRID_NODES} nodes, got {n_theta}x{n_phi}")
     f = state.spin
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     amps = coherent_state_vector(f, thetas[:, None], phis[None, :])
     values = np.real(np.einsum("ijd,de,ije->ij", amps.conj(), state.rho, amps))
     values = np.clip(values, 0.0, 1.0)
-    return HusimiGrid(f=f, thetas=thetas, phis=phis, values=values)
+    return HusimiGrid(thetas=thetas, phis=phis, values=values)

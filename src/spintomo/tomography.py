@@ -37,8 +37,8 @@ __all__ = [
 class CorrectedCovariance:
     """Atomic canonical moments recovered from a record, with sampling error.
 
-    Unlike :class:`~spintomo.probe.CanonicalMoments` this is a sampled
-    estimate, so it need not respect the Heisenberg floor.
+    Unlike a model covariance this is a sampled estimate, so it need not
+    respect the Heisenberg floor.
     """
 
     mean_x: float
@@ -47,10 +47,6 @@ class CorrectedCovariance:
     var_p: float
     cov_xp: float
     n_shots: int
-
-    def __post_init__(self) -> None:
-        if self.n_shots < 2:
-            raise ValueError(f"need at least 2 shots, got {self.n_shots}")
 
     @property
     def statistical_error(self) -> float:
@@ -76,9 +72,11 @@ def correct_covariance(record: MeasurementRecord) -> CorrectedCovariance:
     from a physical state plus sampling noise and raises
     :class:`PhysicalityError`.
     """
+    # variances invert var(y) = gain * var(atomic) + noise
     kappa2 = record.kappa2
-    if kappa2 <= 0:
-        raise ValueError("record has kappa2 = 0: the atomic signal is not invertible")
+    gain, noise = readout_model(kappa2)
+    if gain == 0:  # kappa2 = 0, or so small that kappa2/2 underflows
+        raise ValueError(f"record has kappa2 = {kappa2:g}: the atomic signal is not invertible")
     n = record.n_shots
     if n < 2:
         raise ValueError("need at least 2 shots to estimate variances")
@@ -86,8 +84,6 @@ def correct_covariance(record: MeasurementRecord) -> CorrectedCovariance:
     var_yc = float(np.var(y_c, ddof=1))
     var_ys = float(np.var(y_s, ddof=1))
     cov_cs = float(np.cov(y_c, y_s, ddof=1)[0, 1])
-    # variances invert var(y) = gain * var(atomic) + noise
-    gain, noise = readout_model(kappa2)
     amplitude_gain = np.sqrt(gain)
     corrected = CorrectedCovariance(
         mean_x=float(np.mean(y_c)) / amplitude_gain,

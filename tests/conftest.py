@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from spintomo import (
-    CanonicalMoments,
     ConvergenceError,
-    Hamiltonian,
     MeasurementRecord,
     OscillatorDensityMatrix,
     QuantumState,
@@ -69,21 +67,19 @@ def rotate(state: QuantumState, axis, angle: float) -> QuantumState:
     return QuantumState(rho)
 
 
-def oat_hamiltonian(ops, alpha: float) -> Hamiltonian:
+def oat_hamiltonian(ops, alpha: float) -> np.ndarray:
     """One-axis twisting generator alpha * Fz^2."""
-    return Hamiltonian(alpha * (ops.fz @ ops.fz), label=f"oat(alpha={alpha:g})")
+    return alpha * (ops.fz @ ops.fz)
 
 
-def evolve_unitary(state: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
+def evolve_unitary(state: QuantumState, h: np.ndarray, t: float) -> QuantumState:
     """Closed-system evolution rho -> U rho U^dag with U = exp(-i H t).
 
     An oracle for the decay-free limit of ``lindblad_trajectory``.
     """
-    if h.dimension != state.dimension:
-        raise ValueError(
-            f"Hamiltonian dimension {h.dimension} does not match state {state.dimension}"
-        )
-    w, v = np.linalg.eigh(h.matrix)
+    if h.shape != (state.dimension, state.dimension):
+        raise ValueError(f"Hamiltonian shape {h.shape} does not match state {state.dimension}")
+    w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     rho = u @ state.rho @ u.conj().T
     rho = (rho + rho.conj().T) / 2.0
@@ -97,8 +93,24 @@ def annihilation_operator(dim: int) -> np.ndarray:
     return a
 
 
-def variances_from_rho(rho) -> CanonicalMoments:
-    """Canonical (x, p) moments of a state in the truncated excitation basis.
+def quadrature_cov(var_x: float, var_p: float, cov_xp: float = 0.0) -> np.ndarray:
+    """The symmetric 2x2 covariance of the canonical (x, p) pair."""
+    return np.array([[var_x, cov_xp], [cov_xp, var_p]])
+
+
+def displaced(record: MeasurementRecord, mean_x: float, mean_p: float) -> MeasurementRecord:
+    """``record`` with the (x, p) mean (mean_x, mean_p) added to its atomic signal.
+
+    The probe passes the atomic pair at the gain sqrt(kappa2/2), so every
+    shot moves by sqrt(kappa2/2) (mean_x, mean_p).
+    """
+    shots = record.shots + np.sqrt(record.kappa2 / 2.0) * np.array([mean_x, mean_p])
+    return MeasurementRecord(shots=shots, kappa2=record.kappa2, seed=record.seed)
+
+
+def variances_from_rho(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Mean 2-vector and 2x2 covariance of the canonical (x, p) pair of a state
+    in the truncated excitation basis.
 
     Accepts an OscillatorDensityMatrix or a bare matrix.  The state is
     padded with two empty levels before the quadratic forms are taken, so
@@ -112,7 +124,7 @@ def variances_from_rho(rho) -> CanonicalMoments:
     a = annihilation_operator(padded.shape[0])
     x = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    return CanonicalMoments.from_moments(*moments(padded, (x, p)))
+    return moments(padded, (x, p))
 
 
 def fail_at_call(n: int, exc: BaseException, target=correct_covariance):
@@ -146,21 +158,12 @@ def secular_compensated_matrix(ops, beta: float) -> np.ndarray:
     return h / 16 + beta * (ops.fx @ ops.fx)
 
 
-def three_term_simulate_records(
-    moments: CanonicalMoments,
-    kappa2: float,
-    n_shots: int,
-    seed: int,
-) -> MeasurementRecord:
+def three_term_simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> MeasurementRecord:
     """The probe sampler that sums its three terms (atomic pair, then light, then back-action),
     each from its own normal pair: an oracle for ``probe.simulate_records``.
     """
     rng = np.random.default_rng(seed)
-    cov = moments.covariance_matrix
-    chol = np.linalg.cholesky(cov)
-    atomic = np.array([moments.mean_x, moments.mean_p]) + rng.standard_normal(
-        (n_shots, 2)
-    ) @ chol.T
+    atomic = rng.standard_normal((n_shots, 2)) @ np.linalg.cholesky(cov).T
     light = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
     back = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
     shots = light + np.sqrt(kappa2 / 2.0) * atomic + np.sqrt(kappa2**2 / 12.0) * back

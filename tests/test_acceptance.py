@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from spintomo import (
-    CanonicalMoments,
-    DecayChannels,
     ExperimentConfig,
     coherent_spin_state,
     compensated_hamiltonian,
@@ -23,7 +21,14 @@ from spintomo import (
     tact_hamiltonian,
 )
 from spintomo.cli import main as cli_main
-from conftest import covariance, evolve_unitary, secular_compensated_matrix, variances_from_rho
+from conftest import (
+    covariance,
+    displaced,
+    evolve_unitary,
+    quadrature_cov,
+    secular_compensated_matrix,
+    variances_from_rho,
+)
 
 HALF_STEPS = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
@@ -71,7 +76,7 @@ def test_criterion_2_compensation_identity():
         offset = beta * f * (f + 1.0)
         twisting = (beta / 2.0) * (ops.fz @ ops.fz - ops.fy @ ops.fy)
         resid = average - offset * np.eye(ops.dimension) - twisting
-        worst = max(worst, float(np.abs(resid).max()), float(np.abs(h.matrix - average).max()))
+        worst = max(worst, float(np.abs(resid).max()), float(np.abs(h - average).max()))
     ok = worst <= 1e-12
     _report(
         2,
@@ -104,18 +109,19 @@ def test_criterion_3_coherent_state_baseline():
 
 
 def test_criterion_4_output_variance_round_trip():
-    truth = CanonicalMoments(0.3, -0.2, 1.1, 0.25, 0.1)
+    truth = quadrature_cov(1.1, 0.25, 0.1)
     kappa2, n_shots, n_runs = 0.8, 10_000, 20
     gain = 2.0 / kappa2
-    sigma_x = np.sqrt(2.0 / (n_shots - 1)) * (0.5 + truth.var_x / gain + kappa2**2 / 24.0) * gain
-    sigma_p = np.sqrt(2.0 / (n_shots - 1)) * (0.5 + truth.var_p / gain + kappa2**2 / 24.0) * gain
+    sigma_x = np.sqrt(2.0 / (n_shots - 1)) * (0.5 + truth[0, 0] / gain + kappa2**2 / 24.0) * gain
+    sigma_p = np.sqrt(2.0 / (n_shots - 1)) * (0.5 + truth[1, 1] / gain + kappa2**2 / 24.0) * gain
     hits, slowest = 0, 0.0
     for seed in range(n_runs):
         start = time.monotonic()
-        rec = simulate_records(truth, kappa2, n_shots, seed=300 + seed)
+        rec = displaced(simulate_records(truth, kappa2, n_shots, seed=300 + seed), 0.3, -0.2)
         cc = correct_covariance(rec)
         slowest = max(slowest, time.monotonic() - start)
-        if abs(cc.var_x - truth.var_x) <= 3 * sigma_x and abs(cc.var_p - truth.var_p) <= 3 * sigma_p:
+        var_x, var_p = truth[0, 0], truth[1, 1]
+        if abs(cc.var_x - var_x) <= 3 * sigma_x and abs(cc.var_p - var_p) <= 3 * sigma_p:
             hits += 1
     ok = hits / n_runs >= 0.95 and slowest < 10.0
     _report(
@@ -127,7 +133,7 @@ def test_criterion_4_output_variance_round_trip():
 
 
 def test_criterion_5_mle_round_trip():
-    vacuum = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
+    vacuum = quadrature_cov(0.5, 0.5)
     rec = simulate_records(vacuum, 0.8, 10_000, seed=42)
     start = time.monotonic()
     odm = mle_reconstruct(rec, dim=10)
@@ -164,9 +170,9 @@ def test_criterion_6_physics_invariant_suite():
     # trace preservation and positivity over the full drive window
     ops = spin_operators(4)
     css = coherent_spin_state(4, np.pi / 2.0, 0.0)
-    decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
+    rates = (1.0 / 80.0 + 0.01, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))  # t1 = 80, t2 = 20 ms
     h = compensated_hamiltonian(ops, 0.24, residual=0.15)
-    evolved = lindblad_trajectory(css, h, decay, [6.0])[0]
+    evolved = lindblad_trajectory(css, h, *rates, [6.0])[0]
     trace_dev = abs(np.trace(evolved.rho).real - 1.0)
     min_eig = float(np.linalg.eigvalsh(evolved.rho).min())
     if trace_dev > 1e-8:
@@ -177,7 +183,7 @@ def test_criterion_6_physics_invariant_suite():
     # Heisenberg floor on evolved states
     h_tact = tact_hamiltonian(ops, 1.0)
     states = [evolve_unitary(css, h_tact, tau) for tau in (0.05, 0.1375, 0.25)]
-    states += lindblad_trajectory(css, h, decay, [0.8, 3.0])
+    states += lindblad_trajectory(css, h, *rates, [0.8, 3.0])
     for state in states:
         report = squeezing_report(state)
         floor = report.mean_spin_length**2 / 4.0
@@ -185,7 +191,7 @@ def test_criterion_6_physics_invariant_suite():
             violations.append("uncertainty floor broken on an evolved state")
 
     # Heisenberg floor on reconstructed states, both routes
-    squeezed = CanonicalMoments(0.0, 0.0, 1.1, 0.25, 0.1)
+    squeezed = quadrature_cov(1.1, 0.25, 0.1)
     for seed in range(5):
         rec = simulate_records(squeezed, 0.8, 20_000, seed=700 + seed)
         cc = correct_covariance(rec)
@@ -193,8 +199,8 @@ def test_criterion_6_physics_invariant_suite():
         if det < 0.25 - 5 * cc.statistical_error:
             violations.append(f"corrected covariance det {det:.4f} under floor")
     odm = mle_reconstruct(simulate_records(squeezed, 0.8, 10_000, seed=22))
-    vm = variances_from_rho(odm)
-    det_mle = vm.var_x * vm.var_p - vm.cov_xp**2
+    _, cov = variances_from_rho(odm)
+    det_mle = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
     if det_mle < 0.25 - 1e-9:
         violations.append(f"MLE moments det {det_mle:.6f} under floor")
 
@@ -236,14 +242,14 @@ def test_criterion_7_experiment_band():
 
 
 def test_criterion_8_estimator_consistency():
-    truth = CanonicalMoments(0.0, 0.0, 1.1, 0.25, 0.1)
+    truth = quadrature_cov(1.1, 0.25, 0.1)
     shot_counts = [1_000, 10_000, 100_000, 1_000_000]
     rms = []
     for n in shot_counts:
         errs = []
         for seed in range(24):
             cc = correct_covariance(simulate_records(truth, 0.8, n, seed=1000 + seed))
-            errs.append((cc.var_x - truth.var_x) ** 2 + (cc.var_p - truth.var_p) ** 2)
+            errs.append((cc.var_x - truth[0, 0]) ** 2 + (cc.var_p - truth[1, 1]) ** 2)
         rms.append(float(np.sqrt(np.mean(errs))))
     slope = float(np.polyfit(np.log10(shot_counts), np.log10(rms), 1)[0])
     ok = abs(slope + 0.5) <= 0.1

@@ -418,6 +418,45 @@ class TestQpd:
         assert "usage error" in capsys.readouterr().err
 
 
+class TestInputBounds:
+    @pytest.mark.parametrize("command", ["sweep", "records", "qpd"])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [("t1 = 10\nt2 = 30", "decay times need 0 < t2 <= t1, got t1=10.0, t2=30.0"),
+         ("t2 = inf", "decay times need 0 < t2 <= t1, got t1=80.0, t2=inf"),
+         ("extra_scatter_rate = -0.1", "extra_scatter_rate must be >= 0, got -0.1")],
+        ids=["t2-above-t1", "t2-inf", "negative-scatter"],
+    )
+    def test_decay_rules_fail_on_one_line(self, tmp_path, capsys, command, lines, message):
+        cfg = tmp_path / "decay.cfg"
+        cfg.write_text(f"raman_durations = 0.8\nn_shots = 100\n{lines}\n")
+        out = tmp_path / "o.csv"
+        point = [] if command == "sweep" else ["--tr", "0.8"]
+        assert run_cli(command, "--config", str(cfg), *point, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [(["records"], "raman_durations = 0:6:1e-5",
+          "raman_durations must hold at most 100000 values, got 600001"),
+         (["records"], "raman_durations = 0:6:5e-324",
+          "raman_durations must hold at most 100000 values, got inf"),
+         (["qpd"], "n_shots = 10000001", "n_shots must be <= 10000000, got 10000001"),
+         (["qpd", "--grid", "1001x1000"], "n_shots = 100",
+          "grid must have at most 1000000 nodes, got 1001x1000")],
+        ids=["durations", "durations-step-underflow", "n_shots", "grid"],
+    )
+    def test_sizes_beyond_their_bound_fail_on_one_line(self, tmp_path, capsys, command, line,
+                                                       message):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "o.csv"
+        assert run_cli(*command, "--config", str(cfg), "--tr", "0.8", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+
 class TestParser:
     def test_unknown_command(self, capsys):
         assert run_cli("frobnicate") == 2

@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from spintomo import (
-    DecayChannels,
-    Hamiltonian,
+    ExperimentConfig,
     PhysicalityError,
     coherent_spin_state,
     compensated_hamiltonian,
@@ -13,7 +12,7 @@ from spintomo import (
     spin_operators,
     tact_hamiltonian,
 )
-from spintomo import dynamics
+from spintomo import dynamics, evolved_state, experiment
 from conftest import (
     covariance,
     evolve_unitary,
@@ -25,16 +24,36 @@ from conftest import (
 
 HALF_STEPS = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
+# (depolarization, dephasing) rates in 1/ms of t1 = 80 ms and t2 = 20 ms: the
+# x-basis m, m+-1 coherences decay at dephasing/2 + 1/t1 = 1/t2
+DARK = (1.0 / 80.0, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))
+# the same with the default drive-induced scatter rate 0.01/ms added to the depolarization
+DRIVEN = (DARK[0] + 0.01, DARK[1])
+
+
+def master_equation_rates(config):
+    """The (depolarization, dephasing) rates the pipeline passes to the master equation."""
+    seen = []
+
+    def capture(state, h, depolarization, dephasing, times):
+        seen.append((depolarization, dephasing))
+        return [state] * len(times)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "lindblad_trajectory", capture)
+        evolved_state(config, 0.5)
+    return seen[0]
+
 
 class TestOneAxisTwisting:
     def test_half_spin_is_trivial(self):
         ops = spin_operators(0.5)
         h = oat_hamiltonian(ops, 0.7)
-        assert_allclose(h.matrix, 0.7 / 4.0 * np.eye(2), atol=1e-15)
+        assert_allclose(h, 0.7 / 4.0 * np.eye(2), atol=1e-15)
 
     def test_f4_spectrum(self, ops4):
         h = oat_hamiltonian(ops4, 1.0)
-        assert_allclose(h.matrix, np.diag([16, 9, 4, 1, 0, 1, 4, 9, 16]).astype(float), atol=1e-14)
+        assert_allclose(h, np.diag([16, 9, 4, 1, 0, 1, 4, 9, 16]).astype(float), atol=1e-14)
 
     def test_var_fz_conserved(self, ops4, css_x4):
         h = oat_hamiltonian(ops4, 1.0)
@@ -47,12 +66,12 @@ class TestTwoAxisCountertwisting:
     @pytest.mark.parametrize("f", HALF_STEPS)
     def test_traceless(self, f):
         h = tact_hamiltonian(spin_operators(f), 1.3)
-        assert abs(np.trace(h.matrix)) <= 1e-12
+        assert abs(np.trace(h)) <= 1e-12
 
     @pytest.mark.parametrize("f", HALF_STEPS)
     def test_spectrum_symmetric_about_zero(self, f):
         # rotating by pi/2 about x maps H -> -H, so the spectrum is symmetric
-        eigs = np.linalg.eigvalsh(tact_hamiltonian(spin_operators(f), 1.0).matrix)
+        eigs = np.linalg.eigvalsh(tact_hamiltonian(spin_operators(f), 1.0))
         assert_allclose(eigs, -eigs[::-1], atol=1e-12)
 
     def test_short_time_squeezes(self, ops4, css_x4):
@@ -77,20 +96,20 @@ class TestLightShift:
     def test_scalar_shift_changes_nothing(self, ops4):
         rng = np.random.default_rng(21)
         state = random_density_matrix(9, rng)
-        h = Hamiltonian(-0.25 * 3.7 * np.eye(9), "scalar light shift")
+        h = -0.25 * 3.7 * np.eye(9)
         evolved = evolve_unitary(state, h, 2.5)
         assert np.abs(evolved.rho - state.rho).max() <= 1e-12
 
 
 class TestZeeman:
     def test_pure_larmor_keeps_css_x(self, ops4, css_x4):
-        h = Hamiltonian(5.0 * ops4.fx, "larmor")
+        h = 5.0 * ops4.fx
         evolved = evolve_unitary(css_x4, h, 1.7)
         assert np.abs(evolved.rho - css_x4.rho).max() <= 1e-10
 
     def test_css_z_precesses(self, ops4):
         omega = 5.0
-        h = Hamiltonian(omega * ops4.fx, "larmor")
+        h = omega * ops4.fx
         css_z = coherent_spin_state(4, 0.0, 0.0)
         for t in (0.1, 0.75):
             evolved = evolve_unitary(css_z, h, t)
@@ -99,7 +118,7 @@ class TestZeeman:
     def test_larmor_period_at_322_kHz(self, ops4):
         # 2*pi*322 rad/ms precession returns <Fz> after 1/322 ms
         omega = 2.0 * np.pi * 322.0
-        h = Hamiltonian(omega * ops4.fx, "larmor")
+        h = omega * ops4.fx
         css_z = coherent_spin_state(4, 0.0, 0.0)
         period = 1.0 / 322.0
         evolved = evolve_unitary(css_z, h, period)
@@ -116,14 +135,14 @@ class TestCompensation:
         ops = spin_operators(f)
         beta = 0.37
         h = compensated_hamiltonian(ops, beta)
-        assert np.abs(h.matrix - secular_compensated_matrix(ops, beta)).max() <= 1e-12
+        assert np.abs(h - secular_compensated_matrix(ops, beta)).max() <= 1e-12
         twisting = (beta / 2.0) * (ops.fz @ ops.fz - ops.fy @ ops.fy)
-        resid = h.matrix - beta * f * (f + 1.0) * np.eye(ops.dimension) - twisting
+        resid = h - beta * f * (f + 1.0) * np.eye(ops.dimension) - twisting
         assert np.abs(resid).max() <= 1e-12
 
     def test_zero_beta_means_no_twisting(self, ops4):
         h = compensated_hamiltonian(ops4, 0.0)
-        assert np.abs(h.matrix).max() <= 1e-13
+        assert np.abs(h).max() <= 1e-13
 
     def test_dynamics_match_tact_at_half_rate(self, ops4, css_x4):
         beta = 1.0
@@ -141,7 +160,7 @@ class TestCompensation:
         h0 = compensated_hamiltonian(ops4, beta)
         h1 = compensated_hamiltonian(ops4, beta, residual=delta)
         fx2 = np.asarray(ops4.fx) @ np.asarray(ops4.fx)
-        assert np.abs((h1.matrix - h0.matrix) - delta * fx2).max() <= 1e-13
+        assert np.abs((h1 - h0) - delta * fx2).max() <= 1e-13
 
 
 class TestUnitaryEvolution:
@@ -180,42 +199,52 @@ class TestUnitaryEvolution:
 
 class TestDecayChannels:
     def test_rates(self):
-        decay = DecayChannels(t1=80.0, t2=20.0)
-        assert abs(decay.depolarization_rate - 1.0 / 80.0) <= 1e-15
-        # nearest-neighbour coherence rate + depolarization = 1/t2
-        assert abs(decay.dephasing_rate / 2.0 + 1.0 / 80.0 - 1.0 / 20.0) <= 1e-15
+        # the config's decay times reach the master equation as these rates
+        depolarization, dephasing = master_equation_rates(ExperimentConfig())
+        assert depolarization == 1.0 / 80.0 + 0.01  # 1/t1 plus the drive's scatter rate
+        # nearest-neighbour coherence rate + dark depolarization = 1/t2
+        assert abs(dephasing / 2.0 + 1.0 / 80.0 - 1.0 / 20.0) <= 1e-15
 
     def test_infinite_times_allowed(self):
-        decay = DecayChannels(t1=np.inf, t2=np.inf)
-        assert decay.depolarization_rate == 0.0
-        assert decay.dephasing_rate == 0.0
+        config = ExperimentConfig(t1=np.inf, t2=np.inf, extra_scatter_rate=0.0)
+        assert master_equation_rates(config) == (0.0, 0.0)
+        # a finite t1 with t2 = inf is refused, since t2 <= t1
+        with pytest.raises(ValueError, match="0 < t2 <= t1, got t1=80.0, t2=inf"):
+            ExperimentConfig(t2=np.inf)
 
-    def test_complete_positivity_guard(self):
-        with pytest.raises(ValueError):
-            DecayChannels(t1=10.0, t2=30.0)  # t2 > t1
+    def test_complete_positivity_guard(self, css_x4, ops4):
+        # t2 > t1 needs a negative dephasing rate: refused at load and by the propagator
+        with pytest.raises(ValueError, match=r"0 < t2 <= t1, got t1=10.0, t2=30.0"):
+            ExperimentConfig(t1=10.0, t2=30.0)
+        with pytest.raises(ValueError, match="decay rates must be finite and >= 0"):
+            lindblad_trajectory(css_x4, tact_hamiltonian(ops4, 0.12), 0.1, -2.0 / 30.0, [1.0])
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            DecayChannels(t1=-1.0, t2=1.0)
-        with pytest.raises(ValueError):
-            DecayChannels(t1=10.0, t2=5.0, extra_scatter_rate=-0.1)
+    def test_invalid_inputs(self, css_x4, ops4):
+        with pytest.raises(ValueError, match="0 < t2 <= t1"):
+            ExperimentConfig(t1=-1.0, t2=1.0)
+        with pytest.raises(ValueError, match="0 < t2 <= t1"):
+            ExperimentConfig(t1=-1.0, t2=-2.0)
+        with pytest.raises(ValueError, match="extra_scatter_rate must be >= 0, got -0.1"):
+            ExperimentConfig(t1=10.0, t2=5.0, extra_scatter_rate=-0.1)
+        h = tact_hamiltonian(ops4, 0.12)
+        for rates in ((-0.1, 0.0), (np.nan, 0.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="decay rates must be finite and >= 0"):
+                lindblad_trajectory(css_x4, h, *rates, [1.0])
 
 
 class TestLindblad:
     def test_coherence_decay_closed_form(self, ops4):
         # with H = 0 the x-basis matrix elements decay independently:
         # off-diagonals at Gamma_d + gamma_phi (dm)^2 / 2, diagonals toward 1/d
-        decay = DecayChannels(t1=80.0, t2=20.0)
-        h0 = Hamiltonian(np.zeros((9, 9)), "zero")
+        h0 = np.zeros((9, 9))
         state = coherent_spin_state(4, 0.0, 0.0)  # stretched along z: rich x-coherences
         t = 2.0
-        evolved = lindblad_trajectory(state, h0, decay, [t])[0]
+        evolved = lindblad_trajectory(state, h0, *DARK, [t])[0]
         w, v = np.linalg.eigh(np.asarray(ops4.fx))
         m = np.round(w).astype(int)
         r0 = v.conj().T @ state.rho @ v
         rt = v.conj().T @ evolved.rho @ v
-        gamma_d = decay.depolarization_rate
-        gamma_phi = decay.dephasing_rate
+        gamma_d, gamma_phi = DARK
         dm = m[:, None] - m[None, :]
         factor = np.exp(-(gamma_d + gamma_phi * dm.astype(float) ** 2 / 2.0) * t)
         expected = r0 * factor
@@ -224,11 +253,12 @@ class TestLindblad:
         assert np.abs(rt - expected).max() <= 1e-12
 
     def test_nearest_neighbour_rate_is_one_over_t2(self, ops4):
-        decay = DecayChannels(t1=80.0, t2=20.0)
-        h0 = Hamiltonian(np.zeros((9, 9)), "zero")
+        # the rates the pipeline derives from t1 = 80 ms, t2 = 20 ms
+        rates = master_equation_rates(ExperimentConfig(extra_scatter_rate=0.0))
+        h0 = np.zeros((9, 9))
         state = coherent_spin_state(4, 0.0, 0.0)
         t = 3.0
-        evolved = lindblad_trajectory(state, h0, decay, [t])[0]
+        evolved = lindblad_trajectory(state, h0, *rates, [t])[0]
         w, v = np.linalg.eigh(np.asarray(ops4.fx))
         r0 = v.conj().T @ state.rho @ v
         rt = v.conj().T @ evolved.rho @ v
@@ -236,91 +266,83 @@ class TestLindblad:
         assert abs(ratio - np.exp(-t / 20.0)) <= 1e-12
 
     def test_depolarization_fixed_point(self):
-        decay = DecayChannels(t1=1.0, t2=1.0)  # pure depolarization
-        h0 = Hamiltonian(np.zeros((5, 5)), "zero")
+        h0 = np.zeros((5, 5))
         state = coherent_spin_state(2, np.pi / 2.0, 0.3)
-        evolved = lindblad_trajectory(state, h0, decay, [20.0])[0]
+        evolved = lindblad_trajectory(state, h0, 1.0, 0.0, [20.0])[0]  # t1 = t2 = 1 ms
         assert np.abs(evolved.rho - np.eye(5) / 5.0).max() <= 1e-8
         # closed form: the distance to the fixed point shrinks as exp(-t/t1)
         expected = np.eye(5) / 5.0 + (state.rho - np.eye(5) / 5.0) * np.exp(-20.0)
         assert np.abs(evolved.rho - expected).max() <= 1e-12
 
     def test_zero_decay_matches_unitary(self, ops4, css_x4):
-        decay = DecayChannels(t1=np.inf, t2=np.inf)
         h = tact_hamiltonian(ops4, 0.5)
-        a = lindblad_trajectory(css_x4, h, decay, [1.0])[0]
+        a = lindblad_trajectory(css_x4, h, 0.0, 0.0, [1.0])[0]
         b = evolve_unitary(css_x4, h, 1.0)
         assert np.abs(a.rho - b.rho).max() <= 1e-12
 
     def test_trace_preserved_over_six_ms(self, ops4, css_x4):
-        decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
         h = tact_hamiltonian(ops4, 0.12)
-        evolved = lindblad_trajectory(css_x4, h, decay, [6.0])[0]
+        evolved = lindblad_trajectory(css_x4, h, *DRIVEN, [6.0])[0]
         assert abs(np.trace(evolved.rho).real - 1.0) <= 1e-8
 
     def test_purity_contracts(self, ops4, css_x4):
-        decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
-        states = lindblad_trajectory(css_x4, h, decay, [0.5, 1.0, 2.0, 4.0])
+        states = lindblad_trajectory(css_x4, h, *DARK, [0.5, 1.0, 2.0, 4.0])
         purities = [np.trace(s.rho @ s.rho).real for s in states]
         assert all(b < a for a, b in zip(purities, purities[1:]))
         assert purities[0] < 1.0
 
     def test_trajectory_matches_single_calls(self, ops4, css_x4):
-        decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
-        traj = lindblad_trajectory(css_x4, h, decay, [0.7, 1.4])
-        single = lindblad_trajectory(css_x4, h, decay, [1.4])[0]
+        traj = lindblad_trajectory(css_x4, h, *DARK, [0.7, 1.4])
+        single = lindblad_trajectory(css_x4, h, *DARK, [1.4])[0]
         assert np.abs(traj[1].rho - single.rho).max() <= 1e-12
 
     def test_validation(self, ops4, css_x4):
-        decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
         with pytest.raises(ValueError):
-            lindblad_trajectory(css_x4, h, decay, [-1.0])
+            lindblad_trajectory(css_x4, h, *DARK, [-1.0])
         with pytest.raises(ValueError):
-            lindblad_trajectory(css_x4, h, decay, [1.0, 0.5])
+            lindblad_trajectory(css_x4, h, *DARK, [1.0, 0.5])
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"evolution time {bad:g} ms is not finite"):
-                lindblad_trajectory(css_x4, h, decay, [0.5, bad])
+                lindblad_trajectory(css_x4, h, *DARK, [0.5, bad])
 
     def test_semigroup_property(self, ops4):
         # P(a) P(b) = P(a + b) on vec(rho), from a state with full support
         rng = np.random.default_rng(51)
         state = random_density_matrix(9, rng)
-        decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
         h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
         for a, b in ((0.3, 0.9), (1.7, 4.3)):
-            first = lindblad_trajectory(state, h, decay, [a])[0]
-            two_steps = lindblad_trajectory(first, h, decay, [b])[0]
-            one_step = lindblad_trajectory(state, h, decay, [a + b])[0]
+            first = lindblad_trajectory(state, h, *DRIVEN, [a])[0]
+            two_steps = lindblad_trajectory(first, h, *DRIVEN, [b])[0]
+            one_step = lindblad_trajectory(state, h, *DRIVEN, [a + b])[0]
             assert np.abs(two_steps.rho - one_step.rho).max() <= 1e-12
 
     def test_matches_column_stacked_expm(self, ops4, css_x4):
         # independent construction: column-stacking vec(A rho B) = kron(B^T, A) vec(rho)
-        decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
-        h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
-        hm, fx = h.matrix, np.asarray(ops4.fx)
+        hm = compensated_hamiltonian(ops4, 0.24, residual=0.15)
+        fx = np.asarray(ops4.fx)
+        depolarization, dephasing = DRIVEN
         eye = np.eye(9)
         fx2 = fx @ fx
         vec_eye = eye.ravel(order="F")
         generator = (
             -1j * (np.kron(eye, hm) - np.kron(hm.T, eye))
-            + decay.depolarization_rate * (np.outer(vec_eye, vec_eye) / 9.0 - np.eye(81))
-            + decay.dephasing_rate
+            + depolarization * (np.outer(vec_eye, vec_eye) / 9.0 - np.eye(81))
+            + dephasing
             * (np.kron(fx.T, fx) - 0.5 * (np.kron(eye, fx2) + np.kron(fx2.T, eye)))
         )
         times = [0.0, 0.8, 2.5, 6.0]
-        states = lindblad_trajectory(css_x4, h, decay, times)
+        states = lindblad_trajectory(css_x4, hm, *DRIVEN, times)
         for t, state in zip(times, states):
             vec = expm(generator * t) @ css_x4.rho.ravel(order="F")
             assert np.abs(state.rho - vec.reshape(9, 9, order="F")).max() <= 1e-12
 
     @pytest.mark.parametrize("t", [0.0, 0.8, 6.0, 60.0])
     def test_guard_expm_matches_scipy_on_liouvillian(self, ops4, t):
-        decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
         h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
-        a = dynamics._liouvillian(h, decay, np.asarray(ops4.fx)) * t
+        a = dynamics._liouvillian(h, *DRIVEN, np.asarray(ops4.fx)) * t
         reference = expm(a)
         assert np.abs(dynamics._expm(a) - reference).max() <= 1e-13 * np.abs(reference).max()
 
@@ -334,7 +356,6 @@ class TestLindblad:
         assert np.abs(dynamics._expm(a) - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_expm_guard_catches_bad_eigenbasis(self, ops4, css_x4, monkeypatch):
-        decay = DecayChannels(t1=80.0, t2=20.0)
         h = tact_hamiltonian(ops4, 0.12)
         eig = np.linalg.eig
 
@@ -344,14 +365,23 @@ class TestLindblad:
 
         monkeypatch.setattr(dynamics.np.linalg, "eig", corrupted_eig)
         with pytest.raises(PhysicalityError, match=r"t_max=2 ms.*differs from expm"):
-            lindblad_trajectory(css_x4, h, decay, [0.5, 2.0])
+            lindblad_trajectory(css_x4, h, *DARK, [0.5, 2.0])
 
 
 class TestHamiltonianContainer:
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(PhysicalityError):
-            Hamiltonian(m, "bad")
+    def test_rejects_non_hermitian(self, ops4, css_x4):
+        # lindblad_trajectory takes a Hamiltonian only if it is the state's (d, d) Hermitian matrix
+        h = tact_hamiltonian(ops4, 0.12)
+        skew = np.zeros((9, 9), dtype=complex)
+        skew[0, 1] = 2e-12
+        with pytest.raises(PhysicalityError, match="not Hermitian: residue 2e-12"):
+            lindblad_trajectory(css_x4, h + skew, *DARK, [1.0])
+        with pytest.raises(PhysicalityError, match="not Hermitian: residue nan"):
+            lindblad_trajectory(css_x4, np.full((9, 9), np.nan), *DARK, [1.0])
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match state dimension 9"):
+            lindblad_trajectory(css_x4, tact_hamiltonian(spin_operators(1), 1.0), *DARK, [1.0])
+        # a skew part within the 1e-12 tolerance passes
+        lindblad_trajectory(css_x4, h + skew / 4.0, *DARK, [1.0])
 
     @pytest.mark.parametrize("f", HALF_STEPS)
     def test_constructors_hermitian(self, f):
@@ -361,4 +391,4 @@ class TestHamiltonianContainer:
             tact_hamiltonian(ops, -1.2),
             compensated_hamiltonian(ops, 0.7, residual=0.02),
         ):
-            assert np.abs(h.matrix - h.matrix.conj().T).max() <= 1e-12
+            assert np.abs(h - h.conj().T).max() <= 1e-12

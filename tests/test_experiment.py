@@ -1,4 +1,5 @@
 import pickle
+import re
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from spintomo import (
     ExperimentConfig,
+    canonical_moments,
     PhysicalityError,
     SweepPointError,
     correct_covariance,
@@ -96,6 +98,31 @@ class TestConfig:
             ExperimentConfig(seed=2.5)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             ExperimentConfig().with_seed(-3)
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [({"t1": "10", "t2": "30"}, "0 < t2 <= t1, got t1=10.0, t2=30.0"),
+         ({"t2": "inf"}, "0 < t2 <= t1, got t1=80.0, t2=inf"),
+         ({"t1": "-1", "t2": "-2"}, "0 < t2 <= t1, got t1=-1.0, t2=-2.0"),
+         ({"extra_scatter_rate": "-0.1"}, "extra_scatter_rate must be >= 0, got -0.1")],
+        ids=["t2-above-t1", "t2-inf", "negative-times", "negative-scatter"],
+    )
+    def test_decay_rules_checked_at_load(self, mapping, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_mapping(mapping)
+
+    def test_sizes_are_bounded(self):
+        # each bound is checked before anything of that size is built
+        largest = ExperimentConfig.from_mapping({"raman_durations": "0:99999:1"})
+        assert len(largest.raman_durations) == 100_000
+        for text, count in (("0:6:1e-5", "600001"), ("0:6:5e-324", "inf"), ("0:1e300:1", "1e+300"),
+                            (",".join(["1"] * 100_001), "100001")):
+            message = f"raman_durations must hold at most 100000 values, got {count}"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                ExperimentConfig.from_mapping({"raman_durations": text})
+        assert ExperimentConfig(n_shots=10**7).n_shots == 10**7
+        with pytest.raises(ValueError, match="n_shots must be <= 10000000, got 10000001"):
+            ExperimentConfig.from_mapping({"n_shots": "10000001"})
 
     def test_integral_counts_parse_as_int(self):
         cfg = ExperimentConfig.from_mapping({"n_shots": "1e4", "seed": "12345.0"})
@@ -239,14 +266,12 @@ class TestRunSweep:
         # 3-sigma agreement in at least 95% of rows over 20 seeded runs
         cfg = short_config(raman_durations=(0.3, 0.8, 1.5), n_shots=10_000)
         states = _evolved_states(cfg, cfg.raman_durations)
-        from spintomo import canonical_moments
-
         total, hits = 0, 0
         for seed in range(20):
             for t_r, state in zip(cfg.raman_durations, states):
                 report = squeezing_report(state)
-                moments = canonical_moments(report)
-                rec = simulate_records(moments, cfg.kappa2, cfg.n_shots, seed=9000 + 31 * seed + total)
+                cov = canonical_moments(report)
+                rec = simulate_records(cov, cfg.kappa2, cfg.n_shots, seed=9000 + 31 * seed + total)
                 cc = correct_covariance(rec)
                 zeta2_rec = 2.0 * cc.min_variance
                 sigma = 2.0 * cc.statistical_error * (0.5 + 0.4 * cc.min_variance + 0.8**2 / 24.0) * 2.5
@@ -291,6 +316,6 @@ class TestReconstructSweep:
         # variance agreement between the two reconstruction routes
         rec = point_record(cfg, 0.8)
         cc = correct_covariance(rec)
-        vm = variances_from_rho(squeezed)
+        _, cov = variances_from_rho(squeezed)
         sigma_p = cc.statistical_error * (0.5 + 0.4 * cc.var_p + 0.8**2 / 24.0) * 2.5
-        assert abs(vm.var_p - cc.var_p) <= 3 * sigma_p
+        assert abs(cov[1, 1] - cc.var_p) <= 3 * sigma_p

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from scipy.stats import chi2 as chi2_dist
 
 from spintomo import (
-    CanonicalMoments,
     MeasurementRecord,
     PhysicalityError,
     QuantumState,
@@ -21,13 +20,23 @@ from spintomo import (
     tact_hamiltonian,
     variance_extrema,
 )
-from conftest import covariance, evolve_unitary, expectation, rotate, three_term_simulate_records
+from conftest import (
+    covariance,
+    displaced,
+    evolve_unitary,
+    expectation,
+    quadrature_cov,
+    rotate,
+    three_term_simulate_records,
+)
+
+VACUUM = quadrature_cov(0.5, 0.5)
 
 
-def output_variance(moments, kappa2):
-    """Variances of the demodulated outputs (y_c, y_s) for given atomic moments."""
+def output_variance(cov, kappa2):
+    """Variances of the demodulated outputs (y_c, y_s) for a given atomic (x, p) covariance."""
     gain, noise = readout_model(kappa2)
-    return noise + gain * moments.var_x, noise + gain * moments.var_p
+    return noise + gain * cov[0, 0], noise + gain * cov[1, 1]
 
 
 def _tact_state(tau):
@@ -41,12 +50,8 @@ class TestCanonicalMoments:
         rng = np.random.default_rng(17)
         for f in np.repeat([1.0, 4.0, 7.5], 4):
             theta, phi = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0.0, 2.0 * np.pi)
-            m = canonical_moments(squeezing_report(coherent_spin_state(f, theta, phi)))
-            assert_allclose(
-                [m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp],
-                [0.0, 0.0, 0.5, 0.5, 0.0],
-                atol=1e-12,
-            )
+            cov = canonical_moments(squeezing_report(coherent_spin_state(f, theta, phi)))
+            assert_allclose(cov, VACUUM, atol=1e-12)
 
     def test_squeezed_to_quarter_has_antisqueezed_partner(self):
         # find the evolution time where the squeezed quadrature variance
@@ -65,13 +70,13 @@ class TestCanonicalMoments:
         for _ in range(60):  # bisect var_p(tau) = 1/4
             mid = (lo + hi) / 2.0
             m, _ = aligned_var_p(mid)
-            if m.var_p > 0.25:
+            if m[1, 1] > 0.25:
                 lo = mid
             else:
                 hi = mid
         m, tau = aligned_var_p((lo + hi) / 2.0)
-        assert abs(m.var_p - 0.25) <= 1e-9
-        assert m.var_x >= 0.5 - 1e-12
+        assert abs(m[1, 1] - 0.25) <= 1e-9
+        assert m[0, 0] >= 0.5 - 1e-12
 
     def test_conversion_matches_squeezing_report(self, ops4):
         # oracle: for a state polarized along +x the transverse frame is the lab
@@ -80,50 +85,50 @@ class TestCanonicalMoments:
         for tau in (0.05, 0.1, 0.1375):
             state = _tact_state(tau)
             report = squeezing_report(state)
-            m = canonical_moments(report)
+            cov = canonical_moments(report)
             jx = abs(expectation(state, ops4.fx))
             pair = (ops4.fy, ops4.fz)
             lab = np.array([[covariance(state, a, b) for b in pair] for a in pair]) / jx
-            assert np.abs(m.covariance_matrix - lab).max() <= 1e-12
-            assert abs(variance_extrema(m.covariance_matrix)[0] - report.zeta2 / 2.0) <= 1e-12
+            assert np.abs(cov - lab).max() <= 1e-12
+            assert abs(variance_extrema(cov)[0] - report.zeta2 / 2.0) <= 1e-12
 
     def test_heisenberg_validation(self):
-        with pytest.raises(PhysicalityError):
-            CanonicalMoments(0.0, 0.0, 0.3, 0.3, 0.0)  # det 0.09 < 1/4
-        with pytest.raises(PhysicalityError):
-            CanonicalMoments(0.0, 0.0, -0.5, 1.0, 0.0)
-
+        # simulate_records refuses a covariance no quantum state has
+        with pytest.raises(PhysicalityError, match="determinant 0.09 below the Heisenberg floor"):
+            simulate_records(quadrature_cov(0.3, 0.3), 0.8, 10, seed=1)
+        with pytest.raises(PhysicalityError, match="determinant 0.24 below the Heisenberg floor"):
+            simulate_records(quadrature_cov(0.5, 0.5, 0.1), 0.8, 10, seed=1)
+        with pytest.raises(PhysicalityError, match="variances must be positive"):
+            simulate_records(quadrature_cov(-0.5, -1.0), 0.8, 10, seed=1)
+        # the floor itself, a minimum-uncertainty squeezed state, is accepted
+        assert simulate_records(quadrature_cov(1.0, 0.25), 0.8, 10, seed=1).n_shots == 10
 
 
 class TestOutputVariance:
     def test_no_coupling_is_shot_noise(self):
-        m = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
-        assert output_variance(m, 0.0) == (0.5, 0.5)
+        assert output_variance(VACUUM, 0.0) == (0.5, 0.5)
 
     def test_css_at_kappa2_08(self):
-        m = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
-        var_yc, var_ys = output_variance(m, 0.8)
+        var_yc, var_ys = output_variance(VACUUM, 0.8)
         expected = 0.5 + 0.4 * 0.5 + (0.64 / 12.0) * 0.5
         assert abs(var_yc - expected) <= 1e-15
         assert abs(var_ys - expected) <= 1e-15
         assert abs(var_yc - 0.72667) <= 5e-6
 
     def test_squeezed_quadrature(self):
-        m = CanonicalMoments(0.0, 0.0, 1.0, 0.25, 0.0)
-        _, var_ys = output_variance(m, 0.8)
+        _, var_ys = output_variance(quadrature_cov(1.0, 0.25), 0.8)
         assert abs(var_ys - (0.5 + 0.1 + 0.64 / 24.0)) <= 1e-15
         assert abs(var_ys - 0.62667) <= 5e-6
 
     def test_monotone_in_coupling(self):
-        m = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
         kappas = np.linspace(0.0, 2.0, 21)
-        vals = [output_variance(m, k)[0] for k in kappas]
+        vals = [output_variance(VACUUM, k)[0] for k in kappas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestSimulateRecords:
     def test_deterministic_under_seed(self):
-        m = CanonicalMoments(0.1, -0.2, 0.6, 0.45, 0.05)
+        m = quadrature_cov(0.6, 0.45, 0.05)
         a = simulate_records(m, 0.8, 500, seed=99)
         b = simulate_records(m, 0.8, 500, seed=99)
         assert np.array_equal(a.shots, b.shots)
@@ -131,68 +136,52 @@ class TestSimulateRecords:
         assert not np.array_equal(a.shots, c.shots)
 
     def test_zero_coupling_gives_shot_noise(self):
-        m = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
-        rec = simulate_records(m, 0.0, 100_000, seed=1)
+        rec = simulate_records(VACUUM, 0.0, 100_000, seed=1)
         se = 0.5 * np.sqrt(2.0 / (rec.n_shots - 1))
         assert abs(np.var(rec.y_c, ddof=1) - 0.5) <= 3 * se
         assert abs(np.var(rec.y_s, ddof=1) - 0.5) <= 3 * se
 
-    def test_mean_transfers_linearly(self):
-        m = CanonicalMoments(1.0, 0.0, 0.5, 0.5, 0.0)
-        rec = simulate_records(m, 0.8, 200_000, seed=2)
-        expected = np.sqrt(0.8 / 2.0)
-        se = np.sqrt(np.var(rec.y_c, ddof=1) / rec.n_shots)
-        assert abs(np.mean(rec.y_c) - expected) <= 4 * se
-
     def test_sample_variance_in_chi2_band(self):
         # self-consistency with the closed-form output variance at 99%
-        m = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
         n = 10_000
-        rec = simulate_records(m, 0.8, n, seed=3)
-        var_yc, var_ys = output_variance(m, 0.8)
+        rec = simulate_records(VACUUM, 0.8, n, seed=3)
+        var_yc, var_ys = output_variance(VACUUM, 0.8)
         lo = var_yc * chi2_dist.ppf(0.005, n - 1) / (n - 1)
         hi = var_yc * chi2_dist.ppf(0.995, n - 1) / (n - 1)
         assert lo <= np.var(rec.y_c, ddof=1) <= hi
         assert lo <= np.var(rec.y_s, ddof=1) <= hi
 
     def test_moment_round_trip_large_n(self):
-        moments = CanonicalMoments(0.3, -0.1, 0.8, 0.4, 0.15)
+        atomic = quadrature_cov(0.8, 0.4, 0.15)
         kappa2 = 0.8
         n = 1_000_000
-        rec = simulate_records(moments, kappa2, n, seed=4)
+        rec = simulate_records(atomic, kappa2, n, seed=4)
         gain = kappa2 / 2.0
-        var_yc, var_ys = output_variance(moments, kappa2)
-        for column, mean_true, var_true in (
-            (rec.y_c, moments.mean_x, var_yc),
-            (rec.y_s, moments.mean_p, var_ys),
-        ):
+        var_yc, var_ys = output_variance(atomic, kappa2)
+        for column, var_true in ((rec.y_c, var_yc), (rec.y_s, var_ys)):
             se_mean = np.sqrt(var_true / n)
-            assert abs(np.mean(column) - np.sqrt(gain) * mean_true) <= 5 * se_mean
+            assert abs(np.mean(column)) <= 5 * se_mean
             se_var = var_true * np.sqrt(2.0 / (n - 1))
             assert abs(np.var(column, ddof=1) - var_true) <= 5 * se_var
         cov = np.cov(rec.y_c, rec.y_s, ddof=1)[0, 1]
         se_cov = np.sqrt(var_yc * var_ys / n)
-        assert abs(cov - gain * moments.cov_xp) <= 5 * se_cov
+        assert abs(cov - gain * atomic[0, 1]) <= 5 * se_cov
 
     @pytest.mark.parametrize("kappa2", [0.0, 0.8, 2.0])
     @pytest.mark.parametrize(
-        "moments",
-        [
-            CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0),
-            CanonicalMoments(0.0, 0.0, 1.2, 0.3, 0.25),
-            CanonicalMoments(1.5, -0.7, 0.5, 0.5, 0.0),
-        ],
-        ids=["vacuum", "squeezed-correlated", "displaced"],
+        "atomic",
+        [quadrature_cov(0.5, 0.5), quadrature_cov(1.2, 0.3, 0.25)],
+        ids=["vacuum", "squeezed-correlated"],
     )
-    def test_matches_three_term_oracle(self, moments, kappa2):
+    def test_matches_three_term_oracle(self, atomic, kappa2):
         # the one-pair draw against the sum of its three terms drawn apart, and both
-        # against the closed form: means and (xx, pp, xp) covariance within 5 sigma
+        # against the closed form: zero means and (xx, pp, xp) covariance within 5 sigma
         n = 200_000
-        one = simulate_records(moments, kappa2, n, seed=71).shots
-        three = three_term_simulate_records(moments, kappa2, n, seed=72).shots
+        one = simulate_records(atomic, kappa2, n, seed=71).shots
+        three = three_term_simulate_records(atomic, kappa2, n, seed=72).shots
         gain = kappa2 / 2.0
-        mean = np.sqrt(gain) * np.array([moments.mean_x, moments.mean_p])
-        cov = gain * moments.covariance_matrix + (0.5 + kappa2**2 / 24.0) * np.eye(2)
+        mean = np.zeros(2)
+        cov = gain * atomic + (0.5 + kappa2**2 / 24.0) * np.eye(2)
         se_mean = np.sqrt(np.diag(cov) / n)
         rows, cols = [0, 1, 0], [0, 1, 1]  # the xx, pp and xp entries
         # var of a sample covariance: (S_aa S_bb + S_ab^2) / n for Gaussian data
@@ -209,17 +198,16 @@ class TestSimulateRecords:
         assert np.all(np.abs(cov_one - cov_three) <= 5 * np.sqrt(2) * se_cov)
 
     def test_validation(self):
-        m = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
         with pytest.raises(ValueError, match="n_shots must be >= 1, got 0"):
-            simulate_records(m, 0.8, 0, seed=1)
+            simulate_records(VACUUM, 0.8, 0, seed=1)
         with pytest.raises(ValueError, match="kappa2 must be finite and >= 0, got -0.1"):
-            simulate_records(m, -0.1, 10, seed=1)
+            simulate_records(VACUUM, -0.1, 10, seed=1)
 
 
 class TestRecordSerialization:
     def test_csv_round_trip_bit_exact(self):
-        m = CanonicalMoments(0.123, -0.456, 0.7, 0.5, 0.1)
-        rec = simulate_records(m, 0.8, 257, seed=10)
+        rec = displaced(simulate_records(quadrature_cov(0.7, 0.5, 0.1), 0.8, 257, seed=10),
+                        0.123, -0.456)
         buf = io.StringIO()
         record_to_csv(rec, buf, header_comments={"note": "test"})
         back = record_from_csv(io.StringIO(buf.getvalue()))

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from spintomo import (
-    DecayChannels,
     PhysicalityError,
     QuantumState,
     coherent_spin_state,
@@ -83,10 +82,10 @@ class TestSqueezingReport:
         assert np.linalg.det(report.cov) >= floor - 1e-9
 
     def test_heisenberg_floor_lindblad(self, ops4, css_x4):
-        decay = DecayChannels(t1=80.0, t2=20.0, extra_scatter_rate=0.01)
+        rates = (1.0 / 80.0 + 0.01, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))  # t1 = 80, t2 = 20 ms
         h = tact_hamiltonian(ops4, 0.12)
         for t in (0.5, 1.5, 3.0):
-            report = squeezing_report(lindblad_trajectory(css_x4, h, decay, [t])[0])
+            report = squeezing_report(lindblad_trajectory(css_x4, h, *rates, [t])[0])
             floor = report.mean_spin_length**2 / 4.0
             assert np.linalg.det(report.cov) >= floor - 1e-9
 
@@ -102,7 +101,7 @@ class TestTactOptimum:
         # oracle: matrix-exponential evolution on a shifted fine grid plus
         # parabolic refinement, written independently of the scanned module
         ops = spin_operators(4)
-        h = np.asarray(tact_hamiltonian(ops, 1.0).matrix)
+        h = tact_hamiltonian(ops, 1.0)
         psi0 = np.zeros(9, dtype=complex)
         state = coherent_spin_state(4, np.pi / 2.0, 0.0)
         w, v = np.linalg.eigh(state.rho)
@@ -243,7 +242,7 @@ class TestHusimi:
         # quadrature-weighted sum times (2F+1)/(4 pi), by the SU(2) resolution of identity
         d_theta, d_phi = np.pi / len(grid.thetas), 2.0 * np.pi / len(grid.phis)
         weighted = (grid.values * np.sin(grid.thetas)[:, None]).sum() * d_theta * d_phi
-        assert abs(weighted * grid.f.dimension / (4.0 * np.pi) - 1.0) <= 1e-3
+        assert abs(weighted * state.dimension / (4.0 * np.pi) - 1.0) <= 1e-3
 
     def test_shear_rotates_principal_axis(self, ops4, css_x4):
         # one-axis twisting shears the distribution; the principal axis of

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from spintomo import (
-    CanonicalMoments,
     ConvergenceError,
     MeasurementRecord,
     OscillatorDensityMatrix,
@@ -19,10 +18,16 @@ from spintomo import (
 from spintomo import ExperimentConfig, point_record, tomography
 from spintomo.tomography import _binned_quadrature_povm
 
-from conftest import annihilation_operator, reference_rrr_iteration, variances_from_rho
+from conftest import (
+    annihilation_operator,
+    displaced,
+    quadrature_cov,
+    reference_rrr_iteration,
+    variances_from_rho,
+)
 
-VACUUM = CanonicalMoments(0.0, 0.0, 0.5, 0.5, 0.0)
-SQUEEZED = CanonicalMoments(0.0, 0.0, 1.1, 0.25, 0.0)
+VACUUM = quadrature_cov(0.5, 0.5)
+SQUEEZED = quadrature_cov(1.1, 0.25)
 
 
 def _member(edges, sigma, x):
@@ -103,21 +108,30 @@ class TestCorrectCovariance:
         assert abs(cc.statistical_error - np.sqrt(2.0 / 3.0)) <= 1e-12
 
     def test_statistical_round_trip(self):
-        truth = CanonicalMoments(0.3, -0.2, 1.1, 0.25, 0.1)
-        rec = simulate_records(truth, 0.8, 100_000, seed=51)
+        truth = quadrature_cov(1.1, 0.25, 0.1)
+        rec = displaced(simulate_records(truth, 0.8, 100_000, seed=51), 0.3, -0.2)
         cc = correct_covariance(rec)
         sigma_var = cc.statistical_error * (0.5 + 0.4 * 1.1 + 0.8**2 / 24.0) * 2.5
-        assert abs(cc.var_x - truth.var_x) <= 5 * sigma_var
-        assert abs(cc.var_p - truth.var_p) <= 5 * sigma_var
-        assert abs(cc.cov_xp - truth.cov_xp) <= 5 * sigma_var
-        assert abs(cc.mean_x - truth.mean_x) <= 5 * np.sqrt(1.0 / rec.n_shots) * 2.5
-        assert abs(cc.mean_p - truth.mean_p) <= 5 * np.sqrt(1.0 / rec.n_shots) * 2.5
+        assert abs(cc.var_x - truth[0, 0]) <= 5 * sigma_var
+        assert abs(cc.var_p - truth[1, 1]) <= 5 * sigma_var
+        assert abs(cc.cov_xp - truth[0, 1]) <= 5 * sigma_var
+        assert abs(cc.mean_x - 0.3) <= 5 * np.sqrt(1.0 / rec.n_shots) * 2.5
+        assert abs(cc.mean_p + 0.2) <= 5 * np.sqrt(1.0 / rec.n_shots) * 2.5
 
     def test_zero_coupling_rejected(self):
         rec = MeasurementRecord(shots=np.random.default_rng(0).normal(size=(100, 2)),
                                 kappa2=0.0, seed=0)
         with pytest.raises(ValueError, match="not invertible"):
             correct_covariance(rec)
+        # a coupling whose gain kappa2/2 underflows to zero is no coupling either
+        tiny = MeasurementRecord(shots=rec.shots, kappa2=5e-324, seed=0)
+        with pytest.raises(ValueError, match="kappa2 = 4.94066e-324: the atomic signal is not invertible"):
+            correct_covariance(tiny)
+
+    def test_one_shot_rejected(self):
+        one = MeasurementRecord(shots=np.array([[0.1, 0.2]]), kappa2=0.8, seed=0)
+        with pytest.raises(ValueError, match="need at least 2 shots to estimate variances"):
+            correct_covariance(one)
 
     def test_unphysical_correction_flagged(self):
         # a record with (numerically) zero variance cannot come from the
@@ -129,8 +143,8 @@ class TestCorrectCovariance:
             correct_covariance(rec)
 
     def test_heisenberg_floor_propagates(self):
-        for seed, moments in ((61, VACUUM), (62, SQUEEZED), (63, CanonicalMoments(0.0, 0.0, 2.0, 0.125, 0.0))):
-            rec = simulate_records(moments, 0.8, 100_000, seed=seed)
+        for seed, atomic in ((61, VACUUM), (62, SQUEEZED), (63, quadrature_cov(2.0, 0.125))):
+            rec = simulate_records(atomic, 0.8, 100_000, seed=seed)
             cc = correct_covariance(rec)
             det = cc.var_x * cc.var_p - cc.cov_xp**2
             assert det >= 0.25 - 5 * cc.statistical_error
@@ -253,7 +267,7 @@ class TestLikelihoodKernel:
     )
     def test_iteration_matches_einsum_kernel(self, t_r, dim, max_iter, tol, converges):
         if t_r is None:  # test_thermal_round_trip's record
-            rec = simulate_records(CanonicalMoments(0.0, 0.0, 1.0, 1.0, 0.0), 0.8, 10_000, seed=21)
+            rec = simulate_records(quadrature_cov(1.0, 1.0), 0.8, 10_000, seed=21)
         else:
             rec = point_record(ExperimentConfig(), t_r)
         _, povms, counts = tomography._binned_povm(rec, dim)
@@ -315,7 +329,7 @@ class TestMleReconstruct:
     def test_thermal_round_trip(self):
         # mean occupation 1/2: geometric (Bose-Einstein) populations; the
         # 0.1 band is ~3 sigma of the seed-to-seed spread at 10^4 shots
-        thermal = CanonicalMoments(0.0, 0.0, 1.0, 1.0, 0.0)
+        thermal = quadrature_cov(1.0, 1.0)
         rec = simulate_records(thermal, 0.8, 10_000, seed=21)
         odm = mle_reconstruct(rec, dim=12, max_iter=8000, tol=1e-9)
         weights = (2.0 / 3.0) * (1.0 / 3.0) ** np.arange(4)
@@ -330,28 +344,26 @@ class TestMleReconstruct:
         assert np.linalg.eigvalsh(odm.rho).min() >= -1e-8
 
     def test_means_reported_separately(self):
-        moments = CanonicalMoments(0.7, -0.3, 0.5, 0.5, 0.0)
-        rec = simulate_records(moments, 0.8, 50_000, seed=44)
+        rec = displaced(simulate_records(VACUUM, 0.8, 50_000, seed=44), 0.7, -0.3)
         odm = mle_reconstruct(rec)
         assert abs(odm.mean_x - 0.7) <= 0.05
         assert abs(odm.mean_p + 0.3) <= 0.05
         # the reconstructed state itself is centered
-        vm = variances_from_rho(odm)
-        assert abs(vm.mean_x) <= 0.05
-        assert abs(vm.mean_p) <= 0.05
+        mean, _ = variances_from_rho(odm)
+        assert np.all(np.abs(mean) <= 0.05)
 
     def test_cross_method_variance_agreement(self):
         rec = simulate_records(SQUEEZED, 0.8, 10_000, seed=22)
         cc = correct_covariance(rec)
         odm = mle_reconstruct(rec)
-        vm = variances_from_rho(odm)
+        _, cov = variances_from_rho(odm)
         sigma_p = cc.statistical_error * (0.5 + 0.4 * cc.var_p + 0.8**2 / 24.0) * 2.5
-        assert abs(vm.var_p - cc.var_p) <= 3 * sigma_p
+        assert abs(cov[1, 1] - cc.var_p) <= 3 * sigma_p
 
     def test_paired_excitation_structure(self):
         # quadratic dynamics from vacuum populate even levels; odd levels
         # stay consistent with zero
-        pure_squeezed = CanonicalMoments(0.0, 0.0, 2.0, 0.125, 0.0)
+        pure_squeezed = quadrature_cov(2.0, 0.125)
         rec = simulate_records(pure_squeezed, 0.8, 20_000, seed=31)
         odm = mle_reconstruct(rec)
         p = odm.populations
@@ -365,7 +377,7 @@ class TestMleReconstruct:
             errs = []
             for seed in range(6):
                 cc = correct_covariance(simulate_records(SQUEEZED, 0.8, n, seed=500 + seed))
-                errs.append((cc.var_x - SQUEEZED.var_x) ** 2 + (cc.var_p - SQUEEZED.var_p) ** 2)
+                errs.append((cc.var_x - SQUEEZED[0, 0]) ** 2 + (cc.var_p - SQUEEZED[1, 1]) ** 2)
             errors.append(np.sqrt(np.mean(errs)))
         # two decades of shots should buy roughly one decade of accuracy
         ratio = errors[0] / errors[1]
@@ -400,23 +412,23 @@ class TestVariancesFromRho:
     def test_ground_state(self):
         rho = np.zeros((10, 10), dtype=complex)
         rho[0, 0] = 1.0
-        vm = variances_from_rho(rho)
-        assert abs(vm.var_x - 0.5) <= 1e-12
-        assert abs(vm.var_p - 0.5) <= 1e-12
+        _, cov = variances_from_rho(rho)
+        assert abs(cov[0, 0] - 0.5) <= 1e-12
+        assert abs(cov[1, 1] - 0.5) <= 1e-12
 
     def test_first_excited_state(self):
         rho = np.zeros((10, 10), dtype=complex)
         rho[1, 1] = 1.0
-        vm = variances_from_rho(rho)
-        assert abs(vm.var_x - 1.5) <= 1e-12
-        assert abs(vm.var_p - 1.5) <= 1e-12
+        _, cov = variances_from_rho(rho)
+        assert abs(cov[0, 0] - 1.5) <= 1e-12
+        assert abs(cov[1, 1] - 1.5) <= 1e-12
 
     def test_top_level_still_exact(self):
         # padding keeps second moments exact even for the highest level
         rho = np.zeros((4, 4), dtype=complex)
         rho[3, 3] = 1.0
-        vm = variances_from_rho(rho)
-        assert abs(vm.var_x - 3.5) <= 1e-12
+        _, cov = variances_from_rho(rho)
+        assert abs(cov[0, 0] - 3.5) <= 1e-12
 
     def test_annihilation_operator(self):
         a = annihilation_operator(4)
