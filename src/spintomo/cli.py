@@ -209,7 +209,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _COMMANDS[args.command](args)
+        # numpy overflow, invalid values and zero division raise: no warning precedes the error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -217,7 +219,8 @@ def main(argv=None) -> int:
         # a failed sweep point is classified by the error it wraps
         cause = exc.__cause__ if isinstance(exc, SweepPointError) else exc
         # LinAlgError subclasses ValueError, so the numerical test goes first
-        if isinstance(cause, (PhysicalityError, ConvergenceError, np.linalg.LinAlgError)):
+        numerical = (PhysicalityError, ConvergenceError, np.linalg.LinAlgError, ArithmeticError)
+        if isinstance(cause, numerical):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 1
         if isinstance(cause, (ValueError, OSError)):

@@ -18,7 +18,8 @@ import numpy as np
 
 from .dynamics import compensated_hamiltonian, lindblad_trajectory
 from .errors import SweepPointError
-from .probe import MeasurementRecord, canonical_moments, readout_model, simulate_records
+from .probe import (MeasurementRecord, _check_kappa2, canonical_moments, readout_model,
+                    simulate_records)
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
 from .squeezing import SqueezingReport, squeezing_report
 from .tables import parse_number, parse_whole_number
@@ -82,12 +83,12 @@ class ExperimentConfig:
     Unknown keys are rejected with ``ValueError``, and so are non-finite
     values (only t1 and t2 may be inf: that decay channel is off),
     t2 > t1 (which breaks complete positivity of the decay channels, so a
-    finite t1 needs a finite t2), extra_scatter_rate < 0, fractional
-    n_shots or seed, n_shots outside [1, MAX_SHOTS], seed < 0, and a key
-    that a file sets twice; a file's raman_durations may hold at most
-    MAX_DURATIONS values.  n_shots and seed are kept exactly, at any
-    integer size.  The dynamics are in the frame rotating at the Larmor
-    frequency, so it is not a parameter.
+    finite t1 needs a finite t2), extra_scatter_rate < 0, kappa2 outside
+    [0, probe.MAX_KAPPA2], fractional n_shots or seed, n_shots outside
+    [1, MAX_SHOTS], seed < 0, and a key that a file sets twice; a file's
+    raman_durations may hold at most MAX_DURATIONS values.  n_shots and
+    seed are kept exactly, at any integer size.  The dynamics are in the
+    frame rotating at the Larmor frequency, so it is not a parameter.
     """
 
     f: float = 4.0
@@ -125,8 +126,7 @@ class ExperimentConfig:
             raise ValueError("raman_durations must be non-negative")
         if any(b < a for a, b in zip(durations, durations[1:])):
             raise ValueError("raman_durations must be sorted ascending")
-        if self.kappa2 < 0:
-            raise ValueError(f"kappa2 must be >= 0, got {self.kappa2}")
+        _check_kappa2(self.kappa2)
         if self.n_shots < 1:
             raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
         if self.n_shots > MAX_SHOTS:

@@ -46,10 +46,15 @@ __all__ = [
 ]
 
 
+MAX_KAPPA2 = 1e100  # keeps kappa2^2/24, and sums of squared shots, far from overflow
+
+
 def _check_kappa2(kappa2: float) -> None:
-    """Reject a negative or non-finite probe coupling."""
+    """Reject a negative, non-finite or overflowing (above ``MAX_KAPPA2``) probe coupling."""
     if not 0.0 <= kappa2 < np.inf:
         raise ValueError(f"kappa2 must be finite and >= 0, got {kappa2}")
+    if kappa2 > MAX_KAPPA2:
+        raise ValueError(f"kappa2 must be <= {MAX_KAPPA2:g}, got {kappa2}")
 
 
 @dataclass(frozen=True)

@@ -123,9 +123,9 @@ class QuantumState:
     """Density matrix of a single spin (or truncated mode).
 
     Construction validates trace (to 1e-10), Hermiticity (to 1e-10) and
-    positivity (no eigenvalue below -1e-9).  Violations are errors; states
-    are never silently projected back onto the physical set.  The
-    tolerances absorb round-off only.
+    positivity (no eigenvalue below -1e-9).  Violations, NaN entries
+    included, are errors; states are never silently projected back onto
+    the physical set.  The tolerances absorb round-off only.
     """
 
     rho: np.ndarray
@@ -135,13 +135,13 @@ class QuantumState:
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"rho must be square, got shape {rho.shape}")
         tr = np.trace(rho)
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise PhysicalityError(f"trace(rho) = {tr:.12g}, deviates from 1 beyond 1e-10")
         herm = np.abs(rho - rho.conj().T).max()
-        if herm > 1e-10:
+        if not herm <= 1e-10:
             raise PhysicalityError(f"rho not Hermitian: max |rho - rho^dag| = {herm:.3g}")
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if eigs.min() < -1e-9:
+        if not eigs.min() >= -1e-9:
             raise PhysicalityError(f"rho has eigenvalue {eigs.min():.3g} below tolerance -1e-09")
         object.__setattr__(self, "rho", _readonly(rho))
 

@@ -75,7 +75,7 @@ class SqueezingReport:
         if abs(cov[0, 1] - cov[1, 0]) > 1e-10:
             raise ValueError("covariance matrix must be symmetric")
         scale = max(abs(cov).max(), 1.0)
-        if variance_extrema(cov)[0] < -1e-10 * scale:
+        if not variance_extrema(cov)[0] >= -1e-10 * scale:
             raise PhysicalityError("transverse covariance is not positive semidefinite")
         for a in (mean, cov):
             a.setflags(write=False)

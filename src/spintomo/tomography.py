@@ -32,6 +32,19 @@ __all__ = [
     "mle_reconstruct",
 ]
 
+# The MLE's basis size, step cap and relative likelihood-gain tolerance.
+BASIS_DIM = 10
+MAX_ITER = 5000
+REL_TOL = 1e-10
+
+
+def _readout_inverse(kappa2: float) -> tuple[float, float]:
+    """:func:`readout_model` of kappa2; a gain of 0 cannot be inverted and raises ValueError."""
+    gain, noise = readout_model(kappa2)
+    if gain == 0:  # kappa2 = 0, or so small that kappa2/2 underflows
+        raise ValueError(f"record has kappa2 = {kappa2:g}: the atomic signal is not invertible")
+    return gain, noise
+
 
 @dataclass(frozen=True)
 class CorrectedCovariance:
@@ -73,10 +86,7 @@ def correct_covariance(record: MeasurementRecord) -> CorrectedCovariance:
     :class:`PhysicalityError`.
     """
     # variances invert var(y) = gain * var(atomic) + noise
-    kappa2 = record.kappa2
-    gain, noise = readout_model(kappa2)
-    if gain == 0:  # kappa2 = 0, or so small that kappa2/2 underflows
-        raise ValueError(f"record has kappa2 = {kappa2:g}: the atomic signal is not invertible")
+    gain, noise = _readout_inverse(record.kappa2)
     n = record.n_shots
     if n < 2:
         raise ValueError("need at least 2 shots to estimate variances")
@@ -110,34 +120,28 @@ class OscillatorDensityMatrix:
     """Density matrix in the truncated excitation-number basis.
 
     The reconstruction is of the centered state; the subtracted means are
-    reported alongside.  ``log_likelihoods`` holds the per-iteration binned
-    log-likelihood trace of the fixed-point iteration that produced rho.
+    reported alongside.
 
     rho must pass the :class:`~spintomo.spin_algebra.QuantumState` checks.
     The truncation-validity bound (top-level population < 1e-3) is enforced
-    for converged results; an iterate stopped early at max_iter is returned
+    for converged results; an iterate stopped early at MAX_ITER is returned
     flagged rather than rejected, since it has not yet drained the edge of
     the basis.
     """
 
-    dim: int
     rho: np.ndarray
     mean_x: float = 0.0
     mean_p: float = 0.0
     n_iterations: int = 0
     converged: bool = True
-    log_likelihoods: tuple = ()
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise ValueError(f"rho must be {self.dim}x{self.dim}, got {rho.shape}")
-        rho = QuantumState(rho).rho
-        top = float(np.real(rho[self.dim - 1, self.dim - 1]))
-        if self.converged and top >= 1e-3:
+        rho = QuantumState(self.rho).rho
+        top = float(rho[-1, -1].real)
+        if self.converged and not top < 1e-3:
             raise PhysicalityError(
                 f"population {top:.3g} of the highest level breaks the truncation "
-                f"validity bound 1e-3; increase dim"
+                "validity bound 1e-3"
             )
         object.__setattr__(self, "rho", rho)
 
@@ -148,7 +152,7 @@ class OscillatorDensityMatrix:
     def to_dict(self) -> dict:
         rho = self.rho
         return {
-            "dim": self.dim,
+            "dim": len(rho),
             "mean_x": self.mean_x,
             "mean_p": self.mean_p,
             "n_iterations": self.n_iterations,
@@ -159,15 +163,14 @@ class OscillatorDensityMatrix:
 
 
 def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal oscillator eigenfunctions psi_0..psi_n_max on grid x.
+    """Orthonormal oscillator eigenfunctions psi_0..psi_n_max on grid x, for n_max >= 1.
 
     Stable three-term recurrence on the functions themselves (the Gaussian
     is folded in from the start, so no overflow for moderate n).
     """
     psi = np.empty((n_max + 1, len(x)))
     psi[0] = np.pi**-0.25 * np.exp(-0.5 * x**2)
-    if n_max >= 1:
-        psi[1] = np.sqrt(2.0) * x * psi[0]
+    psi[1] = np.sqrt(2.0) * x * psi[0]
     for n in range(2, n_max + 1):
         psi[n] = np.sqrt(2.0 / n) * x * psi[n - 1] - np.sqrt((n - 1) / n) * psi[n - 2]
     return psi
@@ -194,16 +197,16 @@ def _binned_quadrature_povm(
     tails, so the elements sum to the identity.  Returns (n_bins, dim, dim).
 
     The integrals use the trapezoidal rule on a uniform grid of spacing
-    h = ``_QUADRATURE_STEP`` = 0.1 over +-half_width, where the integrand has
-    decayed below round-off.  The integrand, a Gaussian times a polynomial
-    times a normal CDF of width ``sigma_blur``, is entire, so the rule
-    converges exponentially in 1/h (Trefethen & Weideman, SIAM Rev. 56, 385
-    (2014)).  At the readout model's smallest blur, 3 ** -0.25 ~ 0.76, its
-    error at h = 0.1 is still far below round-off.
+    h = ``_QUADRATURE_STEP`` = 0.1 over +-(sqrt(2 dim + 1) + 6), 6 beyond the
+    classical turning points of the basis.  Outside it the integrand, psi_n
+    psi_m times a bin probability of at most 1, is below 1e-30, so the grid
+    depends on the basis alone, not on the record.  The integrand, a Gaussian
+    times a polynomial times a normal CDF of width ``sigma_blur``, is entire,
+    so the rule converges exponentially in 1/h (Trefethen & Weideman, SIAM
+    Rev. 56, 385 (2014)).  At the readout model's smallest blur,
+    3 ** -0.25 ~ 0.76, its error at h = 0.1 is still far below round-off.
     """
-    span = max(abs(edges[0]), abs(edges[-1]))
-    half_width = max(span + 4.0 * sigma_blur, np.sqrt(2.0 * dim + 1.0) + 6.0)
-    n_half = math.ceil(half_width / _QUADRATURE_STEP)
+    n_half = math.ceil((np.sqrt(2.0 * dim + 1.0) + 6.0) / _QUADRATURE_STEP)
     x = _QUADRATURE_STEP * np.arange(-n_half, n_half + 1)
     psi = _hermite_functions(dim - 1, x)
     # bin membership probabilities for each true x: differences of the
@@ -233,10 +236,10 @@ def _binned_povm(record: MeasurementRecord, dim: int) -> tuple[np.ndarray, np.nd
     the two subtracted means.  Each quadrature is binned into 64 bins: 62
     equal ones over +-6 sample deviations plus two unbounded edge bins.
     ``povms`` (K, dim, dim) and ``counts`` (K,) keep the K bins of both
-    quadratures that hold counts.  A record whose y_c or y_s shots are all
-    equal has no spread to bin and raises ValueError.
+    quadratures that hold counts.  A record whose kappa2 gives no gain, or
+    whose y_c or y_s shots are all equal, raises ValueError.
     """
-    gain, noise = readout_model(record.kappa2)
+    gain, noise = _readout_inverse(record.kappa2)
     outcomes = record.shots / np.sqrt(gain)
     means = outcomes.mean(axis=0)
     centered = outcomes - means
@@ -332,46 +335,33 @@ def _rrr_iteration(
     return rho, iterations, converged, history
 
 
-def mle_reconstruct(
-    record: MeasurementRecord,
-    dim: int = 10,
-    max_iter: int = 5000,
-    tol: float = 1e-10,
-) -> OscillatorDensityMatrix:
-    """Maximum-likelihood density matrix from a record, in dim levels.
+def mle_reconstruct(record: MeasurementRecord) -> OscillatorDensityMatrix:
+    """Maximum-likelihood density matrix from a record, in ``BASIS_DIM`` levels.
 
     The record's outcomes are rescaled to atomic units, centered (the means
     are reported, not reconstructed), and binned per quadrature into 64 bins
     (see :func:`_binned_povm`).  The fixed-point iteration rho <- N[R rho R]
-    (see :func:`_rrr_iteration`) starts from I/dim and runs until the
-    relative log-likelihood gain drops below ``tol``; a step that would lower
-    the likelihood is replaced by a diluted step, keeping the likelihood
-    trace non-decreasing.  After ``max_iter`` steps the iterate is returned
-    unconverged, with a RuntimeWarning.  A record whose y_c or y_s shots are
-    all equal has no spread to bin and raises ValueError.
+    (see :func:`_rrr_iteration`) starts from I/BASIS_DIM and runs until the
+    relative log-likelihood gain drops below ``REL_TOL``; a step that would
+    lower the likelihood is replaced by a diluted step, keeping the
+    likelihood trace non-decreasing.  After ``MAX_ITER`` steps the iterate is
+    returned unconverged, with a RuntimeWarning.  A record whose kappa2 gives
+    no gain, or whose y_c or y_s shots are all equal, raises ValueError.
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if record.kappa2 <= 0:
-        raise ValueError("record has kappa2 = 0: outcomes carry no atomic signal")
-    means, povms, counts = _binned_povm(record, dim)
-    rho, iterations, converged, history = _rrr_iteration(povms, counts, max_iter, tol)
+    means, povms, counts = _binned_povm(record, BASIS_DIM)
+    rho, iterations, converged, history = _rrr_iteration(povms, counts, MAX_ITER, REL_TOL)
     if not converged:
-        last_gain = history[-1] - history[-2] if len(history) > 1 else float("nan")
         warnings.warn(
-            f"likelihood iteration stopped at max_iter={max_iter} with last gain "
-            f"{last_gain:.3g} (tol {tol:g} relative)",
+            f"likelihood iteration stopped at max_iter={MAX_ITER} with last gain "
+            f"{history[-1] - history[-2]:.3g} (tol {REL_TOL:g} relative)",
             RuntimeWarning,
             stacklevel=2,
         )
 
     return OscillatorDensityMatrix(
-        dim=dim,
         rho=rho,
         mean_x=float(means[0]),
         mean_p=float(means[1]),
         n_iterations=iterations,
         converged=converged,
-        log_likelihoods=tuple(history),
     )
-

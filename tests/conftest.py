@@ -12,6 +12,7 @@ from spintomo import (
     correct_covariance,
     moments,
     spin_operators,
+    tomography,
 )
 
 
@@ -212,6 +213,16 @@ def einsum_kernel(povms):
         return np.einsum("k,kij->ij", weights, povms)
 
     return probabilities, weighted_sum
+
+
+def mle_likelihood_trace(record: MeasurementRecord) -> list[float]:
+    """Log-likelihood trace of the iteration behind ``mle_reconstruct(record)``.
+
+    ``mle_reconstruct`` returns only the final iterate, so the trace comes
+    from ``tomography._rrr_iteration`` run on the same POVM and settings.
+    """
+    _, povms, counts = tomography._binned_povm(record, tomography.BASIS_DIM)
+    return tomography._rrr_iteration(povms, counts, tomography.MAX_ITER, tomography.REL_TOL)[3]
 
 
 def reference_rrr_iteration(povms, counts, max_iter, tol):

@@ -376,6 +376,7 @@ class TestRecordsAndReconstruct:
         [
             ("# kappa2=nan\n# n_shots=200\n", 200, "kappa2 must be finite and >= 0, got nan"),
             ("# kappa2=inf\n# n_shots=200\n", 200, "kappa2 must be finite and >= 0, got inf"),
+            ("# kappa2=1e200\n# n_shots=200\n", 200, "kappa2 must be <= 1e+100, got 1e+200"),
             ("# kappa2=0.8\n# n_shots=200\n", 54,
              "record file holds 54 shots, its n_shots header says 200"),
             ("# kappa2=abc\n# n_shots=200\n", 200, "kappa2: 'abc' is not a number"),
@@ -387,8 +388,9 @@ class TestRecordsAndReconstruct:
             ("# kappa2=0.8\n# n_shots=200\n# kappa2=0.5\n", 200,
              "record file sets its kappa2 header twice"),
         ],
-        ids=["nan-kappa2", "inf-kappa2", "truncated", "abc-kappa2", "fractional-seed",
-             "short-n_shots", "abc-n_shots", "fractional-n_shots", "kappa2-twice"],
+        ids=["nan-kappa2", "inf-kappa2", "overflowing-kappa2", "truncated", "abc-kappa2",
+             "fractional-seed", "short-n_shots", "abc-n_shots", "fractional-n_shots",
+             "kappa2-twice"],
     )
     def test_malformed_records_header(self, tmp_path, capsys, header, n_rows, message):
         rows = np.random.default_rng(3).standard_normal((n_rows, 2))
@@ -443,9 +445,10 @@ class TestInputBounds:
          (["records"], "raman_durations = 0:6:5e-324",
           "raman_durations must hold at most 100000 values, got inf"),
          (["qpd"], "n_shots = 10000001", "n_shots must be <= 10000000, got 10000001"),
+         (["records"], "kappa2 = 1e200", "kappa2 must be <= 1e+100, got 1e+200"),
          (["qpd", "--grid", "1001x1000"], "n_shots = 100",
           "grid must have at most 1000000 nodes, got 1001x1000")],
-        ids=["durations", "durations-step-underflow", "n_shots", "grid"],
+        ids=["durations", "durations-step-underflow", "n_shots", "kappa2", "grid"],
     )
     def test_sizes_beyond_their_bound_fail_on_one_line(self, tmp_path, capsys, command, line,
                                                        message):
@@ -454,6 +457,38 @@ class TestInputBounds:
         out = tmp_path / "o.csv"
         assert run_cli(*command, "--config", str(cfg), "--tr", "0.8", "--out", str(out)) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kappa2, code, message",
+        [("1e200", 2, "usage error: kappa2 must be <= 1e+100, got 1e+200"),
+         # the MLE's grid is set by its basis, so a tiny gain costs no memory
+         ("1e-12", 1, "numerical failure: population 0.1 of the highest level "
+                      "breaks the truncation validity bound 1e-3")],
+        ids=["overflowing", "tiny"],
+    )
+    def test_mle_on_extreme_kappa2_fails_on_one_line(self, tmp_path, capsys, kappa2, code,
+                                                     message):
+        shots = np.random.default_rng(7).standard_normal((200, 2))
+        rec = tmp_path / "rec.csv"
+        rec.write_text(f"# kappa2={kappa2}\ny_c,y_s\n"
+                       + "".join(f"{a:.17g},{b:.17g}\n" for a, b in shots))
+        out = tmp_path / "o.json"
+        assert run_cli("reconstruct", str(rec), "--mle", "--out", str(out)) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "records", "qpd"])
+    @pytest.mark.parametrize("rate", ["1e307", "-1e307"])
+    def test_overflowing_twisting_rate_fails_on_one_line(self, tmp_path, capsys, command, rate):
+        # the suite turns numpy RuntimeWarnings into errors, so a warning would escape here
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(f"raman_durations = 0.8\nn_shots = 100\ntwisting_rate = {rate}\n")
+        out = tmp_path / "o.csv"
+        point = [] if command == "sweep" else ["--tr", "0.8"]
+        assert run_cli(command, "--config", str(cfg), *point, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: overflow encountered") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -2,8 +2,9 @@
 stderr line on failure, and no exception escaping ``main``.
 
 Every value of a fixed corpus, written by hand, goes into every config key
-and every record header; a seeded draw adds configs that set two keys at
-once.  The valid base is one duration and 200 shots, so each run is cheap.
+and every record header, and each record is reconstructed with and without
+the MLE; a seeded draw adds configs that set two keys at once.  The valid
+base is one duration and 200 shots, so each run is cheap.
 """
 
 import random
@@ -17,7 +18,7 @@ from spintomo.cli import main
 
 CORPUS = (
     "", "nan", "inf", "-inf", "1e400", "5e-324", "-0", "0", "1", "-1", "0.5", "2.5", "7.5",
-    "1e4", "0x10", "1_000", "４",  # a full-width 4
+    "1e4", "1e307", "-1e307", "1e-12", "0x10", "1_000", "４",  # a full-width 4
     "1234567890123456789012345678901234567890",
     "-1234567890123456789012345678901234567890",
     "5:1:0.5", "0:6:5e-324", "0:1e300:1", "0:1:0", "1:2:3:4", "0.8,0.4", "0,0.4,,0.8",
@@ -61,6 +62,8 @@ def test_seeded_key_pairs_keep_the_error_contract(tmp_path, capsys):
         check_config({key: rng.choice(CORPUS) for key in keys}, tmp_path, capsys)
 
 
+# a likelihood iteration that hits its step cap warns and still exits 0
+@pytest.mark.filterwarnings("ignore:likelihood iteration stopped:RuntimeWarning")
 @pytest.mark.parametrize("key", tuple(RECORD_HEADER))
 def test_every_record_header_keeps_the_error_contract(key, tmp_path, capsys):
     shots = np.random.default_rng(7).standard_normal((200, 2))
@@ -70,3 +73,4 @@ def test_every_record_header_keeps_the_error_contract(key, tmp_path, capsys):
         header = "".join(f"# {k}={value if k == key else v}\n" for k, v in RECORD_HEADER.items())
         path.write_text(header + "y_c,y_s\n" + rows, encoding="utf-8")
         check_contract(["reconstruct", str(path), "--out", out], capsys)
+        check_contract(["reconstruct", str(path), "--out", out, "--mle"], capsys)

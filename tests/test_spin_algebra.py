@@ -305,6 +305,18 @@ class TestQuantumStateValidation:
                 QuantumState(np.diag([1.0 - eig, eig]).astype(complex))
         QuantumState(np.diag([1.0 + 5e-10, -5e-10]).astype(complex))  # round-off passes
 
+    def test_non_finite_entries_rejected(self):
+        nan_coherence = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        nan_coherence[0, 1] = nan_coherence[1, 0] = np.nan
+        for rho, message in (
+            (np.diag([np.nan, 1.0, 0.0]), "trace"),
+            (np.diag([np.inf, 1.0, 0.0]), "trace"),
+            (np.diag([-np.inf, 1.0, 0.0]), "trace"),
+            (nan_coherence, "not Hermitian"),
+        ):
+            with pytest.raises(PhysicalityError, match=message):
+                QuantumState(rho)
+
     def test_from_vector_normalizes(self):
         state = QuantumState.from_vector(np.array([3.0, 4.0]))
         assert abs(np.trace(state.rho).real - 1.0) <= 1e-14

@@ -57,6 +57,12 @@ class TestSqueezingReport:
         with pytest.raises(ValueError, match="symmetric"):
             replace(report, cov=np.array([[2.0, 0.1], [0.0, 2.0]]))
 
+    def test_nan_covariance_rejected(self, css_x4):
+        report = squeezing_report(css_x4)
+        for cov in ([[np.nan, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, np.nan]]):
+            with pytest.raises(PhysicalityError, match="not positive semidefinite"):
+                replace(report, cov=np.array(cov))
+
     @pytest.mark.parametrize("tau", [0.03, 0.08, 0.1375, 0.2])
     def test_parameter_ordering_chain(self, tau):
         # with the reference length F >= |<F>| the chain chi2 <= zeta2 <= xi2 holds

@@ -21,6 +21,7 @@ from spintomo.tomography import _binned_quadrature_povm
 from conftest import (
     annihilation_operator,
     displaced,
+    mle_likelihood_trace,
     quadrature_cov,
     reference_rrr_iteration,
     variances_from_rho,
@@ -48,7 +49,8 @@ def hermite_povm(edges, sigma, dim, n_nodes=160):
 
 
 def legendre_povm(edges, sigma, dim):
-    """Binned POVM by 1600-node Gauss-Legendre quadrature over the package's +-half_width."""
+    """Binned POVM by 1600-node Gauss-Legendre quadrature over +-max(span + 4 sigma,
+    sqrt(2 dim + 1) + 6), a window that also holds the outer edges, unlike the package's."""
     span = max(abs(edges[0]), abs(edges[-1]))
     half_width = max(span + 4.0 * sigma, np.sqrt(2.0 * dim + 1.0) + 6.0)
     nodes, weights = np.polynomial.legendre.leggauss(1600)
@@ -194,6 +196,21 @@ class TestPovm:
         povm = _binned_quadrature_povm(edges, 1.147, 10)
         assert np.abs(povm - legendre_povm(edges, 1.147, 10)).max() <= 1e-13
 
+    @pytest.mark.parametrize("kappa2", [0.8, 1e-12])
+    def test_grid_is_set_by_the_basis(self, kappa2, monkeypatch):
+        # 213 nodes at dim 10 whatever the record's spread: at kappa2 = 1e-12 the
+        # unit-variance shots span about +-8e6 atomic units
+        grids, hermite_functions = [], tomography._hermite_functions
+
+        def spy(n_max, x):
+            grids.append(len(x))
+            return hermite_functions(n_max, x)
+
+        monkeypatch.setattr(tomography, "_hermite_functions", spy)
+        shots = np.random.default_rng(7).standard_normal((200, 2))
+        tomography._binned_povm(MeasurementRecord(shots, kappa2, 0), tomography.BASIS_DIM)
+        assert grids == [213]
+
     def test_needs_no_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the POVM quadrature must not solve for nodes")
@@ -222,15 +239,16 @@ class TestQuadratureRotation:
             probs = np.einsum("kij,ji->k", povm, rho).real
             assert abs(probs @ centres - expected) <= 1e-9
 
-    def test_rotated_shots_reconstruct_the_rotated_state(self):
+    def test_rotated_shots_reconstruct_the_rotated_state(self, monkeypatch):
         # U = exp(-i pi n / 2) maps (x, p) to (p, -x): U^dag x U = p and U^dag p U = -x,
         # so the shots (y_s, -y_c) come from U rho U^dag
         rec = point_record(ExperimentConfig(), 0.8)
         turned = MeasurementRecord(np.column_stack([rec.y_s, -rec.y_c]), rec.kappa2, rec.seed)
+        monkeypatch.setattr(tomography, "MAX_ITER", 300)
         with pytest.warns(RuntimeWarning, match="max_iter"):
-            rho = mle_reconstruct(rec, max_iter=300).rho
+            rho = mle_reconstruct(rec).rho
         with pytest.warns(RuntimeWarning, match="max_iter"):
-            rho_turned = mle_reconstruct(turned, max_iter=300).rho
+            rho_turned = mle_reconstruct(turned).rho
         u = np.diag(np.exp(-0.5j * np.pi * np.arange(10)))
         assert np.abs(rho_turned - u @ rho @ u.conj().T).max() <= 1e-12
 
@@ -265,7 +283,8 @@ class TestLikelihoodKernel:
         [(0.0, 10, 5000, 1e-10, True), (0.8, 10, 300, 1e-10, False), (None, 12, 8000, 1e-9, True)],
         ids=["0.0", "0.8", "thermal"],
     )
-    def test_iteration_matches_einsum_kernel(self, t_r, dim, max_iter, tol, converges):
+    def test_iteration_matches_einsum_kernel(self, t_r, dim, max_iter, tol, converges,
+                                             monkeypatch):
         if t_r is None:  # test_thermal_round_trip's record
             rec = simulate_records(quadrature_cov(1.0, 1.0), 0.8, 10_000, seed=21)
         else:
@@ -273,12 +292,16 @@ class TestLikelihoodKernel:
         _, povms, counts = tomography._binned_povm(rec, dim)
         rho, iterations, converged, history = reference_rrr_iteration(povms, counts, max_iter, tol)
         assert converged == converges
+        assert_allclose(tomography._rrr_iteration(povms, counts, max_iter, tol)[3], history,
+                        rtol=1e-12, atol=0.0)
+        monkeypatch.setattr(tomography, "BASIS_DIM", dim)
+        monkeypatch.setattr(tomography, "MAX_ITER", max_iter)
+        monkeypatch.setattr(tomography, "REL_TOL", tol)
         warns = contextlib.nullcontext() if converges else pytest.warns(RuntimeWarning, match="max_iter")
         with warns:
-            odm = mle_reconstruct(rec, dim=dim, max_iter=max_iter, tol=tol)
+            odm = mle_reconstruct(rec)
         assert (odm.n_iterations, odm.converged) == (iterations, converged)
         assert np.abs(odm.rho - rho).max() <= 1e-12
-        assert_allclose(odm.log_likelihoods, history, rtol=1e-12, atol=0.0)
 
 
 class TestDilutedStep:
@@ -323,15 +346,19 @@ class TestMleReconstruct:
         assert odm.populations[0] > 0.95
         assert odm.converged
         # likelihood never decreases along the iteration
-        diffs = np.diff(odm.log_likelihoods)
-        assert diffs.min() >= -1e-9 * abs(odm.log_likelihoods[0])
+        trace = mle_likelihood_trace(rec)
+        assert len(trace) == odm.n_iterations + 1
+        assert np.diff(trace).min() >= -1e-9 * abs(trace[0])
 
-    def test_thermal_round_trip(self):
+    def test_thermal_round_trip(self, monkeypatch):
         # mean occupation 1/2: geometric (Bose-Einstein) populations; the
         # 0.1 band is ~3 sigma of the seed-to-seed spread at 10^4 shots
         thermal = quadrature_cov(1.0, 1.0)
         rec = simulate_records(thermal, 0.8, 10_000, seed=21)
-        odm = mle_reconstruct(rec, dim=12, max_iter=8000, tol=1e-9)
+        monkeypatch.setattr(tomography, "BASIS_DIM", 12)
+        monkeypatch.setattr(tomography, "MAX_ITER", 8000)
+        monkeypatch.setattr(tomography, "REL_TOL", 1e-9)
+        odm = mle_reconstruct(rec)
         weights = (2.0 / 3.0) * (1.0 / 3.0) ** np.arange(4)
         assert np.abs(odm.populations[:4] - weights).max() <= 0.1
         off_diag = np.abs(odm.rho - np.diag(np.diag(odm.rho))).max()
@@ -383,20 +410,25 @@ class TestMleReconstruct:
         ratio = errors[0] / errors[1]
         assert 3.0 <= ratio <= 33.0
 
-    def test_non_convergence_warns(self):
+    def test_non_convergence_warns(self, monkeypatch):
         rec = simulate_records(VACUUM, 0.8, 2_000, seed=45)
-        with pytest.warns(RuntimeWarning, match="max_iter"):
-            odm = mle_reconstruct(rec, max_iter=3)
+        monkeypatch.setattr(tomography, "MAX_ITER", 3)
+        with pytest.warns(RuntimeWarning, match="max_iter=3"):
+            odm = mle_reconstruct(rec)
         assert not odm.converged
         assert odm.n_iterations == 3
 
     def test_validation(self):
-        rec = simulate_records(VACUUM, 0.8, 100, seed=46)
-        with pytest.raises(ValueError):
-            mle_reconstruct(rec, dim=1)
-        vac_rec = MeasurementRecord(shots=np.ones((10, 2)), kappa2=0.0, seed=0)
-        with pytest.raises(ValueError):
-            mle_reconstruct(vac_rec)
+        # a record without gain fails as the covariance route fails on it; at
+        # kappa2 = 5e-324 the gain kappa2/2 underflows to 0
+        shots = simulate_records(VACUUM, 0.8, 100, seed=46).shots
+        for kappa2 in (0.0, 5e-324):
+            rec = MeasurementRecord(shots=shots, kappa2=kappa2, seed=0)
+            with pytest.raises(ValueError) as covariance_route:
+                correct_covariance(rec)
+            with pytest.raises(ValueError, match="signal is not invertible") as mle_route:
+                mle_reconstruct(rec)
+            assert str(mle_route.value) == str(covariance_route.value)
 
     def test_zero_spread_rejected(self):
         constant = MeasurementRecord(shots=np.full((100, 2), 0.1), kappa2=0.8, seed=0)
@@ -447,9 +479,17 @@ class TestOscillatorDensityMatrix:
 
     def test_invariants_enforced(self):
         with pytest.raises(PhysicalityError):
-            OscillatorDensityMatrix(dim=4, rho=np.eye(4, dtype=complex))  # trace 4
+            OscillatorDensityMatrix(rho=np.eye(4, dtype=complex))  # trace 4
         bad_top = np.zeros((4, 4), dtype=complex)
         bad_top[0, 0] = 0.9
         bad_top[3, 3] = 0.1
-        with pytest.raises(PhysicalityError, match="truncation"):
-            OscillatorDensityMatrix(dim=4, rho=bad_top)
+        with pytest.raises(PhysicalityError, match="truncation validity bound 1e-3$"):
+            OscillatorDensityMatrix(rho=bad_top)
+        # an unconverged iterate is flagged, not rejected
+        assert not OscillatorDensityMatrix(rho=bad_top, converged=False).converged
+
+    def test_dim_is_the_size_of_rho(self):
+        d = OscillatorDensityMatrix(rho=np.diag([0.75, 0.25, 0.0])).to_dict()
+        assert d["dim"] == 3
+        assert list(d) == ["dim", "mean_x", "mean_p", "n_iterations", "converged",
+                           "rho_row_major_re_im"]
