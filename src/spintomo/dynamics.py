@@ -66,19 +66,28 @@ def compensated_hamiltonian(
 def _liouvillian(
     h: np.ndarray, depolarization: float, dephasing: float, fx: np.ndarray
 ) -> np.ndarray:
-    """Superoperator L of the master equation acting on the row-major vec(rho).
+    """Real generator L_r of the master equation in Hermitian coordinates.
 
-    Uses vec(A rho B) = kron(A, B^T) vec(rho) for row-major (C-order)
-    flattening, so d vec(rho)/dt = L vec(rho).
+    The complex superoperator L acts on the row-major vec(rho) by
+    vec(A rho B) = kron(A, B^T) vec(rho) (Havel, J. Math. Phys. 44, 534
+    (2003)).  It maps Hermitian matrices to Hermitian matrices, so it is a
+    real linear map on the d^2 real coordinates of rho (the coherence-vector
+    picture of Alicki & Lendi, LNP 286 (1987)).  A Hermitian rho is written
+    as the real X = Re rho + Im rho, rho = ((1+i) X + (1-i) X^T) / 2, so
+    vec(rho) = S vec(X) with S = ((1+i) I + (1-i) K) / 2 and K the transpose
+    permutation of the vec, and d vec(X)/dt = L_r vec(X) with
+    L_r = Re(L S) + Im(L S) = Re L + (Im L) K.
     """
     d = h.shape[0]
     eye = np.eye(d)
     fx2 = fx @ fx
-    return (
+    lv = (
         -1j * (np.kron(h, eye) - np.kron(eye, h.T))
         + depolarization * (np.outer(eye.ravel(), eye.ravel()) / d - np.eye(d * d))
         + dephasing * (np.kron(fx, fx.T) - 0.5 * (np.kron(fx2, eye) + np.kron(eye, fx2.T)))
     )
+    transpose = np.arange(d * d).reshape(d, d).T.ravel()
+    return lv.real + lv.imag[:, transpose]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -122,17 +131,21 @@ def lindblad_trajectory(
     d (else ``ValueError``) and Hermitian to 1e-12 (else
     :class:`PhysicalityError`); a rate that is negative or not finite
     raises ``ValueError``.
-    ``times`` must be finite, non-decreasing and non-negative.  The d^2 x d^2
-    Liouvillian L (Havel, J. Math. Phys. 44, 534 (2003)) is diagonalized
-    once, L = V diag(lambda) V^-1; with c = V^-1 vec(rho0) every state is
-    V (exp(lambda t) * c), so the cost does not grow with the times or
-    their spacing.  The eigenbasis is checked against an independent second
-    method, the Pade-13 scaling-and-squaring matrix exponential (Higham,
-    SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), at the last time: a
-    mismatch above 1e-10, or one that overflows at an extreme time, means an
-    ill-conditioned eigenbasis and raises :class:`PhysicalityError`.  Each
-    state must pass the :class:`QuantumState` checks at their default
-    tolerances; a failure names its time.
+    ``times`` must be finite, non-decreasing and non-negative.  The state is
+    propagated in real Hermitian coordinates X = Re rho + Im rho: the real
+    d^2 x d^2 generator L_r of the master equation (see ``_liouvillian``) is
+    diagonalized once, L_r = V diag(lambda) V^-1; with c = V^-1 vec(X0)
+    every state is Re(V (exp(lambda t) * c)), so the cost does not grow
+    with the times or their spacing, and rho = (X + X^T)/2 + i (X - X^T)/2
+    is Hermitian by construction.  The eigenbasis is checked against an
+    independent second method, the Pade-13 scaling-and-squaring matrix
+    exponential (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) of the
+    same L_r, at the last time: a mismatch above 1e-10 means an
+    ill-conditioned eigenbasis, and a mismatch that is not finite means the
+    propagation overflowed at that time; both raise
+    :class:`PhysicalityError`.  Each state must pass the
+    :class:`QuantumState` checks at their default tolerances; a failure
+    names its time.
     """
     d = state.dimension
     h = np.asarray(h)
@@ -153,24 +166,29 @@ def lindblad_trajectory(
     if (np.diff(times) < 0).any():
         raise ValueError("times must be non-decreasing")
 
-    lv = _liouvillian(h, depolarization, dephasing, np.asarray(spin_operators(state.spin).fx))
-    vec0 = state.rho.ravel()
-    w, v = np.linalg.eig(lv)
-    c = np.linalg.solve(v, vec0)
+    lr = _liouvillian(h, depolarization, dephasing, np.asarray(spin_operators(state.spin).fx))
+    x0 = (state.rho.real + state.rho.imag).ravel()
+    w, v = np.linalg.eig(lr)
+    c = np.linalg.solve(v, x0)
     t_max = times[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        vecs = v @ (np.exp(np.outer(w, times)) * c[:, None])
-        mismatch = np.abs(_expm(lv * t_max) @ vec0 - vecs[:, -1]).max()
-    if not mismatch <= 1e-10:  # also catches inf and NaN
+        xs = (v @ (np.exp(np.outer(w, times)) * c[:, None])).real
+        mismatch = np.abs(_expm(lr * t_max) @ x0 - xs[:, -1]).max()
+        if not np.isfinite(mismatch):
+            raise PhysicalityError(
+                f"propagation overflowed at t_max={t_max:g} ms: "
+                f"||L||_1 t_max = {np.abs(lr).sum(axis=0).max() * t_max:.3g}"
+            )
+    if not mismatch <= 1e-10:
         raise PhysicalityError(
             f"Liouvillian eigenbasis is ill-conditioned: at t_max={t_max:g} ms the "
             f"eigen-solution differs from expm(L t) by {mismatch:.3g}"
         )
     out = []
-    for t, vec in zip(times, vecs.T):
-        rho = vec.reshape(d, d)
+    for t, x in zip(times, xs.T):
+        x = x.reshape(d, d)
         try:
-            out.append(QuantumState((rho + rho.conj().T) / 2.0))
+            out.append(QuantumState((x + x.T) / 2.0 + 0.5j * (x - x.T)))
         except PhysicalityError as exc:
             raise PhysicalityError(f"evolved state at t={t:g} ms: {exc}") from exc
     return out

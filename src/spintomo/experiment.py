@@ -54,6 +54,9 @@ _WHOLE_NUMBER_KEYS = ("n_shots", "seed")
 # 10^7 shots is already 160 MB
 MAX_DURATIONS = 100_000
 MAX_SHOTS = 10**7
+# bound on |twisting_rate| and |compensation_residual|, rad/ms: keeps the
+# Hamiltonian and its Liouvillian far from overflow, as probe.MAX_KAPPA2 does
+MAX_RATE = 1e100
 
 
 def _default_durations() -> tuple[float, ...]:
@@ -84,7 +87,8 @@ class ExperimentConfig:
     values (only t1 and t2 may be inf: that decay channel is off),
     t2 > t1 (which breaks complete positivity of the decay channels, so a
     finite t1 needs a finite t2), extra_scatter_rate < 0, kappa2 outside
-    [0, probe.MAX_KAPPA2], fractional n_shots or seed, n_shots outside
+    [0, probe.MAX_KAPPA2], |twisting_rate| or |compensation_residual|
+    above MAX_RATE, fractional n_shots or seed, n_shots outside
     [1, MAX_SHOTS], seed < 0, and a key that a file sets twice; a file's
     raman_durations may hold at most MAX_DURATIONS values.  n_shots and
     seed are kept exactly, at any integer size.  The dynamics are in the
@@ -118,6 +122,10 @@ class ExperimentConfig:
         SpinQuantumNumber.coerce(self.f)  # validates integer/half-integer
         if not 0 < self.t2 <= self.t1:
             raise ValueError(f"decay times need 0 < t2 <= t1, got t1={self.t1!r}, t2={self.t2!r}")
+        for name in ("twisting_rate", "compensation_residual"):
+            rate = getattr(self, name)
+            if abs(rate) > MAX_RATE:
+                raise ValueError(f"|{name}| must be <= {MAX_RATE:g} rad/ms, got {rate!r}")
         if self.extra_scatter_rate < 0:
             raise ValueError(f"extra_scatter_rate must be >= 0, got {self.extra_scatter_rate!r}")
         if not (0.0 < self.pump_fraction <= 1.0):

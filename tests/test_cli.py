@@ -481,15 +481,17 @@ class TestInputBounds:
     @pytest.mark.parametrize("command", ["sweep", "records", "qpd"])
     @pytest.mark.parametrize("rate", ["1e307", "-1e307"])
     def test_overflowing_twisting_rate_fails_on_one_line(self, tmp_path, capsys, command, rate):
-        # the suite turns numpy RuntimeWarnings into errors, so a warning would escape here
-        cfg = tmp_path / "rate.cfg"
-        cfg.write_text(f"raman_durations = 0.8\nn_shots = 100\ntwisting_rate = {rate}\n")
-        out = tmp_path / "o.csv"
+        # both Hamiltonian rates are bounded by experiment.MAX_RATE when the config loads
         point = [] if command == "sweep" else ["--tr", "0.8"]
-        assert run_cli(command, "--config", str(cfg), *point, "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: overflow encountered") and err.count("\n") == 1
-        assert not out.exists()
+        for key in ("twisting_rate", "compensation_residual"):
+            cfg = tmp_path / "rate.cfg"
+            cfg.write_text(f"raman_durations = 0.8\nn_shots = 100\n{key} = {rate}\n")
+            out = tmp_path / "o.csv"
+            assert run_cli(command, "--config", str(cfg), *point, "--out", str(out)) == 2
+            assert capsys.readouterr().err == (
+                f"usage error: |{key}| must be <= 1e+100 rad/ms, got {float(rate)!r}\n"
+            )
+            assert not out.exists()
 
 
 class TestParser:

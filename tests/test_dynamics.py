@@ -31,6 +31,19 @@ DARK = (1.0 / 80.0, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))
 DRIVEN = (DARK[0] + 0.01, DARK[1])
 
 
+def column_stacked_generator(h, fx, depolarization, dephasing):
+    """Complex Liouvillian on the column-stacked vec: vec(A rho B) = kron(B^T, A) vec(rho)."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    fx2 = fx @ fx
+    vec_eye = eye.ravel(order="F")
+    return (
+        -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        + depolarization * (np.outer(vec_eye, vec_eye) / d - np.eye(d * d))
+        + dephasing * (np.kron(fx.T, fx) - 0.5 * (np.kron(eye, fx2) + np.kron(fx2.T, eye)))
+    )
+
+
 def master_equation_rates(config):
     """The (depolarization, dephasing) rates the pipeline passes to the master equation."""
     seen = []
@@ -339,10 +352,50 @@ class TestLindblad:
             vec = expm(generator * t) @ css_x4.rho.ravel(order="F")
             assert np.abs(state.rho - vec.reshape(9, 9, order="F")).max() <= 1e-12
 
+    @pytest.mark.parametrize("f", [0.5, 1.5, 4.0])
+    @pytest.mark.parametrize("rates", [DARK, DRIVEN], ids=["dark", "driven"])
+    def test_real_kernel_matches_column_stacked_expm(self, f, rates):
+        # a complex h and odd d exercise the transpose permutation and Im(rho)
+        ops = spin_operators(f)
+        d = ops.dimension
+        rng = np.random.default_rng(int(10 * f))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        hm = (a + a.conj().T) / 2.0
+        state = random_density_matrix(d, rng)
+        times = [0.0, 0.8, 6.0]
+        states = lindblad_trajectory(state, hm, *rates, times)
+        generator = column_stacked_generator(hm, np.asarray(ops.fx), *rates)
+        for t, evolved in zip(times, states):
+            vec = expm(generator * t) @ state.rho.ravel(order="F")
+            assert np.abs(evolved.rho - vec.reshape(d, d, order="F")).max() <= 1e-12
+
+    def test_eig_sees_one_real_generator(self, ops4, css_x4, monkeypatch):
+        seen = []
+        eig = np.linalg.eig
+
+        def spy(a):
+            seen.append(a)
+            return eig(a)
+
+        monkeypatch.setattr(dynamics.np.linalg, "eig", spy)
+        lindblad_trajectory(css_x4, tact_hamiltonian(ops4, 0.12), *DRIVEN, [0.0, 0.8, 6.0])
+        assert [(a.dtype, a.shape) for a in seen] == [(np.dtype(np.float64), (81, 81))]
+
+    @pytest.mark.parametrize("rate", [1e20, 1e100])
+    def test_overflow_names_the_propagation(self, ops4, css_x4, rate):
+        # the eigen-solution overflows; the eigenbasis is not blamed
+        h = compensated_hamiltonian(ops4, 2.0 * rate, residual=0.15)
+        with pytest.raises(
+            PhysicalityError,
+            match=r"^propagation overflowed at t_max=0.8 ms: \|\|L\|\|_1 t_max = \d\.\d\de\+\d+$",
+        ):
+            lindblad_trajectory(css_x4, h, *DRIVEN, [0.0, 0.8])
+
     @pytest.mark.parametrize("t", [0.0, 0.8, 6.0, 60.0])
     def test_guard_expm_matches_scipy_on_liouvillian(self, ops4, t):
         h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
         a = dynamics._liouvillian(h, *DRIVEN, np.asarray(ops4.fx)) * t
+        assert a.dtype == np.float64  # the real generator the guard checks
         reference = expm(a)
         assert np.abs(dynamics._expm(a) - reference).max() <= 1e-13 * np.abs(reference).max()
 
