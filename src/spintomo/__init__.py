@@ -8,7 +8,7 @@ correction and maximum-likelihood tomography.
 """
 
 from .dynamics import compensated_hamiltonian, lindblad_trajectory, tact_hamiltonian
-from .errors import ConvergenceError, PhysicalityError, SweepPointError
+from .errors import PhysicalityError, SweepPointError
 from .experiment import (
     ExperimentConfig,
     SweepRow,

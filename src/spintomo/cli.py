@@ -24,7 +24,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .errors import ConvergenceError, PhysicalityError, SweepPointError
+from .errors import PhysicalityError, SweepPointError
 from .experiment import ExperimentConfig, evolved_state, point_record, run_sweep
 from .probe import record_from_csv, record_to_csv
 from .spin_algebra import SpinQuantumNumber
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
         # a failed sweep point is classified by the error it wraps
         cause = exc.__cause__ if isinstance(exc, SweepPointError) else exc
         # LinAlgError subclasses ValueError, so the numerical test goes first
-        numerical = (PhysicalityError, ConvergenceError, np.linalg.LinAlgError, ArithmeticError)
+        numerical = (PhysicalityError, np.linalg.LinAlgError, ArithmeticError)
         if isinstance(cause, numerical):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 1

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Usage errors (bad arguments, malformed files) raise plain ``ValueError`` /
-``OSError``; ``PhysicalityError`` and ``ConvergenceError`` mark failures of
-physics or numerics that can only be detected from the data itself.
+``OSError``; ``PhysicalityError`` marks failures of physics or numerics
+that can only be detected from the data itself.
 ``SweepPointError`` wraps either kind with the sweep point it came from.
 """
 
@@ -14,10 +14,6 @@ class PhysicalityError(Exception):
     covariances below the Heisenberg floor, and ill-conditioned or
     overflowing propagators.
     """
-
-
-class ConvergenceError(Exception):
-    """An iterative estimator failed to make progress."""
 
 
 class SweepPointError(Exception):

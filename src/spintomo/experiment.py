@@ -54,7 +54,8 @@ _WHOLE_NUMBER_KEYS = ("n_shots", "seed")
 # 10^7 shots is already 160 MB
 MAX_DURATIONS = 100_000
 MAX_SHOTS = 10**7
-# bound on |twisting_rate| and |compensation_residual|, rad/ms: keeps the
+# bound on |twisting_rate| and |compensation_residual|, rad/ms, and on the two
+# decay rates derived from t1, t2 and extra_scatter_rate, 1/ms: keeps the
 # Hamiltonian and its Liouvillian far from overflow, as probe.MAX_KAPPA2 does
 MAX_RATE = 1e100
 
@@ -88,7 +89,8 @@ class ExperimentConfig:
     t2 > t1 (which breaks complete positivity of the decay channels, so a
     finite t1 needs a finite t2), extra_scatter_rate < 0, kappa2 outside
     [0, probe.MAX_KAPPA2], |twisting_rate| or |compensation_residual|
-    above MAX_RATE, fractional n_shots or seed, n_shots outside
+    above MAX_RATE, either decay rate of :func:`_decay_rates` above
+    MAX_RATE, fractional n_shots or seed, n_shots outside
     [1, MAX_SHOTS], seed < 0, and a key that a file sets twice; a file's
     raman_durations may hold at most MAX_DURATIONS values.  n_shots and
     seed are kept exactly, at any integer size.  The dynamics are in the
@@ -128,6 +130,11 @@ class ExperimentConfig:
                 raise ValueError(f"|{name}| must be <= {MAX_RATE:g} rad/ms, got {rate!r}")
         if self.extra_scatter_rate < 0:
             raise ValueError(f"extra_scatter_rate must be >= 0, got {self.extra_scatter_rate!r}")
+        depolarization, dephasing = _decay_rates(self)
+        for keys, rate in (("1/t1 + extra_scatter_rate", depolarization),
+                           ("2 (1/t2 - 1/t1)", dephasing)):
+            if rate > MAX_RATE:
+                raise ValueError(f"decay rate {keys} must be <= {MAX_RATE:g} 1/ms, got {rate!r}")
         if not (0.0 < self.pump_fraction <= 1.0):
             raise ValueError(f"pump_fraction must be in (0, 1], got {self.pump_fraction}")
         if any(t < 0 for t in durations):
@@ -257,18 +264,26 @@ def _point_seed(config: ExperimentConfig, t_r: float) -> int:
     return int(key.generate_state(1, dtype=np.uint64)[0])
 
 
+def _decay_rates(config: ExperimentConfig) -> tuple[float, float]:
+    """(depolarization, dephasing) rates of the master equation, 1/ms.
+
+    t1 depolarizes toward the fully mixed state, and the drive adds its
+    scatter rate.  The dephasing jump operator is sqrt(gamma_phi) Fx, with
+    gamma_phi set so that the decay rate of the m, m+-1 coherences in the
+    x basis, gamma_phi/2 plus the depolarization 1/t1, is 1/t2; so
+    gamma_phi >= 0, complete positivity, is the config's t2 <= t1.
+    """
+    depolarization = 1.0 / config.t1 + config.extra_scatter_rate
+    dephasing = 2.0 * (1.0 / config.t2 - 1.0 / config.t1)
+    return depolarization, dephasing
+
+
 def _evolved_states(config: ExperimentConfig, durations) -> list[QuantumState]:
     ops = spin_operators(config.spin)
     h = compensated_hamiltonian(
         ops, beta=2.0 * config.twisting_rate, residual=config.compensation_residual
     )
-    # t1 depolarizes toward the fully mixed state, and the drive adds its
-    # scatter rate.  The dephasing jump operator is sqrt(gamma_phi) Fx, with
-    # gamma_phi set so that the decay rate of the m, m+-1 coherences in the
-    # x basis, gamma_phi/2 plus the depolarization 1/t1, is 1/t2; so
-    # gamma_phi >= 0, complete positivity, is the config's t2 <= t1.
-    depolarization = 1.0 / config.t1 + config.extra_scatter_rate
-    dephasing = 2.0 * (1.0 / config.t2 - 1.0 / config.t1)
+    depolarization, dephasing = _decay_rates(config)
     state0 = prepare_initial_state(config)
     return lindblad_trajectory(state0, h, depolarization, dephasing, durations)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spintomo import (
-    ConvergenceError,
     MeasurementRecord,
     OscillatorDensityMatrix,
     QuantumState,
@@ -216,61 +215,37 @@ def einsum_kernel(povms):
 
 
 def mle_likelihood_trace(record: MeasurementRecord) -> list[float]:
-    """Log-likelihood trace of the iteration behind ``mle_reconstruct(record)``.
+    """Log-likelihood trace of the solver behind ``mle_reconstruct(record)``, from I/d on,
+    one value per accepted step.
 
-    ``mle_reconstruct`` returns only the final iterate, so the trace comes
-    from ``tomography._rrr_iteration`` run on the same POVM and settings.
+    ``mle_reconstruct`` returns only the final state, so the trace comes
+    from ``tomography._apg_mle`` run on the same POVM.
     """
     _, povms, counts = tomography._binned_povm(record, tomography.BASIS_DIM)
-    return tomography._rrr_iteration(povms, counts, tomography.MAX_ITER, tomography.REL_TOL)[3]
+    return tomography._apg_mle(povms, counts)[3]
 
 
-def reference_rrr_iteration(povms, counts, max_iter, tol):
-    """The RrhoR loop of ``mle_reconstruct`` before its products were inlined: an oracle for
-    ``tomography._rrr_iteration``, on the einsum products of :func:`einsum_kernel`.
+def rrr_iteration(povms, counts, n_steps: int) -> tuple[np.ndarray, list[float]]:
+    """(rho, log-likelihood trace) of ``n_steps`` steps of the RrhoR fixed point from I/d:
+    the iteration ``mle_reconstruct`` ran before its accelerated-gradient solver, kept as an
+    independent second method.
 
-    Returns (rho, iterations, converged, log-likelihood trace).
+    Each step is rho <- N[R rho R], with R = sum_k f_k / p_k P_k the frequency-weighted
+    sum of the (K, d, d) POVM elements over their predicted probabilities p_k = Tr(P_k rho),
+    computed on the stack's float64 (re, im) view as the solver does.  The steps need not
+    ascend, so compare the trace's maximum.
     """
-    dim = povms.shape[1]
-    probabilities, weighted_sum = einsum_kernel(povms)
+    k, dim, _ = povms.shape
+    flat = povms.reshape(k, dim * dim).view(np.float64)
     freqs = counts / counts.sum()
-
-    def log_likelihood(rho: np.ndarray) -> tuple[float, np.ndarray]:
-        probs = np.maximum(probabilities(rho), 1e-300)
-        return float(np.sum(counts * np.log(probs))), probs
-
     rho = np.eye(dim, dtype=complex) / dim
-    ll, probs = log_likelihood(rho)
-    history = [ll]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        r = weighted_sum(freqs / probs)
-        candidate = r @ rho @ r
-        candidate /= np.trace(candidate).real
-        candidate = (candidate + candidate.conj().T) / 2.0
-        new_ll, new_probs = log_likelihood(candidate)
-        if new_ll < ll - 1e-12 * abs(ll):
-            # dilute toward the identity direction until the step ascends
-            eps = 1.0
-            while eps > 1e-8:
-                mixed = (np.eye(dim) + eps * r) / (1.0 + eps)
-                candidate = mixed @ rho @ mixed.conj().T
-                candidate /= np.trace(candidate).real
-                candidate = (candidate + candidate.conj().T) / 2.0
-                new_ll, new_probs = log_likelihood(candidate)
-                if new_ll >= ll - 1e-12 * abs(ll):
-                    break
-                eps /= 2.0
-            else:
-                raise ConvergenceError(
-                    f"likelihood iteration stalled at iteration {iterations}: "
-                    f"no ascending step found"
-                )
-        gain = new_ll - ll
-        rho, ll, probs = candidate, new_ll, new_probs
-        history.append(ll)
-        if gain < tol * abs(ll):
-            converged = True
-            break
-    return rho, iterations, converged, history
+    probs = flat.dot(rho.reshape(-1).view(np.float64))
+    history = [float(counts.dot(np.log(probs)))]
+    for _ in range(n_steps):
+        r = (freqs / probs).dot(flat).view(np.complex128).reshape(dim, dim)
+        rho = r.dot(rho).dot(r)
+        rho += rho.conj().T
+        rho /= rho.trace().real
+        probs = flat.dot(rho.reshape(-1).view(np.float64))
+        history.append(float(counts.dot(np.log(probs))))
+    return rho, history

@@ -426,8 +426,16 @@ class TestInputBounds:
         "lines, message",
         [("t1 = 10\nt2 = 30", "decay times need 0 < t2 <= t1, got t1=10.0, t2=30.0"),
          ("t2 = inf", "decay times need 0 < t2 <= t1, got t1=80.0, t2=inf"),
-         ("extra_scatter_rate = -0.1", "extra_scatter_rate must be >= 0, got -0.1")],
-        ids=["t2-above-t1", "t2-inf", "negative-scatter"],
+         ("extra_scatter_rate = -0.1", "extra_scatter_rate must be >= 0, got -0.1"),
+         # both decay rates are bounded by experiment.MAX_RATE when the config loads
+         ("extra_scatter_rate = 1e307",
+          "decay rate 1/t1 + extra_scatter_rate must be <= 1e+100 1/ms, got 1e+307"),
+         ("t1 = 1e-300\nt2 = 1e-300",
+          "decay rate 1/t1 + extra_scatter_rate must be <= 1e+100 1/ms, got 9.999999999999999e+299"),
+         ("t2 = 1e-300",
+          "decay rate 2 (1/t2 - 1/t1) must be <= 1e+100 1/ms, got 1.9999999999999998e+300")],
+        ids=["t2-above-t1", "t2-inf", "negative-scatter", "overflowing-scatter",
+             "overflowing-t1-t2", "overflowing-t2"],
     )
     def test_decay_rules_fail_on_one_line(self, tmp_path, capsys, command, lines, message):
         cfg = tmp_path / "decay.cfg"
@@ -462,9 +470,10 @@ class TestInputBounds:
     @pytest.mark.parametrize(
         "kappa2, code, message",
         [("1e200", 2, "usage error: kappa2 must be <= 1e+100, got 1e+200"),
-         # the MLE's grid is set by its basis, so a tiny gain costs no memory
-         ("1e-12", 1, "numerical failure: population 0.1 of the highest level "
-                      "breaks the truncation validity bound 1e-3")],
+         # the bins of a tiny gain hold no information on the state
+         ("1e-12", 2, "usage error: record with kappa2 = 1e-12 and 200 shots cannot resolve "
+                      "the state: the outcome variance has standard error 1.71e+11 in atomic "
+                      "units, above the Heisenberg-floor signal 1/2")],
         ids=["overflowing", "tiny"],
     )
     def test_mle_on_extreme_kappa2_fails_on_one_line(self, tmp_path, capsys, kappa2, code,

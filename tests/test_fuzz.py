@@ -62,8 +62,6 @@ def test_seeded_key_pairs_keep_the_error_contract(tmp_path, capsys):
         check_config({key: rng.choice(CORPUS) for key in keys}, tmp_path, capsys)
 
 
-# a likelihood iteration that hits its step cap warns and still exits 0
-@pytest.mark.filterwarnings("ignore:likelihood iteration stopped:RuntimeWarning")
 @pytest.mark.parametrize("key", tuple(RECORD_HEADER))
 def test_every_record_header_keeps_the_error_contract(key, tmp_path, capsys):
     shots = np.random.default_rng(7).standard_normal((200, 2))

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from spintomo import (
-    ConvergenceError,
     MeasurementRecord,
     OscillatorDensityMatrix,
     PhysicalityError,
@@ -15,15 +14,16 @@ from spintomo import (
     mle_reconstruct,
     simulate_records,
 )
-from spintomo import ExperimentConfig, point_record, tomography
+from spintomo import ExperimentConfig, point_record, readout_model, tomography
 from spintomo.tomography import _binned_quadrature_povm
 
 from conftest import (
     annihilation_operator,
     displaced,
+    einsum_kernel,
     mle_likelihood_trace,
     quadrature_cov,
-    reference_rrr_iteration,
+    rrr_iteration,
     variances_from_rho,
 )
 
@@ -198,8 +198,8 @@ class TestPovm:
 
     @pytest.mark.parametrize("kappa2", [0.8, 1e-12])
     def test_grid_is_set_by_the_basis(self, kappa2, monkeypatch):
-        # 213 nodes at dim 10 whatever the record's spread: at kappa2 = 1e-12 the
-        # unit-variance shots span about +-8e6 atomic units
+        # 213 nodes at dim 10 whatever the bins' span and blur: at kappa2 = 1e-12
+        # unit-variance shots span about +-8e6 atomic units, and the blur is 1e6
         grids, hermite_functions = [], tomography._hermite_functions
 
         def spy(n_max, x):
@@ -207,8 +207,10 @@ class TestPovm:
             return hermite_functions(n_max, x)
 
         monkeypatch.setattr(tomography, "_hermite_functions", spy)
-        shots = np.random.default_rng(7).standard_normal((200, 2))
-        tomography._binned_povm(MeasurementRecord(shots, kappa2, 0), tomography.BASIS_DIM)
+        gain, noise = readout_model(kappa2)
+        span = 6.0 / np.sqrt(gain)
+        _binned_quadrature_povm(np.linspace(-span, span, 63), np.sqrt(noise / gain),
+                                tomography.BASIS_DIM)
         assert grids == [213]
 
     def test_needs_no_eigensolve(self, monkeypatch):
@@ -239,104 +241,101 @@ class TestQuadratureRotation:
             probs = np.einsum("kij,ji->k", povm, rho).real
             assert abs(probs @ centres - expected) <= 1e-9
 
-    def test_rotated_shots_reconstruct_the_rotated_state(self, monkeypatch):
+    def test_rotated_shots_reconstruct_the_rotated_state(self):
         # U = exp(-i pi n / 2) maps (x, p) to (p, -x): U^dag x U = p and U^dag p U = -x,
         # so the shots (y_s, -y_c) come from U rho U^dag
         rec = point_record(ExperimentConfig(), 0.8)
         turned = MeasurementRecord(np.column_stack([rec.y_s, -rec.y_c]), rec.kappa2, rec.seed)
-        monkeypatch.setattr(tomography, "MAX_ITER", 300)
-        with pytest.warns(RuntimeWarning, match="max_iter"):
-            rho = mle_reconstruct(rec).rho
-        with pytest.warns(RuntimeWarning, match="max_iter"):
-            rho_turned = mle_reconstruct(turned).rho
+        odm, odm_turned = mle_reconstruct(rec), mle_reconstruct(turned)
+        assert odm.converged and odm_turned.converged
         u = np.diag(np.exp(-0.5j * np.pi * np.arange(10)))
-        assert np.abs(rho_turned - u @ rho @ u.conj().T).max() <= 1e-12
+        assert np.abs(odm_turned.rho - u @ odm.rho @ u.conj().T).max() <= 1e-12
+
+
+SOLVER_POINTS_MS = [0.0, 0.3, 0.8, 2.0, 6.0]
+
+
+def _default_povms(t_r):
+    return tomography._binned_povm(point_record(ExperimentConfig(), t_r), tomography.BASIS_DIM)[1:]
 
 
 class TestLikelihoodKernel:
-    def test_matches_traces_and_sums(self):
-        # two loop steps against Tr(P_k rho) and R = sum_k f_k / p_k P_k written out per element
+    def test_matches_traces_and_sums(self, monkeypatch):
+        # the trace and the gap bound against Tr(P_k rho) and R = sum_k f_k / p_k P_k
+        # written out per element, after 10 steps
         rng = np.random.default_rng(71)
         edges = np.linspace(-6.0, 6.0, 63)
         povm_x = _binned_quadrature_povm(edges, 1.147, 10)
         povms = np.concatenate([povm_x, tomography._rotated_povm(povm_x, np.pi / 2.0, 10)])
         counts = rng.integers(1, 500, len(povms)).astype(float)
-        rho, iterations, converged, history = tomography._rrr_iteration(povms, counts, 2, 0.0)
+        monkeypatch.setattr(tomography, "MAX_ITER", 10)
+        rho, iterations, gap, history = tomography._apg_mle(povms, counts)
 
-        def traces(state):
-            return np.array([np.trace(p @ state).real for p in povms])
+        def log_likelihood(state):
+            return counts @ np.log([np.trace(p @ state).real for p in povms])
 
-        state, expected = np.eye(10) / 10, []
-        for _ in range(2):
-            probs = traces(state)
-            expected.append(counts @ np.log(probs))
-            r = sum(c / counts.sum() / p * element for c, p, element in zip(counts, probs, povms))
-            step = r @ state @ r
-            state = step / np.trace(step).real
-        expected.append(counts @ np.log(traces(state)))
-        assert (iterations, converged) == (2, False)
-        assert np.abs(rho - state).max() <= 1e-14
-        assert_allclose(history, expected, rtol=1e-14, atol=0.0)
+        probs = np.array([np.trace(p @ rho).real for p in povms])
+        r = sum(c / counts.sum() / p * element for c, p, element in zip(counts, probs, povms))
+        assert (iterations, len(history)) == (10, 11)
+        assert_allclose([history[0], history[-1]],
+                        [log_likelihood(np.eye(10) / 10), log_likelihood(rho)], rtol=1e-14, atol=0.0)
+        assert abs(gap - counts.sum() * (np.linalg.eigvalsh(r)[-1] - 1.0)) <= 1e-8
 
     @pytest.mark.parametrize(
-        "t_r, dim, max_iter, tol, converges",
-        [(0.0, 10, 5000, 1e-10, True), (0.8, 10, 300, 1e-10, False), (None, 12, 8000, 1e-9, True)],
+        "t_r, dim, max_iter, converges",
+        [(0.0, 10, 5000, True), (0.8, 10, 100, False), (None, 12, 5000, True)],
         ids=["0.0", "0.8", "thermal"],
     )
-    def test_iteration_matches_einsum_kernel(self, t_r, dim, max_iter, tol, converges,
-                                             monkeypatch):
+    def test_iteration_matches_einsum_kernel(self, t_r, dim, max_iter, converges, monkeypatch):
+        # the reported likelihood and gap bound recomputed with per-element einsum products,
+        # and mle_reconstruct reporting the solver's result
         if t_r is None:  # test_thermal_round_trip's record
             rec = simulate_records(quadrature_cov(1.0, 1.0), 0.8, 10_000, seed=21)
         else:
             rec = point_record(ExperimentConfig(), t_r)
         _, povms, counts = tomography._binned_povm(rec, dim)
-        rho, iterations, converged, history = reference_rrr_iteration(povms, counts, max_iter, tol)
-        assert converged == converges
-        assert_allclose(tomography._rrr_iteration(povms, counts, max_iter, tol)[3], history,
-                        rtol=1e-12, atol=0.0)
-        monkeypatch.setattr(tomography, "BASIS_DIM", dim)
         monkeypatch.setattr(tomography, "MAX_ITER", max_iter)
-        monkeypatch.setattr(tomography, "REL_TOL", tol)
+        rho, iterations, gap, history = tomography._apg_mle(povms, counts)
+        probabilities, weighted_sum = einsum_kernel(povms)
+        probs = probabilities(rho)
+        assert_allclose(history[-1], counts @ np.log(probs), rtol=1e-13, atol=0.0)
+        lambda_max = np.linalg.eigvalsh(weighted_sum(counts / counts.sum() / probs))[-1]
+        assert abs(gap - counts.sum() * (lambda_max - 1.0)) <= 1e-8
+        assert (gap < tomography.GAP_TOL) == converges
+        monkeypatch.setattr(tomography, "BASIS_DIM", dim)
         warns = contextlib.nullcontext() if converges else pytest.warns(RuntimeWarning, match="max_iter")
         with warns:
             odm = mle_reconstruct(rec)
-        assert (odm.n_iterations, odm.converged) == (iterations, converged)
+        assert (odm.n_iterations, odm.converged, odm.gap_bound) == (iterations, converges, gap)
         assert np.abs(odm.rho - rho).max() <= 1e-12
 
 
-class TestDilutedStep:
-    def test_descending_step_is_diluted(self):
-        # A projective number-basis measurement with counts 9 : 1.  Undiluted, R rho R
-        # maps the log-odds u of the two levels to 2 u* - u about their optimum u*, so
-        # from I/2 it goes to diag(81, 1)/82 and the second step back to I/2, lower.
-        povms = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-        counts = np.array([9.0, 1.0])
+class TestSolver:
+    @pytest.mark.parametrize("t_r", SOLVER_POINTS_MS)
+    def test_second_method_gains_at_most_the_gap_bound(self, t_r):
+        # 30 000 RrhoR steps, six times the solver's step cap, find no state more likely
+        # than the solver's result by more than the bound it reports
+        povms, counts = _default_povms(t_r)
+        _, iterations, gap, history = tomography._apg_mle(povms, counts)
+        assert gap < tomography.GAP_TOL
+        assert max(rrr_iteration(povms, counts, 30_000)[1]) - history[-1] <= gap
 
-        def log_likelihood(q):
-            return 9.0 * math.log(q) + math.log(1.0 - q)
+    @pytest.mark.parametrize("t_r", SOLVER_POINTS_MS)
+    def test_density_matrix_from_ascending_steps_without_floating_point_errors(self, t_r):
+        povms, counts = _default_povms(t_r)
+        with np.errstate(all="raise"):
+            rho, iterations, gap, history = tomography._apg_mle(povms, counts)
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert len(history) == iterations + 1
+        assert np.diff(history).min() >= -1e-12 * abs(history[0])  # round-off, not a step back
 
-        assert log_likelihood(0.5) < log_likelihood(81.0 / 82.0)
-        rho, _, converged, history = tomography._rrr_iteration(povms, counts, 500, 1e-10)
-        assert_allclose(history[:2], [log_likelihood(0.5), log_likelihood(81.0 / 82.0)], rtol=1e-14)
-        assert history[2] > history[1]
-        assert np.diff(history).min() >= 0.0
-        assert converged
-        assert np.abs(rho - np.diag([0.9, 0.1])).max() <= 1e-5
-
-    def test_no_ascending_step_raises_naming_the_iteration(self, monkeypatch):
-        _, povms, counts = tomography._binned_povm(simulate_records(VACUUM, 0.8, 2_000, seed=45), 10)
-        log, calls = np.log, []
-
-        def sinking_log(x):
-            # after the start state and two steps, each evaluation reads lower than the last
-            calls.append(None)
-            return log(x) - max(0, len(calls) - 3)
-
-        monkeypatch.setattr(np, "log", sinking_log)
-        with pytest.raises(ConvergenceError, match="stalled at iteration 3: no ascending step found"):
-            tomography._rrr_iteration(povms, counts, 100, 1e-10)
-        # the full step and the 27 diluted ones, eps = 1, 1/2, ..., 2^-26
-        assert len(calls) == 3 + 1 + 27
+    def test_unreachable_bin_rejected(self):
+        # an element that is zero gives every state of the basis probability zero
+        povms = np.array([np.eye(2), np.diag([0.0, 0.0]), np.zeros((2, 2))], dtype=complex)
+        with pytest.raises(PhysicalityError, match="2 occupied bins lie beyond the reach"):
+            tomography._apg_mle(povms, np.array([5.0, 1.0, 1.0]))
 
 
 class TestMleReconstruct:
@@ -356,8 +355,6 @@ class TestMleReconstruct:
         thermal = quadrature_cov(1.0, 1.0)
         rec = simulate_records(thermal, 0.8, 10_000, seed=21)
         monkeypatch.setattr(tomography, "BASIS_DIM", 12)
-        monkeypatch.setattr(tomography, "MAX_ITER", 8000)
-        monkeypatch.setattr(tomography, "REL_TOL", 1e-9)
         odm = mle_reconstruct(rec)
         weights = (2.0 / 3.0) * (1.0 / 3.0) ** np.arange(4)
         assert np.abs(odm.populations[:4] - weights).max() <= 0.1
@@ -491,5 +488,5 @@ class TestOscillatorDensityMatrix:
     def test_dim_is_the_size_of_rho(self):
         d = OscillatorDensityMatrix(rho=np.diag([0.75, 0.25, 0.0])).to_dict()
         assert d["dim"] == 3
-        assert list(d) == ["dim", "mean_x", "mean_p", "n_iterations", "converged",
+        assert list(d) == ["dim", "mean_x", "mean_p", "n_iterations", "converged", "gap_bound",
                            "rho_row_major_re_im"]
