@@ -21,7 +21,7 @@ from .errors import SweepPointError
 from .probe import (MeasurementRecord, _check_kappa2, canonical_moments, readout_model,
                     simulate_records)
 from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
-from .squeezing import SqueezingReport, squeezing_report
+from .squeezing import squeezing_report
 from .tables import parse_number, parse_whole_number
 from .tomography import CorrectedCovariance, correct_covariance
 
@@ -85,7 +85,7 @@ class ExperimentConfig:
         seed                   master seed (default 12345)
 
     Unknown keys are rejected with ``ValueError``, and so are non-finite
-    values (only t1 and t2 may be inf: that decay channel is off),
+    values (only t1 and t2 may be inf: that decay channel is off), f < 1/2,
     t2 > t1 (which breaks complete positivity of the decay channels, so a
     finite t1 needs a finite t2), extra_scatter_rate < 0, kappa2 outside
     [0, probe.MAX_KAPPA2], |twisting_rate| or |compensation_residual|
@@ -121,6 +121,8 @@ class ExperimentConfig:
                 object.__setattr__(self, spec.name, parse_whole_number(spec.name, str(value)))
             elif np.isnan(value).any() or (np.isinf(value).any() and spec.name not in ("t1", "t2")):
                 raise ValueError(f"{spec.name} must be finite, got {value!r}")
+        if not self.f >= 0.5:
+            raise ValueError(f"f must be >= 1/2 (spin 0 has no mean spin), got {self.f!r}")
         SpinQuantumNumber.coerce(self.f)  # validates integer/half-integer
         if not 0 < self.t2 <= self.t1:
             raise ValueError(f"decay times need 0 < t2 <= t1, got t1={self.t1!r}, t2={self.t2!r}")
@@ -293,23 +295,15 @@ def evolved_state(config: ExperimentConfig, t_r: float) -> QuantumState:
     return _evolved_states(config, [t_r])[0]
 
 
-def _probe_point(
-    config: ExperimentConfig, t_r: float, state: QuantumState
-) -> tuple[SqueezingReport, MeasurementRecord]:
-    """Squeezing report and synthesized probe record of one evolved sweep point.
-
-    The record's canonical normalization is the report's mean spin length,
-    mirroring the auxiliary mean-spin monitor of the measurement sequence.
-    """
-    report = squeezing_report(state)
-    cov = canonical_moments(report)
-    record = simulate_records(cov, config.kappa2, config.n_shots, _point_seed(config, t_r))
-    return report, record
-
-
 def point_record(config: ExperimentConfig, t_r: float) -> MeasurementRecord:
-    """Synthesize the probe record for one drive duration."""
-    return _probe_point(config, t_r, evolved_state(config, t_r))[1]
+    """Synthesize the probe record for one drive duration.
+
+    Its canonical normalization is the mean spin length, as the auxiliary
+    mean-spin monitor of the measurement sequence gives it.
+    """
+    report = squeezing_report(evolved_state(config, t_r).rho)
+    cov = canonical_moments(report.cov, report.length)
+    return simulate_records(cov, config.kappa2, config.n_shots, _point_seed(config, t_r))
 
 
 @dataclass(frozen=True)
@@ -331,20 +325,22 @@ class SweepRow:
 def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
     """Evolve, probe and reconstruct every drive duration in the config, one row each.
 
-    zeta2_true / chi2_true / xi2_true come from the evolved density matrix;
-    zeta2_reconstructed applies the covariance correction to the synthesized
-    records, with its propagated 1-sigma sampling error.  A failure while
-    analysing, probing or reconstructing one point raises
-    :class:`SweepPointError` naming its duration, chained to the original
-    exception.
+    zeta2_true / chi2_true / xi2_true come from one squeezing report of all
+    the evolved density matrices; zeta2_reconstructed applies the covariance
+    correction to the synthesized records, with its propagated 1-sigma
+    sampling error.  A failure while probing or reconstructing one point, a
+    collapsed mean spin included, raises :class:`SweepPointError` naming its
+    duration, chained to the original exception.
     """
     durations = config.raman_durations
     states = _evolved_states(config, durations)
+    report = squeezing_report(np.array([state.rho for state in states]))
     jx0 = config.pump_fraction * config.spin.f_value  # mean spin before the drive
     rows = []
-    for t_r, state in zip(durations, states):
+    for i, t_r in enumerate(durations):
         try:
-            report, record = _probe_point(config, t_r, state)
+            cov = canonical_moments(report.cov[i], report.length[i])
+            record = simulate_records(cov, config.kappa2, config.n_shots, _point_seed(config, t_r))
             corrected = correct_covariance(record)
             zeta2_rec = 2.0 * corrected.min_variance
             zeta2_err = _zeta2_error(corrected, config.kappa2)
@@ -353,13 +349,13 @@ def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
         rows.append(
             SweepRow(
                 t_r=t_r,
-                chi2_true=report.chi2,
-                zeta2_true=report.zeta2,
-                xi2_true=report.xi2,
+                chi2_true=float(report.chi2[i]),
+                zeta2_true=float(report.zeta2[i]),
+                xi2_true=float(report.xi2[i]),
                 zeta2_reconstructed=zeta2_rec,
                 zeta2_error=zeta2_err,
-                mean_spin_fraction=report.mean_spin_length / jx0,
-                css_reference_variance=report.mean_spin_length / 2.0,
+                mean_spin_fraction=float(report.length[i]) / jx0,
+                css_reference_variance=float(report.length[i]) / 2.0,
             )
         )
     return tuple(rows)

@@ -8,7 +8,7 @@ approximation the transverse spin pair maps to canonical quadratures
     x = F_y' / sqrt(<F_x'>),    p = F_z' / sqrt(<F_x'>),
 
 where the primed frame has x' along the mean spin (the frame of
-:class:`~spintomo.squeezing.SqueezingReport`), so <F_x'> = |<F>| and
+:func:`~spintomo.squeezing.squeezing_report`), so <F_x'> = |<F>| and
 <F_y'> = <F_z'> = 0.  Any coherent state is then the vacuum with
 var(x) = var(p) = 1/2.  Each demodulated outcome is then
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .squeezing import SqueezingReport
 from .tables import parse_number, parse_whole_number, read_table, write_table
 
 __all__ = [
@@ -93,14 +92,18 @@ class MeasurementRecord:
         return self.shots[:, 1]
 
 
-def canonical_moments(report: SqueezingReport) -> np.ndarray:
-    """2x2 covariance of the canonical (x, p) pair of a state, from its squeezing report.
+def canonical_moments(cov, length) -> np.ndarray:
+    """2x2 covariance of the canonical (x, p) pair from a squeezing report's ``cov`` and ``length``.
 
-    The quadratures are the report's transverse pair (F_y', F_z') divided by
-    sqrt(|<F>|), under which their commutator is exactly canonical.  Their
-    means vanish by construction of the frame.
+    The quadratures are the transverse pair (F_y', F_z') over sqrt(|<F>|), so their
+    commutator is exactly canonical and their means vanish.  A mean spin shorter
+    than 1e-9 (or NaN) has collapsed and raises :class:`PhysicalityError`.
     """
-    return report.cov / report.mean_spin_length
+    if not length >= 1e-9:
+        raise PhysicalityError(
+            "mean spin collapsed: squeezing parameters referenced to |<F>| are undefined"
+        )
+    return np.asarray(cov, dtype=float) / length
 
 
 def readout_model(kappa2: float) -> tuple[float, float]:

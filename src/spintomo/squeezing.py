@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -53,54 +53,31 @@ REFINE_TOL = 1e-6
 MAX_GRID_NODES = 10**6
 
 
-@dataclass(frozen=True)
-class SqueezingReport:
-    """Mean spin, transverse covariance and squeezing parameters of one state.
-
-    ``cov`` is the symmetric 2x2 covariance matrix of the transverse pair
-    (F_y', F_z') in the frame whose x' axis points along the mean spin.
-    """
+class SqueezingReport(NamedTuple):
+    """Mean spin (..., 3), its length, the (..., 2, 2) covariance of the transverse pair
+    (F_y', F_z') in the frame whose x' axis points along the mean spin, and the
+    squeezing parameters, one entry per state reported on."""
 
     mean_spin: np.ndarray
+    length: np.ndarray
     cov: np.ndarray
-    chi2: float
-    zeta2: float
-    xi2: float
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean_spin, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (3,) or cov.shape != (2, 2):
-            raise ValueError("mean_spin must be a 3-vector and cov a 2x2 matrix")
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-10:
-            raise ValueError("covariance matrix must be symmetric")
-        scale = max(abs(cov).max(), 1.0)
-        if not variance_extrema(cov)[0] >= -1e-10 * scale:
-            raise PhysicalityError("transverse covariance is not positive semidefinite")
-        for a in (mean, cov):
-            a.setflags(write=False)
-        object.__setattr__(self, "mean_spin", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def mean_spin_length(self) -> float:
-        return float(np.linalg.norm(self.mean_spin))
+    chi2: np.ndarray
+    zeta2: np.ndarray
+    xi2: np.ndarray
 
 
-def _transverse_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane orthogonal to ``direction``.
+def _transverse_frame(direction: np.ndarray) -> np.ndarray:
+    """Rows (e2, e3), shape (..., 2, 3), of an orthonormal pair orthogonal to each direction.
 
-    Reduces to (y, z) when the mean spin points along +x.
+    e2 is y minus its part along the direction, or z for a direction along
+    +-y, so the pair is (y, z) when the mean spin points along +x.
     """
-    n = direction / np.linalg.norm(direction)
-    ey = np.array([0.0, 1.0, 0.0])
-    ez = np.array([0.0, 0.0, 1.0])
-    e2 = ey - (ey @ n) * n
-    if np.linalg.norm(e2) < 1e-8:
-        e2 = ez - (ez @ n) * n
-    e2 /= np.linalg.norm(e2)
-    e3 = np.cross(n, e2)
-    return e2, e3
+    n = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
+    e2 = np.array([0.0, 1.0, 0.0]) - n[..., 1:2] * n
+    e2_z = np.array([0.0, 0.0, 1.0]) - n[..., 2:3] * n
+    e2 = np.where(np.linalg.norm(e2, axis=-1, keepdims=True) < 1e-8, e2_z, e2)
+    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    return np.stack([e2, np.cross(n, e2)], axis=-2)
 
 
 def _squeezing_parameters(v_min, length, f_value):
@@ -108,29 +85,25 @@ def _squeezing_parameters(v_min, length, f_value):
     return 2.0 * v_min / f_value, 2.0 * v_min / length, 2.0 * f_value * v_min / length**2
 
 
-def squeezing_report(state: QuantumState) -> SqueezingReport:
-    """Squeezing parameters of a state relative to the initial spin length F.
+def squeezing_report(rho) -> SqueezingReport:
+    """Squeezing parameters, relative to F = (d - 1)/2, of a density matrix or a stack (..., d, d).
 
-    The mean spin and its 3x3 covariance come from one
-    :func:`~spintomo.spin_algebra.moments` call; the transverse covariance is
-    their projection onto the plane orthogonal to the mean.  A mean spin
-    shorter than 1e-9 has no transverse plane and raises
-    :class:`PhysicalityError`.
+    One :func:`~spintomo.spin_algebra.moments` call gives the mean spins and
+    3x3 covariances; each transverse covariance is their projection onto the
+    plane orthogonal to the mean.  A zero mean spin has no such plane: its
+    ``cov`` and parameters are NaN (``canonical_moments`` holds the collapse rule).
     """
-    ops = spin_operators(state.spin)
-    mean, cov_spin = moments(state.rho, (ops.fx, ops.fy, ops.fz))
-    length = np.linalg.norm(mean)
-    if length < 1e-9:
-        raise PhysicalityError(
-            "mean spin collapsed: squeezing parameters referenced to |<F>| are undefined"
-        )
-
-    # covariance of (F_y', F_z') = E C E^T with E the rows of the transverse frame
-    frame = np.array(_transverse_frame(mean))
-    cov = frame @ cov_spin @ frame.T
-    v_min = float(variance_extrema(cov)[0])
-    chi2, zeta2, xi2 = _squeezing_parameters(v_min, length, ops.f.f_value)
-    return SqueezingReport(mean_spin=mean, cov=cov, chi2=chi2, zeta2=zeta2, xi2=xi2)
+    rho = np.asarray(rho)
+    ops = spin_operators(SpinQuantumNumber(rho.shape[-1] - 1))
+    mean, cov_spin = moments(rho, (ops.fx, ops.fy, ops.fz))
+    length = np.linalg.norm(mean, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # covariance of (F_y', F_z') = E C E^T with E the rows of the transverse frame
+        frame = _transverse_frame(mean)
+        cov = frame @ cov_spin @ np.swapaxes(frame, -1, -2)
+        v_min = variance_extrema(cov)[0]
+        chi2, zeta2, xi2 = _squeezing_parameters(v_min, length, ops.f.f_value)
+    return SqueezingReport(mean, length, cov, chi2, zeta2, xi2)
 
 
 @dataclass(frozen=True)
@@ -188,7 +161,9 @@ def tact_optimum(f) -> TactOptimum:
         # (chi2, zeta2, xi2) rows, one per time.  The mean spin stays on the
         # +-x axis by symmetry.  Below |<F>|^2 = 1e-8 F it counts as collapsed
         # and zeta2, xi2 are infinite: xi2 is a 0/0 there, with round-off
-        # growing as 1/|<F>|^2; chi2 stays finite.
+        # growing as 1/|<F>|^2; chi2 stays finite.  squeezing_report has no such
+        # rule: its zeta2 on a round-off mean spin is near 0, and the F = 1
+        # zeta2_min of `limits` would fall from 5.0e-5 to 4.2e-7 through it.
         psi = (np.exp(-1j * np.multiply.outer(taus, w)) * coeffs) @ v.T
         rho = np.einsum("ni,nj->nij", psi, psi.conj())
         mean, cov = moments(rho, (ops.fx, ops.fy, ops.fz))

@@ -222,7 +222,7 @@ def _binned_quadrature_povm(
     # the CDF is evaluated through erfc, elementwise (see _normal_cdf)
     cdf = _normal_cdf((edges[:, None] - x) / sigma_blur)
     member = np.diff(cdf, axis=0, prepend=0.0, append=1.0)
-    return np.einsum("kx,nx,mx->knm", member * _QUADRATURE_STEP, psi, psi, optimize=True)
+    return np.matmul((member * _QUADRATURE_STEP)[:, None, :] * psi, psi.T)
 
 
 def _rotated_povm(povm_x: np.ndarray, theta: float, dim: int) -> np.ndarray:

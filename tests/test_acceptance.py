@@ -92,7 +92,7 @@ def test_criterion_3_coherent_state_baseline():
     css = coherent_spin_state(4, np.pi / 2.0, 0.0)
     var_y = covariance(css, ops.fy, ops.fy)
     var_z = covariance(css, ops.fz, ops.fz)
-    report = squeezing_report(css)
+    report = squeezing_report(css.rho)
     ok = (
         abs(var_y - 2.0) <= 1e-12
         and abs(var_z - 2.0) <= 1e-12
@@ -187,8 +187,8 @@ def test_criterion_6_physics_invariant_suite():
     states = [evolve_unitary(css, h_tact, tau) for tau in (0.05, 0.1375, 0.25)]
     states += lindblad_trajectory(css, h, *rates, [0.8, 3.0])
     for state in states:
-        report = squeezing_report(state)
-        floor = report.mean_spin_length**2 / 4.0
+        report = squeezing_report(state.rho)
+        floor = report.length**2 / 4.0
         if np.linalg.det(report.cov) < floor - 1e-9:
             violations.append("uncertainty floor broken on an evolved state")
 

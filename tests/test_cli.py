@@ -446,6 +446,19 @@ class TestInputBounds:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "records", "qpd"])
+    def test_spinless_atom_fails_on_one_line(self, tmp_path, capsys, command):
+        # a spin-0 atom has no mean spin to squeeze or probe: the config is refused at load
+        cfg = tmp_path / "f0.cfg"
+        cfg.write_text("f = 0\nraman_durations = 0.8\nn_shots = 100\n")
+        out = tmp_path / "o.csv"
+        point = [] if command == "sweep" else ["--tr", "0.8"]
+        assert run_cli(command, "--config", str(cfg), *point, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "usage error: f must be >= 1/2 (spin 0 has no mean spin), got 0.0\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, line, message",
         [(["records"], "raman_durations = 0:6:1e-5",

@@ -92,7 +92,7 @@ class TestTwoAxisCountertwisting:
 
         h = tact_hamiltonian(ops4, 1.0)
         evolved = evolve_unitary(css_x4, h, 0.05)
-        report = squeezing_report(evolved)
+        report = squeezing_report(evolved.rho)
         assert variance_extrema(report.cov)[0] < 2.0
         # brute-force angle scan agrees with the closed-form optimum
         angles = np.linspace(-np.pi / 2, np.pi / 2, 10001)

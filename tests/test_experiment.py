@@ -189,6 +189,18 @@ def _row_bytes(rows) -> bytes:
 
 
 class TestRunSweep:
+    def test_one_squeezing_report_for_all_durations(self, monkeypatch):
+        shapes = []
+        report = experiment.squeezing_report
+
+        def spy(rho):
+            shapes.append(np.shape(rho))
+            return report(rho)
+
+        monkeypatch.setattr(experiment, "squeezing_report", spy)
+        run_sweep(short_config())
+        assert shapes == [(3, 9, 9)]
+
     def test_zero_duration_row_is_baseline(self):
         row = run_sweep(short_config())[0]
         # 98% pumping lifts the reference slightly above the ideal CSS
@@ -244,6 +256,14 @@ class TestRunSweep:
             assert info.value.t_r == 0.0
             assert isinstance(info.value.__cause__, cause)
 
+    def test_later_collapse_names_its_point(self):
+        # with t1 = t2 = 1 us the mean spin has decayed to round-off by 0.4 ms,
+        # while the point at 0 still stands
+        with pytest.raises(SweepPointError, match="t_r=0.4 ms: mean spin collapsed") as info:
+            run_sweep(short_config(t1=1e-3, t2=1e-3, raman_durations=(0.0, 0.4)))
+        assert info.value.t_r == 0.4
+        assert isinstance(info.value.__cause__, PhysicalityError)
+
     @pytest.mark.parametrize(
         "injected",
         [
@@ -269,8 +289,8 @@ class TestRunSweep:
         total, hits = 0, 0
         for seed in range(20):
             for t_r, state in zip(cfg.raman_durations, states):
-                report = squeezing_report(state)
-                cov = canonical_moments(report)
+                report = squeezing_report(state.rho)
+                cov = canonical_moments(report.cov, report.length)
                 rec = simulate_records(cov, cfg.kappa2, cfg.n_shots, seed=9000 + 31 * seed + total)
                 cc = correct_covariance(rec)
                 zeta2_rec = 2.0 * cc.min_variance

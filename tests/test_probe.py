@@ -50,7 +50,8 @@ class TestCanonicalMoments:
         rng = np.random.default_rng(17)
         for f in np.repeat([1.0, 4.0, 7.5], 4):
             theta, phi = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0.0, 2.0 * np.pi)
-            cov = canonical_moments(squeezing_report(coherent_spin_state(f, theta, phi)))
+            report = squeezing_report(coherent_spin_state(f, theta, phi).rho)
+            cov = canonical_moments(report.cov, report.length)
             assert_allclose(cov, VACUUM, atol=1e-12)
 
     def test_squeezed_to_quarter_has_antisqueezed_partner(self):
@@ -58,13 +59,14 @@ class TestCanonicalMoments:
         # crosses 1/4 (3 dB), aligning the squeezed axis with p first
         def aligned_var_p(tau):
             state = _tact_state(tau)
-            report = squeezing_report(state)
+            report = squeezing_report(state.rho)
             # rotate the squeezed axis, the eigenvector of the smaller
             # eigenvalue of the transverse covariance, onto z
             squeezed = np.linalg.eigh(report.cov)[1][:, 0]
             angle = np.arctan2(squeezed[1], squeezed[0]) - np.pi / 2.0
             rotated = rotate(state, [1.0, 0.0, 0.0], -angle)
-            return canonical_moments(squeezing_report(rotated)), tau
+            report = squeezing_report(rotated.rho)
+            return canonical_moments(report.cov, report.length), tau
 
         lo, hi = 0.005, 0.1375
         for _ in range(60):  # bisect var_p(tau) = 1/4
@@ -84,8 +86,8 @@ class TestCanonicalMoments:
         # over |<Fx>|; the minimum variance is then zeta2 / 2
         for tau in (0.05, 0.1, 0.1375):
             state = _tact_state(tau)
-            report = squeezing_report(state)
-            cov = canonical_moments(report)
+            report = squeezing_report(state.rho)
+            cov = canonical_moments(report.cov, report.length)
             jx = abs(expectation(state, ops4.fx))
             pair = (ops4.fy, ops4.fz)
             lab = np.array([[covariance(state, a, b) for b in pair] for a in pair]) / jx

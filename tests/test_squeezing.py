@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +6,7 @@ from scipy.linalg import expm
 from spintomo import (
     PhysicalityError,
     QuantumState,
+    canonical_moments,
     coherent_spin_state,
     lindblad_trajectory,
     husimi,
@@ -27,6 +26,13 @@ def _squeezed_angle(report):
     return np.arctan2(squeezed[1], squeezed[0])
 
 
+def _dicke_zero():
+    """|F=4, m=0><F=4, m=0|: every component of its mean spin is exactly zero."""
+    rho = np.zeros((9, 9))
+    rho[4, 4] = 1.0
+    return rho
+
+
 def _evolved_tact(f, tau):
     ops = spin_operators(f)
     css = coherent_spin_state(f, np.pi / 2.0, 0.0)
@@ -35,46 +41,67 @@ def _evolved_tact(f, tau):
 
 class TestSqueezingReport:
     def test_css_baseline(self, css_x4):
-        report = squeezing_report(css_x4)
+        report = squeezing_report(css_x4.rho)
         assert abs(report.chi2 - 1.0) <= 1e-10
         assert abs(report.zeta2 - 1.0) <= 1e-10
         assert abs(report.xi2 - 1.0) <= 1e-10
         assert_allclose(report.cov, 2.0 * np.eye(2), atol=1e-12)
 
     def test_mean_spin_vector(self, css_x4):
-        report = squeezing_report(css_x4)
+        report = squeezing_report(css_x4.rho)
         assert_allclose(report.mean_spin, [4.0, 0.0, 0.0], atol=1e-12)
+        assert abs(report.length - 4.0) <= 1e-12
 
     def test_collapsed_mean_spin_rejected(self):
-        mixed = QuantumState(np.eye(9) / 9.0)
-        with pytest.raises(PhysicalityError, match="mean spin collapsed"):
-            squeezing_report(mixed)
+        # the Dicke state m = 0 has an exactly zero mean spin, so no transverse
+        # plane: the report's parameters are not finite, and nothing raises
+        # even where numpy errors raise; the fully mixed state's mean is
+        # round-off.  canonical_moments refuses both
+        with np.errstate(all="raise"):
+            report = squeezing_report(_dicke_zero())
+        assert report.length == 0.0
+        assert not np.isfinite(report.zeta2)
+        for rho in (_dicke_zero(), np.eye(9) / 9.0):
+            report = squeezing_report(rho)
+            with pytest.raises(PhysicalityError, match="mean spin collapsed"):
+                canonical_moments(report.cov, report.length)
 
-    def test_invalid_args(self, css_x4):
-        report = squeezing_report(css_x4)
-        with pytest.raises(ValueError, match="3-vector"):
-            replace(report, mean_spin=np.zeros(2))
-        with pytest.raises(ValueError, match="symmetric"):
-            replace(report, cov=np.array([[2.0, 0.1], [0.0, 2.0]]))
-
-    def test_nan_covariance_rejected(self, css_x4):
-        report = squeezing_report(css_x4)
-        for cov in ([[np.nan, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, np.nan]]):
-            with pytest.raises(PhysicalityError, match="not positive semidefinite"):
-                replace(report, cov=np.array(cov))
+    def test_stack_matches_per_state_calls(self, ops4, css_x4):
+        # one call on a stack equals one call per state; the state polarized
+        # along +y takes the frame's z fallback, where the frame is (z, x) and
+        # its covariance that of a coherent state, and the zero-mean member
+        # is not finite without touching the others
+        along_y = coherent_spin_state(4, np.pi / 2.0, np.pi / 2.0).rho
+        tilted = rotate(_evolved_tact(4, 0.1), [0.3, -0.5, 0.8], 0.7).rho
+        rates = (1.0 / 80.0 + 0.01, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))
+        decayed = lindblad_trajectory(css_x4, tact_hamiltonian(ops4, 0.12), *rates, [1.5])[0].rho
+        stack = np.array([css_x4.rho, along_y, _dicke_zero(), tilted, decayed])
+        with np.errstate(all="raise"):
+            batch = squeezing_report(stack)
+        assert batch.mean_spin.shape == (5, 3) and batch.cov.shape == (5, 2, 2)
+        for i in (0, 1, 3, 4):
+            single = squeezing_report(stack[i])
+            for field, value in zip(single._fields, single):
+                assert_allclose(getattr(batch, field)[i], value, rtol=1e-14, atol=1e-14,
+                                err_msg=f"{field} of state {i}")
+        assert_allclose(batch.cov[1], 2.0 * np.eye(2), atol=1e-12)
+        assert abs(batch.zeta2[1] - 1.0) <= 1e-12
+        for field in ("cov", "chi2", "zeta2", "xi2"):
+            assert not np.isfinite(getattr(batch, field)[2]).any()
+            assert np.isfinite(np.delete(getattr(batch, field), 2, axis=0)).all()
 
     @pytest.mark.parametrize("tau", [0.03, 0.08, 0.1375, 0.2])
     def test_parameter_ordering_chain(self, tau):
         # with the reference length F >= |<F>| the chain chi2 <= zeta2 <= xi2 holds
-        report = squeezing_report(_evolved_tact(4, tau))
+        report = squeezing_report(_evolved_tact(4, tau).rho)
         assert report.chi2 <= report.zeta2 + 1e-12
         assert report.zeta2 <= report.xi2 + 1e-12
 
     def test_rotation_about_mean_axis(self):
         state = _evolved_tact(4, 0.1)
-        base = squeezing_report(state)
+        base = squeezing_report(state.rho)
         delta = 0.4
-        rotated = squeezing_report(rotate(state, [1.0, 0.0, 0.0], delta))
+        rotated = squeezing_report(rotate(state, [1.0, 0.0, 0.0], delta).rho)
         assert abs(rotated.chi2 - base.chi2) <= 1e-10
         assert abs(rotated.zeta2 - base.zeta2) <= 1e-10
         assert abs(rotated.xi2 - base.xi2) <= 1e-10
@@ -83,16 +110,16 @@ class TestSqueezingReport:
 
     @pytest.mark.parametrize("tau", [0.05, 0.1375, 0.3])
     def test_heisenberg_floor_unitary(self, tau):
-        report = squeezing_report(_evolved_tact(4, tau))
-        floor = report.mean_spin_length**2 / 4.0
+        report = squeezing_report(_evolved_tact(4, tau).rho)
+        floor = report.length**2 / 4.0
         assert np.linalg.det(report.cov) >= floor - 1e-9
 
     def test_heisenberg_floor_lindblad(self, ops4, css_x4):
         rates = (1.0 / 80.0 + 0.01, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))  # t1 = 80, t2 = 20 ms
         h = tact_hamiltonian(ops4, 0.12)
         for t in (0.5, 1.5, 3.0):
-            report = squeezing_report(lindblad_trajectory(css_x4, h, *rates, [t])[0])
-            floor = report.mean_spin_length**2 / 4.0
+            report = squeezing_report(lindblad_trajectory(css_x4, h, *rates, [t])[0].rho)
+            floor = report.length**2 / 4.0
             assert np.linalg.det(report.cov) >= floor - 1e-9
 
 
@@ -153,7 +180,7 @@ class TestTactOptimum:
         # independent path: unitary evolution of the density matrix and the
         # squeezing report at the optimal time reproduce the scanned minimum
         opt = tact_optimum(4)
-        report = squeezing_report(_evolved_tact(4, opt.alpha_t_zeta2))
+        report = squeezing_report(_evolved_tact(4, opt.alpha_t_zeta2).rho)
         assert abs(report.zeta2 - opt.zeta2_min) <= 1e-9
 
     @pytest.mark.parametrize("bracket_points", [4, 8, 16, 64, 128])
@@ -167,16 +194,11 @@ class TestTactOptimum:
         # dense scan of one-axis twisting as the comparison oracle
         h = oat_hamiltonian(ops4, 1.0)
         taus = np.linspace(0.01, np.pi, 1500)
-        chi2s, xi2s = [], []
-        for tau in taus:
-            try:
-                report = squeezing_report(evolve_unitary(css_x4, h, tau))
-            except PhysicalityError:
-                continue  # cat-state points with zero mean spin are not minima
-            chi2s.append(report.chi2)
-            xi2s.append(report.xi2)
-        chi2_oat = min(chi2s)
-        xi2_oat = min(xi2s)
+        report = squeezing_report(np.array([evolve_unitary(css_x4, h, tau).rho for tau in taus]))
+        # cat-state points with a collapsed mean spin (canonical_moments' rule) are not minima
+        kept = report.length >= 1e-9
+        chi2_oat = report.chi2[kept].min()
+        xi2_oat = report.xi2[kept].min()
         opt = tact_optimum(4)
         assert chi2_oat < 0.3
         assert xi2_oat > opt.xi2_min
@@ -255,7 +277,7 @@ class TestHusimi:
         # the Husimi second moments around the mean must agree with the
         # anti-squeezed axis from the covariance report
         state = evolve_unitary(css_x4, oat_hamiltonian(ops4, 1.0), 0.04)
-        report = squeezing_report(state)
+        report = squeezing_report(state.rho)
         grid = husimi(state, 96, 192)
         tt, pp = np.meshgrid(grid.thetas, grid.phis, indexing="ij")
         mask = (np.abs(pp - 0.0) < 0.8) | (np.abs(pp - 2 * np.pi) < 0.8)
