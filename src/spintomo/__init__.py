@@ -26,12 +26,11 @@ from .probe import (
     simulate_records,
 )
 from .spin_algebra import (
-    QuantumState,
-    SpinOperators,
-    SpinQuantumNumber,
+    check_density,
     coherent_spin_state,
     coherent_state_vector,
     moments,
+    spin_dimension,
     spin_operators,
     variance_extrema,
 )

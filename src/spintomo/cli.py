@@ -27,7 +27,7 @@ import numpy as np
 from .errors import PhysicalityError, SweepPointError
 from .experiment import ExperimentConfig, evolved_state, point_record, run_sweep
 from .probe import record_from_csv, record_to_csv
-from .spin_algebra import SpinQuantumNumber
+from .spin_algebra import spin_dimension
 from .squeezing import REFINE_TOL, SCAN_POINTS, husimi, tact_optimum
 from .tables import write_table
 from .tomography import mle_reconstruct, correct_covariance
@@ -131,8 +131,9 @@ def _cmd_limits(args) -> None:
             f"f={args.f:g} has no countertwisting limit: spin-1/2 (and below) "
             "cannot squeeze because Fz^2 - Fy^2 vanishes"
         )
-    largest = SpinQuantumNumber.coerce(float(np.floor(args.f + 1e-9)))  # finite, dimension <= 16
-    spins = [float(k) for k in range(1, int(largest.f_value) + 1)]
+    largest = float(np.floor(args.f + 1e-9))
+    spin_dimension(largest)  # finite, dimension <= 16
+    spins = [float(k) for k in range(1, int(largest) + 1)]
     optima = [tact_optimum(f) for f in spins]
     params_hash = hashlib.sha256(
         f"limits f={args.f:.17g} scan={SCAN_POINTS} refine={REFINE_TOL:g}".encode()

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import PhysicalityError
-from .spin_algebra import QuantumState, SpinOperators, spin_operators
+from .spin_algebra import _check_stack, _readonly, check_density, spin_operators
 
 __all__ = [
     "tact_hamiltonian",
@@ -31,14 +31,14 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
-def tact_hamiltonian(ops: SpinOperators, alpha: float) -> np.ndarray:
-    """Two-axis countertwisting generator alpha * (Fz^2 - Fy^2)."""
-    m = alpha * (ops.fz @ ops.fz - ops.fy @ ops.fy)
+def tact_hamiltonian(ops: np.ndarray, alpha: float) -> np.ndarray:
+    """Two-axis countertwisting generator alpha * (Fz^2 - Fy^2) of the spin matrices ``ops``."""
+    m = alpha * (ops[2] @ ops[2] - ops[1] @ ops[1])
     return (m + m.conj().T) / 2.0
 
 
 def compensated_hamiltonian(
-    ops: SpinOperators,
+    ops: np.ndarray,
     beta: float,
     residual: float = 0.0,
 ) -> np.ndarray:
@@ -58,9 +58,9 @@ def compensated_hamiltonian(
     default is exact tuning.  The test helper ``secular_compensated_matrix``
     averages the modulated drive numerically and checks this form.
     """
-    f = ops.f.f_value
-    h = tact_hamiltonian(ops, beta / 2.0) + residual * (ops.fx @ ops.fx)
-    return h + beta * f * (f + 1.0) * np.eye(ops.dimension)
+    f = (ops.shape[-1] - 1) / 2.0
+    h = tact_hamiltonian(ops, beta / 2.0) + residual * (ops[0] @ ops[0])
+    return h + beta * f * (f + 1.0) * np.eye(len(h))
 
 
 def _liouvillian(
@@ -116,21 +116,21 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def lindblad_trajectory(
-    state: QuantumState,
+    rho0,
     h: np.ndarray,
     depolarization: float,
     dephasing: float,
     times,
-) -> list[QuantumState]:
-    """States at each requested time, by exact propagation of the master equation.
+) -> np.ndarray:
+    """Read-only (n, d, d) stack of the states at n times, by exact propagation from ``rho0``.
 
     The master equation has the Hamiltonian ``h`` (rad/ms), isotropic
     depolarization toward the fully mixed state at rate ``depolarization``
     and the dephasing dissipator of the jump operator sqrt(``dephasing``) Fx
-    (both in 1/ms).  ``h`` must be a (d, d) matrix for the state's dimension
-    d (else ``ValueError``) and Hermitian to 1e-12 (else
-    :class:`PhysicalityError`); a rate that is negative or not finite
-    raises ``ValueError``.
+    (both in 1/ms).  ``rho0`` must pass :func:`check_density`.  ``h`` must
+    be a (d, d) matrix for its dimension d (else ``ValueError``) and
+    Hermitian to 1e-12 (else :class:`PhysicalityError`); a rate that is
+    negative or not finite raises ``ValueError``.
     ``times`` must be finite, non-decreasing and non-negative.  The state is
     propagated in real Hermitian coordinates X = Re rho + Im rho: the real
     d^2 x d^2 generator L_r of the master equation (see ``_liouvillian``) is
@@ -143,11 +143,12 @@ def lindblad_trajectory(
     same L_r, at the last time: a mismatch above 1e-10 means an
     ill-conditioned eigenbasis, and a mismatch that is not finite means the
     propagation overflowed at that time; both raise
-    :class:`PhysicalityError`.  Each state must pass the
-    :class:`QuantumState` checks at their default tolerances; a failure
-    names its time.
+    :class:`PhysicalityError`.  The states must pass the checks of
+    :func:`check_density`, made once over the stack; a failure names the
+    time of the first failing state.
     """
-    d = state.dimension
+    rho0 = check_density(rho0)
+    d = rho0.shape[-1]
     h = np.asarray(h)
     if h.shape != (d, d):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match state dimension {d}")
@@ -158,7 +159,7 @@ def lindblad_trajectory(
         raise ValueError(f"decay rates must be finite and >= 0, got {depolarization}, {dephasing}")
     times = np.asarray(times, dtype=float)
     if not times.size:
-        return []
+        return _readonly(np.empty((0, d, d), dtype=complex))
     if not np.isfinite(times).all():
         raise ValueError(f"evolution time {times[~np.isfinite(times)][0]:g} ms is not finite")
     if (times < 0).any():
@@ -166,8 +167,8 @@ def lindblad_trajectory(
     if (np.diff(times) < 0).any():
         raise ValueError("times must be non-decreasing")
 
-    lr = _liouvillian(h, depolarization, dephasing, np.asarray(spin_operators(state.spin).fx))
-    x0 = (state.rho.real + state.rho.imag).ravel()
+    lr = _liouvillian(h, depolarization, dephasing, spin_operators((d - 1) / 2.0)[0])
+    x0 = (rho0.real + rho0.imag).ravel()
     w, v = np.linalg.eig(lr)
     c = np.linalg.solve(v, x0)
     t_max = times[-1]
@@ -184,11 +185,8 @@ def lindblad_trajectory(
             f"Liouvillian eigenbasis is ill-conditioned: at t_max={t_max:g} ms the "
             f"eigen-solution differs from expm(L t) by {mismatch:.3g}"
         )
-    out = []
-    for t, x in zip(times, xs.T):
-        x = x.reshape(d, d)
-        try:
-            out.append(QuantumState((x + x.T) / 2.0 + 0.5j * (x - x.T)))
-        except PhysicalityError as exc:
-            raise PhysicalityError(f"evolved state at t={t:g} ms: {exc}") from exc
-    return out
+    x = xs.T.reshape(-1, d, d)
+    xt = x.swapaxes(-1, -2)
+    states = (x + xt) / 2.0 + 0.5j * (x - xt)
+    _check_stack(states, lambda i: f"evolved state at t={times[i]:g} ms: ")
+    return _readonly(states)

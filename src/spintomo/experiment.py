@@ -20,7 +20,7 @@ from .dynamics import compensated_hamiltonian, lindblad_trajectory
 from .errors import SweepPointError
 from .probe import (MeasurementRecord, _check_kappa2, canonical_moments, readout_model,
                     simulate_records)
-from .spin_algebra import QuantumState, SpinQuantumNumber, coherent_spin_state, spin_operators
+from .spin_algebra import check_density, coherent_spin_state, spin_dimension, spin_operators
 from .squeezing import squeezing_report
 from .tables import parse_number, parse_whole_number
 from .tomography import CorrectedCovariance, correct_covariance
@@ -123,7 +123,7 @@ class ExperimentConfig:
                 raise ValueError(f"{spec.name} must be finite, got {value!r}")
         if not self.f >= 0.5:
             raise ValueError(f"f must be >= 1/2 (spin 0 has no mean spin), got {self.f!r}")
-        SpinQuantumNumber.coerce(self.f)  # validates integer/half-integer
+        spin_dimension(self.f)  # validates integer/half-integer
         if not 0 < self.t2 <= self.t1:
             raise ValueError(f"decay times need 0 < t2 <= t1, got t1={self.t1!r}, t2={self.t2!r}")
         for name in ("twisting_rate", "compensation_residual"):
@@ -150,10 +150,6 @@ class ExperimentConfig:
             raise ValueError(f"n_shots must be <= {MAX_SHOTS}, got {self.n_shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def spin(self) -> SpinQuantumNumber:
-        return SpinQuantumNumber.coerce(self.f)
 
     # -- serialization ---------------------------------------------------
 
@@ -242,18 +238,16 @@ def _check_duration_count(n) -> None:
         raise ValueError(f"raman_durations must hold at most {MAX_DURATIONS} values, got {n:g}")
 
 
-def prepare_initial_state(config: ExperimentConfig) -> QuantumState:
-    """Pumped state: pump_fraction of the stretched state along +x, rest fully mixed.
+def prepare_initial_state(config: ExperimentConfig) -> np.ndarray:
+    """Pumped density matrix: pump_fraction of the stretched state along +x, rest fully mixed.
 
     Residual population outside the probed manifold contributes no signal at
     the demodulated phase, so imperfect pumping is modelled entirely inside
     the manifold as the maximally mixed admixture.
     """
-    spin = config.spin
-    css = coherent_spin_state(spin, np.pi / 2.0, 0.0)
-    d = spin.dimension
-    rho = config.pump_fraction * css.rho + (1.0 - config.pump_fraction) * np.eye(d) / d
-    return QuantumState(rho)
+    css = coherent_spin_state(config.f, np.pi / 2.0, 0.0)
+    d = len(css)
+    return check_density(config.pump_fraction * css + (1.0 - config.pump_fraction) * np.eye(d) / d)
 
 
 def _point_seed(config: ExperimentConfig, t_r: float) -> int:
@@ -280,18 +274,19 @@ def _decay_rates(config: ExperimentConfig) -> tuple[float, float]:
     return depolarization, dephasing
 
 
-def _evolved_states(config: ExperimentConfig, durations) -> list[QuantumState]:
-    ops = spin_operators(config.spin)
+def _evolved_states(config: ExperimentConfig, durations) -> np.ndarray:
+    """The (n, d, d) stack of density matrices after each drive duration, in ms."""
+    ops = spin_operators(config.f)
     h = compensated_hamiltonian(
         ops, beta=2.0 * config.twisting_rate, residual=config.compensation_residual
     )
     depolarization, dephasing = _decay_rates(config)
-    state0 = prepare_initial_state(config)
-    return lindblad_trajectory(state0, h, depolarization, dephasing, durations)
+    rho0 = prepare_initial_state(config)
+    return lindblad_trajectory(rho0, h, depolarization, dephasing, durations)
 
 
-def evolved_state(config: ExperimentConfig, t_r: float) -> QuantumState:
-    """State after driving the prepared ensemble for t_r milliseconds."""
+def evolved_state(config: ExperimentConfig, t_r: float) -> np.ndarray:
+    """Density matrix after driving the prepared ensemble for t_r milliseconds."""
     return _evolved_states(config, [t_r])[0]
 
 
@@ -301,7 +296,7 @@ def point_record(config: ExperimentConfig, t_r: float) -> MeasurementRecord:
     Its canonical normalization is the mean spin length, as the auxiliary
     mean-spin monitor of the measurement sequence gives it.
     """
-    report = squeezing_report(evolved_state(config, t_r).rho)
+    report = squeezing_report(evolved_state(config, t_r))
     cov = canonical_moments(report.cov, report.length)
     return simulate_records(cov, config.kappa2, config.n_shots, _point_seed(config, t_r))
 
@@ -334,8 +329,8 @@ def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
     """
     durations = config.raman_durations
     states = _evolved_states(config, durations)
-    report = squeezing_report(np.array([state.rho for state in states]))
-    jx0 = config.pump_fraction * config.spin.f_value  # mean spin before the drive
+    report = squeezing_report(states)
+    jx0 = config.pump_fraction * ((states.shape[-1] - 1) / 2.0)  # mean spin before the drive
     rows = []
     for i, t_r in enumerate(durations):
         try:

@@ -1,4 +1,4 @@
-"""Exact finite-dimensional angular-momentum algebra and state containers.
+"""Exact finite-dimensional angular-momentum algebra and density-matrix checks.
 
 Conventions used throughout the package:
 
@@ -7,13 +7,13 @@ Conventions used throughout the package:
 - Commutators follow [fy, fz] = i fx and cyclic permutations.
 - Dense matrices only; every dimension in this package is <= MAX_DIMENSION = 16.
 
-All containers are immutable after construction and all operations are pure
-functions, so values can be shared freely between threads.
+Spin and density matrices are plain numpy arrays, (d, d) for one state and
+(..., d, d) for a stack, with F = (d - 1)/2.  The spin matrices and checked
+states are read-only, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,10 +21,9 @@ import numpy as np
 from .errors import PhysicalityError
 
 __all__ = [
-    "SpinQuantumNumber",
-    "SpinOperators",
-    "QuantumState",
+    "spin_dimension",
     "spin_operators",
+    "check_density",
     "coherent_state_vector",
     "coherent_spin_state",
     "moments",
@@ -41,127 +40,79 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 MAX_DIMENSION = 16
 
 
-@dataclass(frozen=True)
-class SpinQuantumNumber:
-    """Total spin F, stored as 2F so half-integer spins stay exact."""
+def spin_dimension(f) -> int:
+    """Dimension 2F + 1 of the total spin ``f``; 2F must be a non-negative integer to 1e-9.
 
-    two_f: int
-
-    def __post_init__(self) -> None:
-        two_f = self.two_f
-        if not float(two_f).is_integer() or two_f < 0:
-            raise ValueError(f"two_f must be a non-negative integer, got {two_f!r}")
-        if two_f + 1 > MAX_DIMENSION:
-            raise ValueError(f"F={two_f / 2:g} needs dimension {two_f + 1:g} > {MAX_DIMENSION}")
-        object.__setattr__(self, "two_f", int(two_f))
-
-    @classmethod
-    def coerce(cls, f) -> "SpinQuantumNumber":
-        """Accept a SpinQuantumNumber or a numeric F (e.g. 4, 1.5)."""
-        if isinstance(f, cls):
-            return f
-        two_f = 2.0 * float(f)
-        if not np.isfinite(two_f) or abs(two_f - round(two_f)) > 1e-9:
-            raise ValueError(f"F must be a finite integer or half-integer, got {f!r}")
-        return cls(int(round(two_f)))
-
-    @property
-    def f_value(self) -> float:
-        return self.two_f / 2.0
-
-    @property
-    def dimension(self) -> int:
-        return self.two_f + 1
-
-    @property
-    def m_values(self) -> np.ndarray:
-        """Magnetic quantum numbers +F ... -F in basis order."""
-        return self.f_value - np.arange(self.dimension)
-
-
-@dataclass(frozen=True)
-class SpinOperators:
-    """Matrix representations of fx, fy and fz for one spin."""
-
-    f: SpinQuantumNumber
-    fx: np.ndarray
-    fy: np.ndarray
-    fz: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.f.dimension
+    Any other value, or a dimension above MAX_DIMENSION, raises ``ValueError``.
+    """
+    two_f = 2.0 * float(f)
+    if not np.isfinite(two_f) or abs(two_f - round(two_f)) > 1e-9:
+        raise ValueError(f"F must be a finite integer or half-integer, got {f!r}")
+    two_f = int(round(two_f))
+    if two_f < 0:
+        raise ValueError(f"two_f must be a non-negative integer, got {two_f!r}")
+    if two_f + 1 > MAX_DIMENSION:
+        raise ValueError(f"F={two_f / 2:g} needs dimension {two_f + 1:g} > {MAX_DIMENSION}")
+    return two_f + 1
 
 
 @lru_cache(maxsize=None)
-def _spin_operators(two_f: int) -> SpinOperators:
-    f = SpinQuantumNumber(two_f)
-    m = f.m_values
-    fval = f.f_value
-    d = f.dimension
+def _spin_operators(d: int) -> np.ndarray:
+    fval = (d - 1) / 2.0
+    m = fval - np.arange(d)
     fz = np.diag(m).astype(complex)
     # <m+1|F+|m> = sqrt(F(F+1) - m(m+1)); m+1 sits one row above m.
     c = np.sqrt(fval * (fval + 1.0) - m[1:] * (m[1:] + 1.0))
-    f_plus = np.zeros((d, d), dtype=complex)
-    f_plus[np.arange(d - 1), np.arange(1, d)] = c
+    f_plus = np.diag(c, k=1).astype(complex)
     f_minus = f_plus.conj().T
     fx = (f_plus + f_minus) / 2.0
     fy = (f_plus - f_minus) / 2.0j
-    return SpinOperators(f=f, fx=_readonly(fx), fy=_readonly(fy), fz=_readonly(fz))
+    return _readonly(np.array([fx, fy, fz]))
 
 
-def spin_operators(f) -> SpinOperators:
-    """Build (and cache) the spin matrices for total spin ``f``.
+def spin_operators(f) -> np.ndarray:
+    """The read-only (3, d, d) stack (Fx, Fy, Fz) for total spin ``f``, cached per dimension."""
+    return _spin_operators(spin_dimension(f))
 
-    Total function: any integer or half-integer F >= 0 is accepted.
+
+def _check_stack(rho: np.ndarray, at) -> None:
+    """Raise :class:`PhysicalityError` for the first failing state i of the (n, d, d) stack
+    ``rho``, its message prefixed by ``at(i)``.
+
+    The trace and Hermiticity tests run before the stack's one ``eigvalsh``,
+    so a state with NaN or infinite entries fails them, never the eigensolver.
     """
-    return _spin_operators(SpinQuantumNumber.coerce(f).two_f)
+    trace = np.trace(rho, axis1=1, axis2=2)
+    bad = ~(np.abs(trace - 1.0) <= 1e-10)
+    if bad.any():
+        i = np.argmax(bad)
+        raise PhysicalityError(f"{at(i)}trace(rho) = {trace[i]:.12g}, deviates from 1 beyond 1e-10")
+    adjoint = rho.conj().swapaxes(1, 2)
+    herm = np.abs(rho - adjoint).max(axis=(1, 2))
+    bad = ~(herm <= 1e-10)
+    if bad.any():
+        i = np.argmax(bad)
+        raise PhysicalityError(f"{at(i)}rho not Hermitian: max |rho - rho^dag| = {herm[i]:.3g}")
+    lowest = np.linalg.eigvalsh((rho + adjoint) / 2.0)[:, 0]
+    bad = ~(lowest >= -1e-9)
+    if bad.any():
+        i = np.argmax(bad)
+        raise PhysicalityError(f"{at(i)}rho has eigenvalue {lowest[i]:.3g} below tolerance -1e-09")
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Density matrix of a single spin (or truncated mode).
+def check_density(rho) -> np.ndarray:
+    """A read-only complex copy of one density matrix (d, d) or a stack (..., d, d).
 
-    Construction validates trace (to 1e-10), Hermiticity (to 1e-10) and
-    positivity (no eigenvalue below -1e-9).  Violations, NaN entries
-    included, are errors; states are never silently projected back onto
-    the physical set.  The tolerances absorb round-off only.
+    Each state needs unit trace and Hermiticity to 1e-10 and no eigenvalue
+    below -1e-9; the tolerances absorb round-off only.  A violation, NaN
+    entries included, raises :class:`PhysicalityError`, naming in a stack the
+    state's row-major index.  A shape that is not square raises ``ValueError``.
     """
-
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"rho must be square, got shape {rho.shape}")
-        tr = np.trace(rho)
-        if not abs(tr - 1.0) <= 1e-10:
-            raise PhysicalityError(f"trace(rho) = {tr:.12g}, deviates from 1 beyond 1e-10")
-        herm = np.abs(rho - rho.conj().T).max()
-        if not herm <= 1e-10:
-            raise PhysicalityError(f"rho not Hermitian: max |rho - rho^dag| = {herm:.3g}")
-        eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if not eigs.min() >= -1e-9:
-            raise PhysicalityError(f"rho has eigenvalue {eigs.min():.3g} below tolerance -1e-09")
-        object.__setattr__(self, "rho", _readonly(rho))
-
-    @property
-    def dimension(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def spin(self) -> SpinQuantumNumber:
-        return SpinQuantumNumber(self.dimension - 1)
-
-    @classmethod
-    def from_vector(cls, psi: np.ndarray) -> "QuantumState":
-        """Pure state |psi><psi| from a (not necessarily normalized) vector."""
-        psi = np.asarray(psi, dtype=complex).ravel()
-        norm = np.linalg.norm(psi)
-        if norm == 0.0:
-            raise ValueError("zero state vector")
-        psi = psi / norm
-        return cls(np.outer(psi, psi.conj()))
+    rho = np.array(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"rho must be square, got shape {rho.shape}")
+    _check_stack(rho.reshape(-1, *rho.shape[-2:]), lambda i: f"state {i}: " if rho.ndim > 2 else "")
+    return _readonly(rho)
 
 
 def coherent_state_vector(f, theta, phi) -> np.ndarray:
@@ -172,29 +123,32 @@ def coherent_state_vector(f, theta, phi) -> np.ndarray:
     theta is the polar angle from +z, phi the azimuth from +x.  The angles
     broadcast, and the result has shape (..., 2F+1): (2F+1,) for scalars.
     """
-    f = SpinQuantumNumber.coerce(f)
-    m = f.m_values
-    fval = f.f_value
+    d = spin_dimension(f)
+    fval = (d - 1) / 2.0
+    m = fval - np.arange(d)
     # exact integer binomials C(2F, k) from the factorials 0! ... (2F)!
-    factorials = np.cumprod(np.arange(f.dimension).clip(1))
+    factorials = np.cumprod(np.arange(d).clip(1))
     binom = factorials[-1] // (factorials * factorials[::-1])
     half = np.asarray(theta, dtype=float)[..., None] / 2.0
     amps = np.sqrt(binom) * np.cos(half) ** (fval + m) * np.sin(half) ** (fval - m)
     return amps * np.exp(-1j * m * np.asarray(phi, dtype=float)[..., None])
 
 
-def coherent_spin_state(f, theta: float, phi: float) -> QuantumState:
-    """Pure coherent spin state with mean spin F (sin t cos p, sin t sin p, cos t)."""
-    return QuantumState.from_vector(coherent_state_vector(f, theta, phi))
+def coherent_spin_state(f, theta: float, phi: float) -> np.ndarray:
+    """Coherent spin state density matrix with mean spin F (sin t cos p, sin t sin p, cos t)."""
+    psi = coherent_state_vector(f, theta, phi)
+    psi = psi / np.linalg.norm(psi)
+    return check_density(np.outer(psi, psi.conj()))
 
 
 def moments(rho, ops) -> tuple[np.ndarray, np.ndarray]:
     """Means <A_a> and symmetrized covariances (1/2)<A_a A_b + A_b A_a> - <A_a><A_b>.
 
     ``rho`` is one density matrix or a stack of them, shape (..., d, d), and
-    ``ops`` holds k Hermitian (d, d) matrices.  Returns real arrays of shape
-    (..., k) and (..., k, k): each is one ``einsum`` of the states against the
-    operators or their precomputed symmetrized products.
+    ``ops`` holds k Hermitian (d, d) matrices, e.g. the (3, d, d) stack of
+    :func:`spin_operators`.  Returns real arrays of shape (..., k) and
+    (..., k, k): each is one ``einsum`` of the states against the operators
+    or their precomputed symmetrized products.
     """
     rho, ops = np.asarray(rho), np.asarray(ops)
     if ops.ndim != 3 or ops.shape[1:] != rho.shape[-2:]:

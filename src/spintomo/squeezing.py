@@ -24,10 +24,10 @@ import numpy as np
 from .dynamics import tact_hamiltonian
 from .errors import PhysicalityError
 from .spin_algebra import (
-    QuantumState,
-    SpinQuantumNumber,
+    check_density,
     coherent_state_vector,
     moments,
+    spin_dimension,
     spin_operators,
     variance_extrema,
 )
@@ -94,15 +94,15 @@ def squeezing_report(rho) -> SqueezingReport:
     ``cov`` and parameters are NaN (``canonical_moments`` holds the collapse rule).
     """
     rho = np.asarray(rho)
-    ops = spin_operators(SpinQuantumNumber(rho.shape[-1] - 1))
-    mean, cov_spin = moments(rho, (ops.fx, ops.fy, ops.fz))
+    f = (rho.shape[-1] - 1) / 2.0
+    mean, cov_spin = moments(rho, spin_operators(f))
     length = np.linalg.norm(mean, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # covariance of (F_y', F_z') = E C E^T with E the rows of the transverse frame
         frame = _transverse_frame(mean)
         cov = frame @ cov_spin @ np.swapaxes(frame, -1, -2)
         v_min = variance_extrema(cov)[0]
-        chi2, zeta2, xi2 = _squeezing_parameters(v_min, length, ops.f.f_value)
+        chi2, zeta2, xi2 = _squeezing_parameters(v_min, length, f)
     return SqueezingReport(mean, length, cov, chi2, zeta2, xi2)
 
 
@@ -146,16 +146,15 @@ def tact_optimum(f) -> TactOptimum:
     ``REFINE_TOL``.  The scan and each zoom step (all three brackets) are one
     batched :func:`~spintomo.spin_algebra.moments` call on a stack of states.
     """
-    f = SpinQuantumNumber.coerce(f)
-    if f.two_f < 2:
+    j_init = (spin_dimension(f) - 1) / 2.0
+    if j_init < 1:
         raise ValueError(
-            f"F={f.f_value:g} cannot squeeze: Fz^2 - Fy^2 generates no twisting "
+            f"F={j_init:g} cannot squeeze: Fz^2 - Fy^2 generates no twisting "
             "below F=1 (for F=1/2 both squares are proportional to the identity)"
         )
-    ops = spin_operators(f)
+    ops = spin_operators(j_init)
     w, v = np.linalg.eigh(tact_hamiltonian(ops, 1.0))
-    coeffs = v.conj().T @ coherent_state_vector(f, np.pi / 2.0, 0.0)
-    j_init = f.f_value
+    coeffs = v.conj().T @ coherent_state_vector(j_init, np.pi / 2.0, 0.0)
 
     def params_at(taus: np.ndarray) -> np.ndarray:
         # (chi2, zeta2, xi2) rows, one per time.  The mean spin stays on the
@@ -166,7 +165,7 @@ def tact_optimum(f) -> TactOptimum:
         # zeta2_min of `limits` would fall from 5.0e-5 to 4.2e-7 through it.
         psi = (np.exp(-1j * np.multiply.outer(taus, w)) * coeffs) @ v.T
         rho = np.einsum("ni,nj->nij", psi, psi.conj())
-        mean, cov = moments(rho, (ops.fx, ops.fy, ops.fz))
+        mean, cov = moments(rho, ops)
         v_min = variance_extrema(cov[:, 1:, 1:])[0]
         length = np.abs(mean[:, 0])
         collapsed = length**2 < 1e-8 * j_init
@@ -190,7 +189,7 @@ def tact_optimum(f) -> TactOptimum:
         centres, minima = grids[cols, best], values[cols, best]
         step *= 2.0 / (BRACKET_POINTS - 1)
     return TactOptimum(
-        f=f.f_value,
+        f=j_init,
         chi2_min=float(minima[0]),
         alpha_t_chi2=float(centres[0]),
         zeta2_min=float(minima[1]),
@@ -213,17 +212,6 @@ class HusimiGrid:
     phis: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.thetas), len(self.phis)):
-            raise ValueError("values shape must be (n_theta, n_phi)")
-        if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-            raise PhysicalityError("Husimi values must lie in [0, 1]")
-        for name in ("thetas", "phis", "values"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
     def to_csv_text(self, header_comments: dict | None = None) -> str:
         """CSV table of rows (theta, phi, value), theta-major; angles in radians."""
         theta, phi = np.meshgrid(self.thetas, self.phis, indexing="ij")
@@ -234,21 +222,25 @@ class HusimiGrid:
         return buf.getvalue()
 
 
-def husimi(state: QuantumState, n_theta: int, n_phi: int) -> HusimiGrid:
-    """Evaluate the Husimi function of a spin state on an equiangular grid.
+def husimi(rho, n_theta: int, n_phi: int) -> HusimiGrid:
+    """Evaluate the Husimi function of the spin density matrix ``rho`` on an equiangular grid.
 
-    One broadcast :func:`~spintomo.spin_algebra.coherent_state_vector` call
-    gives the amplitudes of every node; round-off outside [0, 1] is clipped.
-    A grid of more than ``MAX_GRID_NODES`` nodes raises ``ValueError``.
+    ``rho`` must pass :func:`~spintomo.spin_algebra.check_density`.  One
+    broadcast :func:`~spintomo.spin_algebra.coherent_state_vector` call gives
+    the amplitudes of every node.  A value more than 1e-12 outside [0, 1]
+    raises :class:`PhysicalityError`; round-off within that is clipped.  A
+    grid of more than ``MAX_GRID_NODES`` nodes raises ``ValueError``.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     if n_theta * n_phi > MAX_GRID_NODES:
         raise ValueError(f"grid must have at most {MAX_GRID_NODES} nodes, got {n_theta}x{n_phi}")
-    f = state.spin
+    rho = check_density(rho)
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    amps = coherent_state_vector(f, thetas[:, None], phis[None, :])
-    values = np.real(np.einsum("ijd,de,ije->ij", amps.conj(), state.rho, amps))
+    amps = coherent_state_vector((rho.shape[-1] - 1) / 2.0, thetas[:, None], phis[None, :])
+    values = np.real(np.einsum("ijd,de,ije->ij", amps.conj(), rho, amps))
+    if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
+        raise PhysicalityError("Husimi values must lie in [0, 1]")
     values = np.clip(values, 0.0, 1.0)
     return HusimiGrid(thetas=thetas, phis=phis, values=values)

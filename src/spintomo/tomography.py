@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import PhysicalityError
 from .probe import MeasurementRecord, readout_model
-from .spin_algebra import QuantumState, variance_extrema
+from .spin_algebra import check_density, variance_extrema
 
 __all__ = [
     "CorrectedCovariance",
@@ -127,7 +127,7 @@ class OscillatorDensityMatrix:
     The reconstruction is of the centered state; the subtracted means are
     reported alongside.
 
-    rho must pass the :class:`~spintomo.spin_algebra.QuantumState` checks.
+    rho must pass :func:`~spintomo.spin_algebra.check_density`.
     The truncation-validity bound (top-level population < 1e-3) is enforced
     for converged results; an iterate stopped early at MAX_ITER is returned
     flagged rather than rejected, since it has not yet drained the edge of
@@ -143,7 +143,7 @@ class OscillatorDensityMatrix:
     gap_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        rho = QuantumState(self.rho).rho
+        rho = check_density(self.rho)
         top = float(rho[-1, -1].real)
         if self.converged and not top < 1e-3:
             raise PhysicalityError(

@@ -6,7 +6,7 @@ import pytest
 from spintomo import (
     MeasurementRecord,
     OscillatorDensityMatrix,
-    QuantumState,
+    check_density,
     coherent_spin_state,
     correct_covariance,
     moments,
@@ -25,22 +25,22 @@ def css_x4():
     return coherent_spin_state(4, np.pi / 2.0, 0.0)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> QuantumState:
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    return QuantumState((rho + rho.conj().T) / 2.0)
+    return check_density((rho + rho.conj().T) / 2.0)
 
 
-def expectation(state: QuantumState, op: np.ndarray) -> float:
+def expectation(rho: np.ndarray, op: np.ndarray) -> float:
     """<op> = Tr(rho op) for a Hermitian operator."""
-    mean, _ = moments(state.rho, [op])
+    mean, _ = moments(rho, [op])
     return float(mean[0])
 
 
-def covariance(state: QuantumState, a: np.ndarray, b: np.ndarray) -> float:
+def covariance(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Symmetrized covariance (1/2)<ab + ba> - <a><b> of Hermitian a, b."""
-    _, cov = moments(state.rho, [a, b])
+    _, cov = moments(rho, [a, b])
     return float(cov[0, 1])
 
 
@@ -52,38 +52,34 @@ def rotation_unitary(ops, axis, angle: float) -> np.ndarray:
     norm = np.linalg.norm(axis)
     if norm < 1e-12:
         raise ValueError("rotation axis must be non-zero")
-    n = axis / norm
-    gen = n[0] * ops.fx + n[1] * ops.fy + n[2] * ops.fz
+    gen = np.tensordot(axis / norm, ops, axes=1)
     w, v = np.linalg.eigh(gen)
     return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
 
-def rotate(state: QuantumState, axis, angle: float) -> QuantumState:
-    """Rotate a state about a spatial axis; trace and spectrum are preserved."""
-    ops = spin_operators(state.spin)
-    u = rotation_unitary(ops, axis, angle)
-    rho = u @ state.rho @ u.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return QuantumState(rho)
+def rotate(rho: np.ndarray, axis, angle: float) -> np.ndarray:
+    """Rotate a density matrix about a spatial axis; trace and spectrum are preserved."""
+    u = rotation_unitary(spin_operators((len(rho) - 1) / 2.0), axis, angle)
+    rho = u @ rho @ u.conj().T
+    return check_density((rho + rho.conj().T) / 2.0)
 
 
 def oat_hamiltonian(ops, alpha: float) -> np.ndarray:
-    """One-axis twisting generator alpha * Fz^2."""
-    return alpha * (ops.fz @ ops.fz)
+    """One-axis twisting generator alpha * Fz^2 of the spin matrices ``ops``."""
+    return alpha * (ops[2] @ ops[2])
 
 
-def evolve_unitary(state: QuantumState, h: np.ndarray, t: float) -> QuantumState:
+def evolve_unitary(rho: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
     """Closed-system evolution rho -> U rho U^dag with U = exp(-i H t).
 
     An oracle for the decay-free limit of ``lindblad_trajectory``.
     """
-    if h.shape != (state.dimension, state.dimension):
-        raise ValueError(f"Hamiltonian shape {h.shape} does not match state {state.dimension}")
+    if h.shape != rho.shape:
+        raise ValueError(f"Hamiltonian shape {h.shape} does not match state {len(rho)}")
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    rho = u @ state.rho @ u.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return QuantumState(rho)
+    rho = u @ rho @ u.conj().T
+    return check_density((rho + rho.conj().T) / 2.0)
 
 
 def annihilation_operator(dim: int) -> np.ndarray:
@@ -147,15 +143,16 @@ def secular_compensated_matrix(ops, beta: float) -> np.ndarray:
     on 16 uniform angles: the integrand is a trigonometric polynomial of
     degree four in theta, so this rule is exact.
     """
-    d = ops.dimension
-    fz2 = ops.fz @ ops.fz
-    w, v = np.linalg.eigh(ops.fx)
+    fx, _, fz = ops
+    d = len(fx)
+    fz2 = fz @ fz
+    w, v = np.linalg.eigh(fx)
     h = np.zeros((d, d), dtype=complex)
     for theta in 2.0 * np.pi * np.arange(16) / 16:
         u = (v * np.exp(1j * theta * w)) @ v.conj().T
         light = -0.25 * (1.0 + np.cos(2.0 * theta)) * (-8.0 * beta * fz2)
         h += u @ light @ u.conj().T
-    return h / 16 + beta * (ops.fx @ ops.fx)
+    return h / 16 + beta * (fx @ fx)
 
 
 def three_term_simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> MeasurementRecord:
@@ -168,6 +165,32 @@ def three_term_simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> 
     back = rng.standard_normal((n_shots, 2)) * np.sqrt(0.5)
     shots = light + np.sqrt(kappa2 / 2.0) * atomic + np.sqrt(kappa2**2 / 12.0) * back
     return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
+
+
+def bartlett_corrected_covariances(cov, kappa2: float, n_shots: int, n_draws: int,
+                                   rng: np.random.Generator) -> np.ndarray:
+    """(n_draws, 3) rows (var_x, var_p, cov_xp) that ``correct_covariance`` returns for
+    records of ``n_shots`` shots from the atomic (x, p) covariance ``cov``, drawn exactly.
+
+    The probe's shots are zero-mean normal pairs of covariance
+    Sigma = gain cov + noise I, with gain = kappa2/2 and noise = 1/2 + kappa2^2/24
+    written out here rather than taken from ``readout_model``.  So their sample
+    covariance S has (n - 1) S ~ W_2(Sigma, n - 1), which Bartlett's decomposition
+    draws as L A A^T L^T: L is the Cholesky factor of Sigma and A is lower triangular
+    with A_11^2 ~ chi2(n - 1), A_22^2 ~ chi2(n - 2) and A_21 ~ N(0, 1) (Anderson,
+    An Introduction to Multivariate Statistical Analysis, 3rd ed. (2003), sec. 7.2).
+    Each draw is then corrected as (S - noise I) / gain.
+    """
+    gain, noise = kappa2 / 2.0, 0.5 + kappa2**2 / 24.0
+    chol = np.linalg.cholesky(gain * np.asarray(cov) + noise * np.eye(2))
+    dof = n_shots - 1
+    a = np.zeros((n_draws, 2, 2))
+    a[:, 0, 0] = np.sqrt(rng.chisquare(dof, n_draws))
+    a[:, 1, 1] = np.sqrt(rng.chisquare(dof - 1, n_draws))
+    a[:, 1, 0] = rng.standard_normal(n_draws)
+    la = chol @ a
+    atomic = (la @ la.transpose(0, 2, 1) / dof - noise * np.eye(2)) / gain
+    return np.stack([atomic[:, 0, 0], atomic[:, 1, 1], atomic[:, 0, 1]], axis=1)
 
 
 def csv_module_write_table(stream, comments, columns, rows) -> None:

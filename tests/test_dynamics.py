@@ -48,9 +48,9 @@ def master_equation_rates(config):
     """The (depolarization, dephasing) rates the pipeline passes to the master equation."""
     seen = []
 
-    def capture(state, h, depolarization, dephasing, times):
+    def capture(rho0, h, depolarization, dephasing, times):
         seen.append((depolarization, dephasing))
-        return [state] * len(times)
+        return [rho0] * len(times)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "lindblad_trajectory", capture)
@@ -72,7 +72,7 @@ class TestOneAxisTwisting:
         h = oat_hamiltonian(ops4, 1.0)
         for t in (0.05, 0.3, 1.2):
             evolved = evolve_unitary(css_x4, h, t)
-            assert abs(covariance(evolved, ops4.fz, ops4.fz) - 2.0) <= 1e-10
+            assert abs(covariance(evolved, ops4[2], ops4[2]) - 2.0) <= 1e-10
 
 
 class TestTwoAxisCountertwisting:
@@ -92,7 +92,7 @@ class TestTwoAxisCountertwisting:
 
         h = tact_hamiltonian(ops4, 1.0)
         evolved = evolve_unitary(css_x4, h, 0.05)
-        report = squeezing_report(evolved.rho)
+        report = squeezing_report(evolved)
         assert variance_extrema(report.cov)[0] < 2.0
         # brute-force angle scan agrees with the closed-form optimum
         angles = np.linspace(-np.pi / 2, np.pi / 2, 10001)
@@ -111,33 +111,33 @@ class TestLightShift:
         state = random_density_matrix(9, rng)
         h = -0.25 * 3.7 * np.eye(9)
         evolved = evolve_unitary(state, h, 2.5)
-        assert np.abs(evolved.rho - state.rho).max() <= 1e-12
+        assert np.abs(evolved - state).max() <= 1e-12
 
 
 class TestZeeman:
     def test_pure_larmor_keeps_css_x(self, ops4, css_x4):
-        h = 5.0 * ops4.fx
+        h = 5.0 * ops4[0]
         evolved = evolve_unitary(css_x4, h, 1.7)
-        assert np.abs(evolved.rho - css_x4.rho).max() <= 1e-10
+        assert np.abs(evolved - css_x4).max() <= 1e-10
 
     def test_css_z_precesses(self, ops4):
         omega = 5.0
-        h = omega * ops4.fx
+        h = omega * ops4[0]
         css_z = coherent_spin_state(4, 0.0, 0.0)
         for t in (0.1, 0.75):
             evolved = evolve_unitary(css_z, h, t)
-            assert abs(expectation(evolved, ops4.fz) - 4.0 * np.cos(omega * t)) <= 1e-10
+            assert abs(expectation(evolved, ops4[2]) - 4.0 * np.cos(omega * t)) <= 1e-10
 
     def test_larmor_period_at_322_kHz(self, ops4):
         # 2*pi*322 rad/ms precession returns <Fz> after 1/322 ms
         omega = 2.0 * np.pi * 322.0
-        h = omega * ops4.fx
+        h = omega * ops4[0]
         css_z = coherent_spin_state(4, 0.0, 0.0)
         period = 1.0 / 322.0
         evolved = evolve_unitary(css_z, h, period)
-        assert abs(expectation(evolved, ops4.fz) - 4.0) <= 1e-8
+        assert abs(expectation(evolved, ops4[2]) - 4.0) <= 1e-8
         half = evolve_unitary(css_z, h, period / 2.0)
-        assert abs(expectation(half, ops4.fz) + 4.0) <= 1e-8
+        assert abs(expectation(half, ops4[2]) + 4.0) <= 1e-8
 
 
 class TestCompensation:
@@ -149,8 +149,8 @@ class TestCompensation:
         beta = 0.37
         h = compensated_hamiltonian(ops, beta)
         assert np.abs(h - secular_compensated_matrix(ops, beta)).max() <= 1e-12
-        twisting = (beta / 2.0) * (ops.fz @ ops.fz - ops.fy @ ops.fy)
-        resid = h - beta * f * (f + 1.0) * np.eye(ops.dimension) - twisting
+        twisting = (beta / 2.0) * (ops[2] @ ops[2] - ops[1] @ ops[1])
+        resid = h - beta * f * (f + 1.0) * np.eye(len(h)) - twisting
         assert np.abs(resid).max() <= 1e-12
 
     def test_zero_beta_means_no_twisting(self, ops4):
@@ -164,15 +164,15 @@ class TestCompensation:
         for t in (0.1, 0.2, 0.35):
             a = evolve_unitary(css_x4, h_comp, t)
             b = evolve_unitary(css_x4, h_tact, t)
-            va = covariance(a, ops4.fz, ops4.fz)
-            vb = covariance(b, ops4.fz, ops4.fz)
+            va = covariance(a, ops4[2], ops4[2])
+            vb = covariance(b, ops4[2], ops4[2])
             assert abs(va - vb) <= 1e-10
 
     def test_residual_knob_adds_fx2(self, ops4):
         beta, delta = 0.4, 0.05
         h0 = compensated_hamiltonian(ops4, beta)
         h1 = compensated_hamiltonian(ops4, beta, residual=delta)
-        fx2 = np.asarray(ops4.fx) @ np.asarray(ops4.fx)
+        fx2 = ops4[0] @ ops4[0]
         assert np.abs((h1 - h0) - delta * fx2).max() <= 1e-13
 
 
@@ -180,7 +180,7 @@ class TestUnitaryEvolution:
     def test_zero_time_is_identity(self, ops4, css_x4):
         h = tact_hamiltonian(ops4, 1.0)
         evolved = evolve_unitary(css_x4, h, 0.0)
-        assert np.abs(evolved.rho - css_x4.rho).max() <= 1e-14
+        assert np.abs(evolved - css_x4).max() <= 1e-14
 
     def test_group_property(self, ops4):
         rng = np.random.default_rng(31)
@@ -188,12 +188,12 @@ class TestUnitaryEvolution:
         h = tact_hamiltonian(ops4, 0.7)
         a = evolve_unitary(evolve_unitary(state, h, 0.3), h, 0.9)
         b = evolve_unitary(state, h, 1.2)
-        assert np.abs(a.rho - b.rho).max() <= 1e-10
+        assert np.abs(a - b).max() <= 1e-10
 
     def test_oat_revival_at_pi(self, ops4, css_x4):
         h = oat_hamiltonian(ops4, 1.0)
         evolved = evolve_unitary(css_x4, h, np.pi)
-        assert abs(abs(expectation(evolved, ops4.fx)) - 4.0) <= 1e-10
+        assert abs(abs(expectation(evolved, ops4[0])) - 4.0) <= 1e-10
 
     def test_spectrum_preserved(self, ops4):
         rng = np.random.default_rng(41)
@@ -201,7 +201,7 @@ class TestUnitaryEvolution:
         h = tact_hamiltonian(ops4, 1.0)
         evolved = evolve_unitary(state, h, 0.8)
         assert_allclose(
-            np.linalg.eigvalsh(evolved.rho), np.linalg.eigvalsh(state.rho), atol=1e-10
+            np.linalg.eigvalsh(evolved), np.linalg.eigvalsh(state), atol=1e-10
         )
 
     def test_dimension_mismatch(self, css_x4):
@@ -253,10 +253,10 @@ class TestLindblad:
         state = coherent_spin_state(4, 0.0, 0.0)  # stretched along z: rich x-coherences
         t = 2.0
         evolved = lindblad_trajectory(state, h0, *DARK, [t])[0]
-        w, v = np.linalg.eigh(np.asarray(ops4.fx))
+        w, v = np.linalg.eigh(ops4[0])
         m = np.round(w).astype(int)
-        r0 = v.conj().T @ state.rho @ v
-        rt = v.conj().T @ evolved.rho @ v
+        r0 = v.conj().T @ state @ v
+        rt = v.conj().T @ evolved @ v
         gamma_d, gamma_phi = DARK
         dm = m[:, None] - m[None, :]
         factor = np.exp(-(gamma_d + gamma_phi * dm.astype(float) ** 2 / 2.0) * t)
@@ -272,9 +272,9 @@ class TestLindblad:
         state = coherent_spin_state(4, 0.0, 0.0)
         t = 3.0
         evolved = lindblad_trajectory(state, h0, *rates, [t])[0]
-        w, v = np.linalg.eigh(np.asarray(ops4.fx))
-        r0 = v.conj().T @ state.rho @ v
-        rt = v.conj().T @ evolved.rho @ v
+        w, v = np.linalg.eigh(ops4[0])
+        r0 = v.conj().T @ state @ v
+        rt = v.conj().T @ evolved @ v
         ratio = abs(rt[0, 1]) / abs(r0[0, 1])
         assert abs(ratio - np.exp(-t / 20.0)) <= 1e-12
 
@@ -282,26 +282,26 @@ class TestLindblad:
         h0 = np.zeros((5, 5))
         state = coherent_spin_state(2, np.pi / 2.0, 0.3)
         evolved = lindblad_trajectory(state, h0, 1.0, 0.0, [20.0])[0]  # t1 = t2 = 1 ms
-        assert np.abs(evolved.rho - np.eye(5) / 5.0).max() <= 1e-8
+        assert np.abs(evolved - np.eye(5) / 5.0).max() <= 1e-8
         # closed form: the distance to the fixed point shrinks as exp(-t/t1)
-        expected = np.eye(5) / 5.0 + (state.rho - np.eye(5) / 5.0) * np.exp(-20.0)
-        assert np.abs(evolved.rho - expected).max() <= 1e-12
+        expected = np.eye(5) / 5.0 + (state - np.eye(5) / 5.0) * np.exp(-20.0)
+        assert np.abs(evolved - expected).max() <= 1e-12
 
     def test_zero_decay_matches_unitary(self, ops4, css_x4):
         h = tact_hamiltonian(ops4, 0.5)
         a = lindblad_trajectory(css_x4, h, 0.0, 0.0, [1.0])[0]
         b = evolve_unitary(css_x4, h, 1.0)
-        assert np.abs(a.rho - b.rho).max() <= 1e-12
+        assert np.abs(a - b).max() <= 1e-12
 
     def test_trace_preserved_over_six_ms(self, ops4, css_x4):
         h = tact_hamiltonian(ops4, 0.12)
         evolved = lindblad_trajectory(css_x4, h, *DRIVEN, [6.0])[0]
-        assert abs(np.trace(evolved.rho).real - 1.0) <= 1e-8
+        assert abs(np.trace(evolved).real - 1.0) <= 1e-8
 
     def test_purity_contracts(self, ops4, css_x4):
         h = tact_hamiltonian(ops4, 0.12)
         states = lindblad_trajectory(css_x4, h, *DARK, [0.5, 1.0, 2.0, 4.0])
-        purities = [np.trace(s.rho @ s.rho).real for s in states]
+        purities = [np.trace(s @ s).real for s in states]
         assert all(b < a for a, b in zip(purities, purities[1:]))
         assert purities[0] < 1.0
 
@@ -309,7 +309,34 @@ class TestLindblad:
         h = tact_hamiltonian(ops4, 0.12)
         traj = lindblad_trajectory(css_x4, h, *DARK, [0.7, 1.4])
         single = lindblad_trajectory(css_x4, h, *DARK, [1.4])[0]
-        assert np.abs(traj[1].rho - single.rho).max() <= 1e-12
+        assert np.abs(traj[1] - single).max() <= 1e-12
+
+    def test_returns_one_read_only_stack(self, ops4, css_x4):
+        h = tact_hamiltonian(ops4, 0.12)
+        states = lindblad_trajectory(css_x4, h, *DARK, [0.0, 0.5, 0.5, 2.0])
+        assert states.shape == (4, 9, 9) and not states.flags.writeable
+        assert np.abs(states[0] - css_x4).max() <= 1e-14
+        assert np.array_equal(states[1], states[2])
+        empty = lindblad_trajectory(css_x4, h, *DARK, [])
+        assert empty.shape == (0, 9, 9) and not empty.flags.writeable
+
+    def test_failing_state_names_its_time(self, monkeypatch):
+        # a generator that loses trace at rate 0.01/ms: the state at t = 0 is
+        # exact, the first one checked after it fails the trace test
+        liouvillian = dynamics._liouvillian
+
+        def leaky(*args):
+            lr = liouvillian(*args)
+            return lr - 0.01 * np.eye(len(lr))
+
+        monkeypatch.setattr(dynamics, "_liouvillian", leaky)
+        with pytest.raises(PhysicalityError, match=r"^evolved state at t=0.5 ms: trace\(rho\) = "):
+            experiment._evolved_states(ExperimentConfig(), [0.0, 0.5, 1.0])
+
+    def test_rejects_unphysical_initial_state(self, ops4):
+        h = tact_hamiltonian(ops4, 0.12)
+        with pytest.raises(PhysicalityError, match="trace"):
+            lindblad_trajectory(np.eye(9), h, *DARK, [1.0])
 
     def test_validation(self, ops4, css_x4):
         h = tact_hamiltonian(ops4, 0.12)
@@ -330,12 +357,12 @@ class TestLindblad:
             first = lindblad_trajectory(state, h, *DRIVEN, [a])[0]
             two_steps = lindblad_trajectory(first, h, *DRIVEN, [b])[0]
             one_step = lindblad_trajectory(state, h, *DRIVEN, [a + b])[0]
-            assert np.abs(two_steps.rho - one_step.rho).max() <= 1e-12
+            assert np.abs(two_steps - one_step).max() <= 1e-12
 
     def test_matches_column_stacked_expm(self, ops4, css_x4):
         # independent construction: column-stacking vec(A rho B) = kron(B^T, A) vec(rho)
         hm = compensated_hamiltonian(ops4, 0.24, residual=0.15)
-        fx = np.asarray(ops4.fx)
+        fx = ops4[0]
         depolarization, dephasing = DRIVEN
         eye = np.eye(9)
         fx2 = fx @ fx
@@ -349,25 +376,25 @@ class TestLindblad:
         times = [0.0, 0.8, 2.5, 6.0]
         states = lindblad_trajectory(css_x4, hm, *DRIVEN, times)
         for t, state in zip(times, states):
-            vec = expm(generator * t) @ css_x4.rho.ravel(order="F")
-            assert np.abs(state.rho - vec.reshape(9, 9, order="F")).max() <= 1e-12
+            vec = expm(generator * t) @ css_x4.ravel(order="F")
+            assert np.abs(state - vec.reshape(9, 9, order="F")).max() <= 1e-12
 
     @pytest.mark.parametrize("f", [0.5, 1.5, 4.0])
     @pytest.mark.parametrize("rates", [DARK, DRIVEN], ids=["dark", "driven"])
     def test_real_kernel_matches_column_stacked_expm(self, f, rates):
         # a complex h and odd d exercise the transpose permutation and Im(rho)
         ops = spin_operators(f)
-        d = ops.dimension
+        d = int(2 * f + 1)
         rng = np.random.default_rng(int(10 * f))
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         hm = (a + a.conj().T) / 2.0
         state = random_density_matrix(d, rng)
         times = [0.0, 0.8, 6.0]
         states = lindblad_trajectory(state, hm, *rates, times)
-        generator = column_stacked_generator(hm, np.asarray(ops.fx), *rates)
+        generator = column_stacked_generator(hm, ops[0], *rates)
         for t, evolved in zip(times, states):
-            vec = expm(generator * t) @ state.rho.ravel(order="F")
-            assert np.abs(evolved.rho - vec.reshape(d, d, order="F")).max() <= 1e-12
+            vec = expm(generator * t) @ state.ravel(order="F")
+            assert np.abs(evolved - vec.reshape(d, d, order="F")).max() <= 1e-12
 
     def test_eig_sees_one_real_generator(self, ops4, css_x4, monkeypatch):
         seen = []
@@ -394,7 +421,7 @@ class TestLindblad:
     @pytest.mark.parametrize("t", [0.0, 0.8, 6.0, 60.0])
     def test_guard_expm_matches_scipy_on_liouvillian(self, ops4, t):
         h = compensated_hamiltonian(ops4, 0.24, residual=0.15)
-        a = dynamics._liouvillian(h, *DRIVEN, np.asarray(ops4.fx)) * t
+        a = dynamics._liouvillian(h, *DRIVEN, ops4[0]) * t
         assert a.dtype == np.float64  # the real generator the guard checks
         reference = expm(a)
         assert np.abs(dynamics._expm(a) - reference).max() <= 1e-13 * np.abs(reference).max()

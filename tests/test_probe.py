@@ -8,7 +8,6 @@ from scipy.stats import chi2 as chi2_dist
 from spintomo import (
     MeasurementRecord,
     PhysicalityError,
-    QuantumState,
     canonical_moments,
     coherent_spin_state,
     readout_model,
@@ -50,7 +49,7 @@ class TestCanonicalMoments:
         rng = np.random.default_rng(17)
         for f in np.repeat([1.0, 4.0, 7.5], 4):
             theta, phi = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0.0, 2.0 * np.pi)
-            report = squeezing_report(coherent_spin_state(f, theta, phi).rho)
+            report = squeezing_report(coherent_spin_state(f, theta, phi))
             cov = canonical_moments(report.cov, report.length)
             assert_allclose(cov, VACUUM, atol=1e-12)
 
@@ -59,13 +58,13 @@ class TestCanonicalMoments:
         # crosses 1/4 (3 dB), aligning the squeezed axis with p first
         def aligned_var_p(tau):
             state = _tact_state(tau)
-            report = squeezing_report(state.rho)
+            report = squeezing_report(state)
             # rotate the squeezed axis, the eigenvector of the smaller
             # eigenvalue of the transverse covariance, onto z
             squeezed = np.linalg.eigh(report.cov)[1][:, 0]
             angle = np.arctan2(squeezed[1], squeezed[0]) - np.pi / 2.0
             rotated = rotate(state, [1.0, 0.0, 0.0], -angle)
-            report = squeezing_report(rotated.rho)
+            report = squeezing_report(rotated)
             return canonical_moments(report.cov, report.length), tau
 
         lo, hi = 0.005, 0.1375
@@ -86,10 +85,10 @@ class TestCanonicalMoments:
         # over |<Fx>|; the minimum variance is then zeta2 / 2
         for tau in (0.05, 0.1, 0.1375):
             state = _tact_state(tau)
-            report = squeezing_report(state.rho)
+            report = squeezing_report(state)
             cov = canonical_moments(report.cov, report.length)
-            jx = abs(expectation(state, ops4.fx))
-            pair = (ops4.fy, ops4.fz)
+            jx = abs(expectation(state, ops4[0]))
+            pair = (ops4[1], ops4[2])
             lab = np.array([[covariance(state, a, b) for b in pair] for a in pair]) / jx
             assert np.abs(cov - lab).max() <= 1e-12
             assert abs(variance_extrema(cov)[0] - report.zeta2 / 2.0) <= 1e-12

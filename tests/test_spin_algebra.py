@@ -5,11 +5,11 @@ from scipy.linalg import expm
 
 from spintomo import (
     PhysicalityError,
-    QuantumState,
-    SpinQuantumNumber,
+    check_density,
     coherent_spin_state,
     coherent_state_vector,
     moments,
+    spin_dimension,
     spin_operators,
     variance_extrema,
 )
@@ -20,84 +20,90 @@ ALL_F = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
 class TestSpinQuantumNumber:
     def test_coerce_and_dimension(self):
-        f = SpinQuantumNumber.coerce(4)
-        assert f.two_f == 8
-        assert f.dimension == 9
-        assert f.f_value == 4.0
-        assert SpinQuantumNumber.coerce(1.5).two_f == 3
-        assert SpinQuantumNumber.coerce(f) is f
+        assert spin_dimension(4) == 9
+        assert spin_dimension(1.5) == 4
+        assert spin_dimension(0) == 1
+        assert spin_dimension(4 + 1e-10) == 9  # round-off in F is absorbed
+        assert spin_operators(4 + 1e-10) is spin_operators(4.0)
 
     def test_m_values_ordering(self):
-        assert_allclose(SpinQuantumNumber.coerce(1).m_values, [1.0, 0.0, -1.0])
+        # row 0 is the stretched state m = +F
+        assert_allclose(np.diag(spin_operators(1)[2]).real, [1.0, 0.0, -1.0])
 
     def test_rejects_bad_spin(self):
-        with pytest.raises(ValueError):
-            SpinQuantumNumber(-1)
-        with pytest.raises(ValueError):
-            SpinQuantumNumber.coerce(0.7)
-        for f in (float("inf"), float("nan"), 8.0):
-            with pytest.raises(ValueError):
-                SpinQuantumNumber.coerce(f)
-        assert SpinQuantumNumber.coerce(7.5).dimension == 16
+        with pytest.raises(ValueError, match="two_f must be a non-negative integer, got -2"):
+            spin_dimension(-1)
+        with pytest.raises(ValueError, match="F must be a finite integer or half-integer, got 0.7"):
+            spin_dimension(0.7)
+        for f in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"finite integer or half-integer, got {f}"):
+                spin_dimension(f)
+        with pytest.raises(ValueError, match="F=8 needs dimension 17 > 16"):
+            spin_dimension(8.0)
+        assert spin_dimension(7.5) == 16
 
 
 class TestSpinOperators:
     def test_pauli_half(self):
         ops = spin_operators(0.5)
-        assert_allclose(ops.fz, np.diag([0.5, -0.5]), atol=1e-15)
-        assert_allclose(ops.fx, 0.5 * np.array([[0, 1], [1, 0]]), atol=1e-15)
-        assert_allclose(ops.fy, 0.5 * np.array([[0, -1j], [1j, 0]]), atol=1e-15)
+        assert_allclose(ops[2], np.diag([0.5, -0.5]), atol=1e-15)
+        assert_allclose(ops[0], 0.5 * np.array([[0, 1], [1, 0]]), atol=1e-15)
+        assert_allclose(ops[1], 0.5 * np.array([[0, -1j], [1j, 0]]), atol=1e-15)
 
     def test_ladder_f1(self):
         ops = spin_operators(1)
-        assert_allclose(ops.fz, np.diag([1.0, 0.0, -1.0]), atol=1e-15)
+        assert_allclose(ops[2], np.diag([1.0, 0.0, -1.0]), atol=1e-15)
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 2] = np.sqrt(2.0)
-        assert_allclose(ops.fx + 1j * ops.fy, expected, atol=1e-15)
+        assert_allclose(ops[0] + 1j * ops[1], expected, atol=1e-15)
 
     @pytest.mark.parametrize("f", ALL_F)
     def test_commutators(self, f):
         ops = spin_operators(f)
-        for a, b, c in ((ops.fy, ops.fz, ops.fx), (ops.fz, ops.fx, ops.fy), (ops.fx, ops.fy, ops.fz)):
+        fx, fy, fz = ops
+        for a, b, c in ((fy, fz, fx), (fz, fx, fy), (fx, fy, fz)):
             assert np.abs(a @ b - b @ a - 1j * c).max() <= 1e-12
 
     @pytest.mark.parametrize("f", ALL_F)
     def test_casimir(self, f):
         ops = spin_operators(f)
-        fval = ops.f.f_value
-        total = ops.fx @ ops.fx + ops.fy @ ops.fy + ops.fz @ ops.fz
-        assert np.abs(total - fval * (fval + 1.0) * np.eye(ops.dimension)).max() <= 1e-12
+        total = ops[0] @ ops[0] + ops[1] @ ops[1] + ops[2] @ ops[2]
+        assert np.abs(total - f * (f + 1.0) * np.eye(int(2 * f + 1))).max() <= 1e-12
 
     @pytest.mark.parametrize("f", ALL_F)
     def test_ladder_combinations(self, f):
         # F+ = Fx + i Fy raises m by one with <m+1|F+|m> = sqrt(F(F+1) - m(m+1)),
         # and F- = Fx - i Fy is its adjoint
         ops = spin_operators(f)
-        m = ops.f.m_values[1:]
+        m = f - np.arange(1, int(2 * f + 1))
         f_plus = np.diag(np.sqrt(f * (f + 1.0) - m * (m + 1.0)), k=1)
-        assert np.abs(f_plus - (ops.fx + 1j * ops.fy)).max() <= 1e-14
-        assert np.abs(f_plus.T - (ops.fx - 1j * ops.fy)).max() <= 1e-14
+        assert np.abs(f_plus - (ops[0] + 1j * ops[1])).max() <= 1e-14
+        assert np.abs(f_plus.T - (ops[0] - 1j * ops[1])).max() <= 1e-14
 
     @pytest.mark.parametrize("f", ALL_F)
     def test_hermiticity(self, f):
         ops = spin_operators(f)
-        for m in (ops.fx, ops.fy, ops.fz):
+        for m in ops:
             assert np.abs(m - m.conj().T).max() <= 1e-15
 
+    def test_read_only_stack(self, ops4):
+        assert ops4.shape == (3, 9, 9) and not ops4.flags.writeable
+        assert spin_operators(4) is ops4  # cached per dimension
+
     def test_f4_casimir_value(self, ops4):
-        total = ops4.fx @ ops4.fx + ops4.fy @ ops4.fy + ops4.fz @ ops4.fz
+        total = ops4[0] @ ops4[0] + ops4[1] @ ops4[1] + ops4[2] @ ops4[2]
         assert_allclose(total, 20.0 * np.eye(9), atol=1e-12)
 
 
 class TestCoherentState:
     def test_stretched_along_x(self, ops4, css_x4):
-        assert abs(expectation(css_x4, ops4.fx) - 4.0) <= 1e-12
-        assert abs(covariance(css_x4, ops4.fy, ops4.fy) - 2.0) <= 1e-12
-        assert abs(covariance(css_x4, ops4.fz, ops4.fz) - 2.0) <= 1e-12
+        assert abs(expectation(css_x4, ops4[0]) - 4.0) <= 1e-12
+        assert abs(covariance(css_x4, ops4[1], ops4[1]) - 2.0) <= 1e-12
+        assert abs(covariance(css_x4, ops4[2], ops4[2]) - 2.0) <= 1e-12
 
     def test_half_spin_along_z(self):
         state = coherent_spin_state(0.5, 0.0, 0.0)
-        assert_allclose(state.rho, np.diag([1.0, 0.0]), atol=1e-15)
+        assert_allclose(state, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_generic_direction_matches_rotation_construction(self):
         # oracle: apply the exact rotation exp(-i phi Fz) exp(-i theta Fy)
@@ -106,18 +112,18 @@ class TestCoherentState:
         ops = spin_operators(4)
         stretched = np.zeros(9, dtype=complex)
         stretched[0] = 1.0
-        u = expm(-1j * phi * np.asarray(ops.fz)) @ expm(-1j * theta * np.asarray(ops.fy))
+        u = expm(-1j * phi * ops[2]) @ expm(-1j * theta * ops[1])
         psi_oracle = u @ stretched
         state = coherent_spin_state(4, theta, phi)
-        assert np.abs(state.rho - np.outer(psi_oracle, psi_oracle.conj())).max() <= 1e-12
-        mean = np.array([expectation(state, m) for m in (ops.fx, ops.fy, ops.fz)])
+        assert np.abs(state - np.outer(psi_oracle, psi_oracle.conj())).max() <= 1e-12
+        mean = np.array([expectation(state, m) for m in ops])
         assert abs(np.linalg.norm(mean) - 4.0) <= 1e-12
 
     @pytest.mark.parametrize("theta,phi", [(0.3, 1.1), (2.1, -0.4), (np.pi / 2, np.pi)])
     def test_mean_direction(self, theta, phi):
         ops = spin_operators(2)
         state = coherent_spin_state(2, theta, phi)
-        mean = np.array([expectation(state, m) for m in (ops.fx, ops.fy, ops.fz)])
+        mean = np.array([expectation(state, m) for m in ops])
         expected = 2.0 * np.array(
             [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
         )
@@ -128,11 +134,17 @@ class TestCoherentState:
         # both transverse variances equal F/2, saturating the uncertainty bound
         ops = spin_operators(f)
         state = coherent_spin_state(f, np.pi / 2.0, 0.0)
-        vy = covariance(state, ops.fy, ops.fy)
-        vz = covariance(state, ops.fz, ops.fz)
-        fval = ops.f.f_value
-        assert abs(vy * vz - (fval / 2.0) ** 2) <= 1e-12
-        assert vy * vz >= expectation(state, ops.fx) ** 2 / 4.0 - 1e-12
+        vy = covariance(state, ops[1], ops[1])
+        vz = covariance(state, ops[2], ops[2])
+        assert abs(vy * vz - (f / 2.0) ** 2) <= 1e-12
+        assert vy * vz >= expectation(state, ops[0]) ** 2 / 4.0 - 1e-12
+
+    def test_state_is_pure_and_normalized(self):
+        # coherent_spin_state normalizes the amplitudes it is built from
+        for f in (1.5, 4.0, 7.5):
+            state = coherent_spin_state(f, 1.234, -2.1)
+            assert abs(np.trace(state).real - 1.0) <= 1e-14
+            assert abs(np.trace(state @ state).real - 1.0) <= 1e-14
 
     def test_vector_is_normalized(self):
         psi = coherent_state_vector(3, 1.234, -2.1)
@@ -143,11 +155,11 @@ class TestCoherentState:
         # second method: exp(-i phi Fz) exp(-i theta Fy)|F, F> from the
         # eigendecompositions of the spin matrices, node by node
         ops = spin_operators(f)
-        d = ops.dimension
+        d = int(2 * f + 1)
         thetas = np.array([0.0, 0.3, np.pi / 2.0, 2.9, np.pi])
         phis = np.array([-2.1, 0.0, 1.0, 4.5])
-        wy, vy = np.linalg.eigh(ops.fy)
-        wz, vz = np.linalg.eigh(ops.fz)
+        wy, vy = np.linalg.eigh(ops[1])
+        wz, vz = np.linalg.eigh(ops[2])
         stretched = np.eye(d)[0]
         grid = coherent_state_vector(f, thetas[:, None], phis[None, :])
         assert grid.shape == (len(thetas), len(phis), d)
@@ -165,20 +177,20 @@ class TestExpectationCovariance:
         assert abs(covariance(css_x4, eye, eye)) <= 1e-14
 
     def test_cross_covariance_stretched(self, ops4, css_x4):
-        assert abs(covariance(css_x4, ops4.fy, ops4.fz)) <= 1e-12
+        assert abs(covariance(css_x4, ops4[1], ops4[2])) <= 1e-12
 
     def test_symmetric_in_arguments(self, ops4):
         rng = np.random.default_rng(11)
         state = random_density_matrix(9, rng)
-        ab = covariance(state, ops4.fy, ops4.fz)
-        ba = covariance(state, ops4.fz, ops4.fy)
+        ab = covariance(state, ops4[1], ops4[2])
+        ba = covariance(state, ops4[2], ops4[1])
         assert abs(ab - ba) <= 1e-12
 
     def test_self_covariance_nonnegative(self, ops4):
         rng = np.random.default_rng(5)
         for _ in range(10):
             state = random_density_matrix(9, rng)
-            assert covariance(state, ops4.fz, ops4.fz) >= -1e-12
+            assert covariance(state, ops4[2], ops4[2]) >= -1e-12
 
     def test_dimension_mismatch(self, css_x4):
         with pytest.raises(ValueError):
@@ -192,30 +204,29 @@ class TestMomentsKernel:
     def test_coherent_state_closed_form(self, f):
         # mean F n and covariance (F/2)(I - n n^T) at any direction n
         ops = spin_operators(f)
-        spin = (ops.fx, ops.fy, ops.fz)
         rng = np.random.default_rng(int(4 * f))
         for theta, phi in zip(rng.uniform(0.0, np.pi, 6), rng.uniform(-np.pi, np.pi, 6)):
             n = np.array(
                 [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
             )
-            mean, cov = moments(coherent_spin_state(f, theta, phi).rho, spin)
+            mean, cov = moments(coherent_spin_state(f, theta, phi), ops)
             assert np.abs(mean - f * n).max() <= 1e-12
             assert np.abs(cov - (f / 2.0) * (np.eye(3) - np.outer(n, n))).max() <= 1e-12
 
     @pytest.mark.parametrize("f", [0.5, 1.0, 2.5, 4.0])
     def test_dicke_states(self, f):
         ops = spin_operators(f)
-        d = ops.dimension
-        for i, m in enumerate(ops.f.m_values):
-            mean, cov = moments(np.diag(np.eye(d)[i]).astype(complex), (ops.fx, ops.fy, ops.fz))
+        d = int(2 * f + 1)
+        for i, m in enumerate(f - np.arange(d)):
+            mean, cov = moments(np.diag(np.eye(d)[i]).astype(complex), ops)
             transverse = (f * (f + 1.0) - m**2) / 2.0
             assert np.abs(mean - [0.0, 0.0, m]).max() <= 1e-12
             assert np.abs(cov - np.diag([transverse, transverse, 0.0])).max() <= 1e-12
 
     def test_batch_matches_one_by_one(self, ops4):
         rng = np.random.default_rng(21)
-        spin = (ops4.fx, ops4.fy, ops4.fz)
-        stack = np.array([random_density_matrix(9, rng).rho for _ in range(6)]).reshape(2, 3, 9, 9)
+        spin = ops4
+        stack = np.array([random_density_matrix(9, rng) for _ in range(6)]).reshape(2, 3, 9, 9)
         mean, cov = moments(stack, spin)
         assert mean.shape == (2, 3, 3) and cov.shape == (2, 3, 3, 3)
         for idx in np.ndindex(2, 3):
@@ -253,19 +264,19 @@ class TestRotate:
     def test_invariance_about_mean_axis(self, ops4, css_x4):
         for angle in (0.3, 1.7, -2.5):
             rotated = rotate(css_x4, [1.0, 0.0, 0.0], angle)
-            assert abs(expectation(rotated, ops4.fx) - 4.0) <= 1e-10
+            assert abs(expectation(rotated, ops4[0]) - 4.0) <= 1e-10
 
     def test_z_to_x(self):
         css_z = coherent_spin_state(4, 0.0, 0.0)
         css_x = coherent_spin_state(4, np.pi / 2.0, 0.0)
         rotated = rotate(css_z, [0.0, 1.0, 0.0], np.pi / 2.0)
-        assert np.abs(rotated.rho - css_x.rho).max() <= 1e-10
+        assert np.abs(rotated - css_x).max() <= 1e-10
 
     def test_full_turn_integer_spin(self):
         rng = np.random.default_rng(3)
         state = random_density_matrix(9, rng)
         back = rotate(state, [0.0, 0.0, 1.0], 2.0 * np.pi)
-        assert np.abs(back.rho - state.rho).max() <= 1e-10
+        assert np.abs(back - state).max() <= 1e-10
 
     def test_group_action(self):
         rng = np.random.default_rng(7)
@@ -273,15 +284,15 @@ class TestRotate:
         axis = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
         once = rotate(rotate(state, axis, 0.4), axis, 1.1)
         combined = rotate(state, axis, 1.5)
-        assert np.abs(once.rho - combined.rho).max() <= 1e-10
+        assert np.abs(once - combined).max() <= 1e-10
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(9)
         state = random_density_matrix(7, rng)
         rotated = rotate(state, [0.0, 1.0, 0.0], 0.77)
-        assert abs(np.trace(rotated.rho).real - 1.0) <= 1e-10
+        assert abs(np.trace(rotated).real - 1.0) <= 1e-10
         assert_allclose(
-            np.linalg.eigvalsh(rotated.rho), np.linalg.eigvalsh(state.rho), atol=1e-10
+            np.linalg.eigvalsh(rotated), np.linalg.eigvalsh(state), atol=1e-10
         )
 
     def test_zero_axis_rejected(self, css_x4):
@@ -289,39 +300,73 @@ class TestRotate:
             rotate(css_x4, [0.0, 0.0, 0.0], 1.0)
 
 
+# unphysical states of each kind that check_density rejects, with the message it gives
+NAN_COHERENCE = np.diag([0.5, 0.5, 0.0]).astype(complex)
+NAN_COHERENCE[0, 1] = NAN_COHERENCE[1, 0] = np.nan
+UNPHYSICAL = {
+    "trace": [(np.eye(3) / 1.5, "trace")],
+    "hermiticity": [(np.array([[0.5, 0.3, 0], [0.1, 0.5, 0], [0, 0, 0]]), "not Hermitian")],
+    "negativity": [(np.diag([1.0 - eig, eig, 0.0]), "eigenvalue") for eig in (-0.5, -5e-9)],
+    "non_finite": [
+        (np.diag([np.nan, 1.0, 0.0]), "trace"),
+        (np.diag([np.inf, 1.0, 0.0]), "trace"),
+        (np.diag([-np.inf, 1.0, 0.0]), "trace"),
+        (NAN_COHERENCE, "not Hermitian"),
+    ],
+}
+
+
 class TestQuantumStateValidation:
     def test_trace_violation(self):
-        with pytest.raises(PhysicalityError):
-            QuantumState(np.eye(2))  # trace 2
+        for rho, message in UNPHYSICAL["trace"]:
+            with pytest.raises(PhysicalityError, match=f"^{message}"):
+                check_density(rho)
 
     def test_hermiticity_violation(self):
-        rho = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
-        with pytest.raises(PhysicalityError):
-            QuantumState(rho)
+        for rho, message in UNPHYSICAL["hermiticity"]:
+            with pytest.raises(PhysicalityError, match=f"^rho {message}"):
+                check_density(rho)
 
     def test_negativity_violation(self):
-        for eig in (-0.5, -5e-9):
-            with pytest.raises(PhysicalityError):
-                QuantumState(np.diag([1.0 - eig, eig]).astype(complex))
-        QuantumState(np.diag([1.0 + 5e-10, -5e-10]).astype(complex))  # round-off passes
+        for rho, message in UNPHYSICAL["negativity"]:
+            with pytest.raises(PhysicalityError, match=f"^rho has {message}"):
+                check_density(rho)
+        check_density(np.diag([1.0 + 5e-10, -5e-10]))  # round-off passes
 
     def test_non_finite_entries_rejected(self):
-        nan_coherence = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        nan_coherence[0, 1] = nan_coherence[1, 0] = np.nan
-        for rho, message in (
-            (np.diag([np.nan, 1.0, 0.0]), "trace"),
-            (np.diag([np.inf, 1.0, 0.0]), "trace"),
-            (np.diag([-np.inf, 1.0, 0.0]), "trace"),
-            (nan_coherence, "not Hermitian"),
-        ):
+        for rho, message in UNPHYSICAL["non_finite"]:
             with pytest.raises(PhysicalityError, match=message):
-                QuantumState(rho)
+                check_density(rho)
 
-    def test_from_vector_normalizes(self):
-        state = QuantumState.from_vector(np.array([3.0, 4.0]))
-        assert abs(np.trace(state.rho).real - 1.0) <= 1e-14
-        assert abs(np.trace(state.rho @ state.rho).real - 1.0) <= 1e-14
+    @pytest.mark.parametrize(
+        "rho,message",
+        [case for cases in UNPHYSICAL.values() for case in cases],
+        ids=[f"{kind}-{i}" for kind, cases in UNPHYSICAL.items() for i in range(len(cases))],
+    )
+    def test_bad_state_in_a_stack_names_its_index(self, rho, message):
+        # every check runs once over the stack; NaN entries fail the trace or
+        # Hermiticity test before the eigensolver sees them, so no LinAlgError
+        stack = np.array([np.eye(3) / 3.0] * 6, dtype=complex)
+        stack[4] = rho
+        with pytest.raises(PhysicalityError, match=f"^state 4: .*{message}"):
+            check_density(stack)
+        with pytest.raises(PhysicalityError, match=f"^state 4: .*{message}"):
+            check_density(stack.reshape(2, 3, 3, 3))  # the row-major index
+        stack[1] = rho
+        with pytest.raises(PhysicalityError, match=f"^state 1: .*{message}"):
+            check_density(stack)
+
+    def test_non_square_rejected(self):
+        for shape in ((3,), (2, 3), (4, 2, 3)):
+            with pytest.raises(ValueError, match="rho must be square"):
+                check_density(np.zeros(shape))
 
     def test_rho_is_readonly(self, css_x4):
         with pytest.raises(ValueError):
-            css_x4.rho[0, 0] = 99.0
+            css_x4[0, 0] = 99.0
+        rho = np.array([np.eye(3) / 3.0] * 2)
+        checked = check_density(rho)
+        assert not checked.flags.writeable and checked.dtype == complex
+        assert_allclose(checked, rho, rtol=0, atol=0)
+        rho[0, 0, 0] = 99.0  # the input is copied, not frozen
+        assert checked[0, 0, 0] == 1.0 / 3.0

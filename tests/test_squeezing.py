@@ -5,7 +5,6 @@ from scipy.linalg import expm
 
 from spintomo import (
     PhysicalityError,
-    QuantumState,
     canonical_moments,
     coherent_spin_state,
     lindblad_trajectory,
@@ -41,14 +40,14 @@ def _evolved_tact(f, tau):
 
 class TestSqueezingReport:
     def test_css_baseline(self, css_x4):
-        report = squeezing_report(css_x4.rho)
+        report = squeezing_report(css_x4)
         assert abs(report.chi2 - 1.0) <= 1e-10
         assert abs(report.zeta2 - 1.0) <= 1e-10
         assert abs(report.xi2 - 1.0) <= 1e-10
         assert_allclose(report.cov, 2.0 * np.eye(2), atol=1e-12)
 
     def test_mean_spin_vector(self, css_x4):
-        report = squeezing_report(css_x4.rho)
+        report = squeezing_report(css_x4)
         assert_allclose(report.mean_spin, [4.0, 0.0, 0.0], atol=1e-12)
         assert abs(report.length - 4.0) <= 1e-12
 
@@ -71,11 +70,11 @@ class TestSqueezingReport:
         # along +y takes the frame's z fallback, where the frame is (z, x) and
         # its covariance that of a coherent state, and the zero-mean member
         # is not finite without touching the others
-        along_y = coherent_spin_state(4, np.pi / 2.0, np.pi / 2.0).rho
-        tilted = rotate(_evolved_tact(4, 0.1), [0.3, -0.5, 0.8], 0.7).rho
+        along_y = coherent_spin_state(4, np.pi / 2.0, np.pi / 2.0)
+        tilted = rotate(_evolved_tact(4, 0.1), [0.3, -0.5, 0.8], 0.7)
         rates = (1.0 / 80.0 + 0.01, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))
-        decayed = lindblad_trajectory(css_x4, tact_hamiltonian(ops4, 0.12), *rates, [1.5])[0].rho
-        stack = np.array([css_x4.rho, along_y, _dicke_zero(), tilted, decayed])
+        decayed = lindblad_trajectory(css_x4, tact_hamiltonian(ops4, 0.12), *rates, [1.5])[0]
+        stack = np.array([css_x4, along_y, _dicke_zero(), tilted, decayed])
         with np.errstate(all="raise"):
             batch = squeezing_report(stack)
         assert batch.mean_spin.shape == (5, 3) and batch.cov.shape == (5, 2, 2)
@@ -93,15 +92,15 @@ class TestSqueezingReport:
     @pytest.mark.parametrize("tau", [0.03, 0.08, 0.1375, 0.2])
     def test_parameter_ordering_chain(self, tau):
         # with the reference length F >= |<F>| the chain chi2 <= zeta2 <= xi2 holds
-        report = squeezing_report(_evolved_tact(4, tau).rho)
+        report = squeezing_report(_evolved_tact(4, tau))
         assert report.chi2 <= report.zeta2 + 1e-12
         assert report.zeta2 <= report.xi2 + 1e-12
 
     def test_rotation_about_mean_axis(self):
         state = _evolved_tact(4, 0.1)
-        base = squeezing_report(state.rho)
+        base = squeezing_report(state)
         delta = 0.4
-        rotated = squeezing_report(rotate(state, [1.0, 0.0, 0.0], delta).rho)
+        rotated = squeezing_report(rotate(state, [1.0, 0.0, 0.0], delta))
         assert abs(rotated.chi2 - base.chi2) <= 1e-10
         assert abs(rotated.zeta2 - base.zeta2) <= 1e-10
         assert abs(rotated.xi2 - base.xi2) <= 1e-10
@@ -110,7 +109,7 @@ class TestSqueezingReport:
 
     @pytest.mark.parametrize("tau", [0.05, 0.1375, 0.3])
     def test_heisenberg_floor_unitary(self, tau):
-        report = squeezing_report(_evolved_tact(4, tau).rho)
+        report = squeezing_report(_evolved_tact(4, tau))
         floor = report.length**2 / 4.0
         assert np.linalg.det(report.cov) >= floor - 1e-9
 
@@ -118,7 +117,7 @@ class TestSqueezingReport:
         rates = (1.0 / 80.0 + 0.01, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))  # t1 = 80, t2 = 20 ms
         h = tact_hamiltonian(ops4, 0.12)
         for t in (0.5, 1.5, 3.0):
-            report = squeezing_report(lindblad_trajectory(css_x4, h, *rates, [t])[0].rho)
+            report = squeezing_report(lindblad_trajectory(css_x4, h, *rates, [t])[0])
             floor = report.length**2 / 4.0
             assert np.linalg.det(report.cov) >= floor - 1e-9
 
@@ -137,9 +136,9 @@ class TestTactOptimum:
         h = tact_hamiltonian(ops, 1.0)
         psi0 = np.zeros(9, dtype=complex)
         state = coherent_spin_state(4, np.pi / 2.0, 0.0)
-        w, v = np.linalg.eigh(state.rho)
+        w, v = np.linalg.eigh(state)
         psi0 = v[:, np.argmax(w)]
-        fy, fz, fx = np.asarray(ops.fy), np.asarray(ops.fz), np.asarray(ops.fx)
+        fx, fy, fz = ops
 
         def zeta2_of(tau):
             u = expm(-1j * tau * h)
@@ -180,7 +179,7 @@ class TestTactOptimum:
         # independent path: unitary evolution of the density matrix and the
         # squeezing report at the optimal time reproduce the scanned minimum
         opt = tact_optimum(4)
-        report = squeezing_report(_evolved_tact(4, opt.alpha_t_zeta2).rho)
+        report = squeezing_report(_evolved_tact(4, opt.alpha_t_zeta2))
         assert abs(report.zeta2 - opt.zeta2_min) <= 1e-9
 
     @pytest.mark.parametrize("bracket_points", [4, 8, 16, 64, 128])
@@ -194,7 +193,7 @@ class TestTactOptimum:
         # dense scan of one-axis twisting as the comparison oracle
         h = oat_hamiltonian(ops4, 1.0)
         taus = np.linspace(0.01, np.pi, 1500)
-        report = squeezing_report(np.array([evolve_unitary(css_x4, h, tau).rho for tau in taus]))
+        report = squeezing_report(np.array([evolve_unitary(css_x4, h, tau) for tau in taus]))
         # cat-state points with a collapsed mean spin (canonical_moments' rule) are not minima
         kept = report.length >= 1e-9
         chi2_oat = report.chi2[kept].min()
@@ -237,7 +236,7 @@ class TestHusimi:
         assert abs(grid.phis[j] - phi0) <= 2 * np.pi / 96
 
     def test_fully_mixed_is_flat(self):
-        mixed = QuantumState(np.eye(9) / 9.0)
+        mixed = np.eye(9) / 9.0
         grid = husimi(mixed, 24, 24)
         assert_allclose(grid.values, np.full((24, 24), 1.0 / 9.0), atol=1e-12)
 
@@ -247,16 +246,30 @@ class TestHusimi:
         rng = np.random.default_rng(23)
         state = random_density_matrix(9, rng)
         ops = spin_operators(4)
-        wy, vy = np.linalg.eigh(ops.fy)
-        wz, vz = np.linalg.eigh(ops.fz)
+        wy, vy = np.linalg.eigh(ops[1])
+        wz, vz = np.linalg.eigh(ops[2])
         grid = husimi(state, 6, 10)
         for i, theta in enumerate(grid.thetas):
             for j, phi in enumerate(grid.phis):
                 ry = (vy * np.exp(-1j * theta * wy)) @ vy.conj().T
                 rz = (vz * np.exp(-1j * phi * wz)) @ vz.conj().T
                 psi = rz @ ry[:, 0]
-                expected = np.real(psi.conj() @ state.rho @ psi)
+                expected = np.real(psi.conj() @ state @ psi)
                 assert abs(grid.values[i, j] - expected) <= 1e-12
+
+    def test_values_out_of_range_raise(self, css_x4, monkeypatch):
+        # amplitudes 5 % too large put Q near the state's direction above 1:
+        # the range test runs before the clip, so they are reported, not clipped
+        vector = squeezing.coherent_state_vector
+        monkeypatch.setattr(
+            squeezing, "coherent_state_vector", lambda *args: 1.05 * vector(*args)
+        )
+        with pytest.raises(PhysicalityError, match=r"Husimi values must lie in \[0, 1\]"):
+            husimi(css_x4, 16, 32)
+
+    def test_rejects_unphysical_state(self):
+        with pytest.raises(PhysicalityError, match="trace"):
+            husimi(np.eye(9), 8, 8)
 
     def test_values_bounded(self, css_x4):
         grid = husimi(css_x4, 32, 32)
@@ -270,14 +283,14 @@ class TestHusimi:
         # quadrature-weighted sum times (2F+1)/(4 pi), by the SU(2) resolution of identity
         d_theta, d_phi = np.pi / len(grid.thetas), 2.0 * np.pi / len(grid.phis)
         weighted = (grid.values * np.sin(grid.thetas)[:, None]).sum() * d_theta * d_phi
-        assert abs(weighted * state.dimension / (4.0 * np.pi) - 1.0) <= 1e-3
+        assert abs(weighted * len(state) / (4.0 * np.pi) - 1.0) <= 1e-3
 
     def test_shear_rotates_principal_axis(self, ops4, css_x4):
         # one-axis twisting shears the distribution; the principal axis of
         # the Husimi second moments around the mean must agree with the
         # anti-squeezed axis from the covariance report
         state = evolve_unitary(css_x4, oat_hamiltonian(ops4, 1.0), 0.04)
-        report = squeezing_report(state.rho)
+        report = squeezing_report(state)
         grid = husimi(state, 96, 192)
         tt, pp = np.meshgrid(grid.thetas, grid.phis, indexing="ij")
         mask = (np.abs(pp - 0.0) < 0.8) | (np.abs(pp - 2 * np.pi) < 0.8)

@@ -10,15 +10,19 @@ from spintomo import (
     MeasurementRecord,
     OscillatorDensityMatrix,
     PhysicalityError,
+    canonical_moments,
     correct_covariance,
+    evolved_state,
     mle_reconstruct,
     simulate_records,
+    squeezing_report,
 )
 from spintomo import ExperimentConfig, point_record, readout_model, tomography
 from spintomo.tomography import _binned_quadrature_povm
 
 from conftest import (
     annihilation_operator,
+    bartlett_corrected_covariances,
     displaced,
     einsum_kernel,
     mle_likelihood_trace,
@@ -150,6 +154,29 @@ class TestCorrectCovariance:
             cc = correct_covariance(rec)
             det = cc.var_x * cc.var_p - cc.cov_xp**2
             assert det >= 0.25 - 5 * cc.statistical_error
+
+    @pytest.mark.parametrize("t_r", [0.0, 0.8])
+    def test_sampling_distribution_matches_exact_wishart_draws(self, t_r):
+        # 200 seeded records of the default point against 10^5 exact Bartlett
+        # draws of the same corrected covariance: equal means, equal spreads
+        config = ExperimentConfig()
+        report = squeezing_report(evolved_state(config, t_r))
+        cov = canonical_moments(report.cov, report.length)
+        sampled = []
+        for seed in range(200):
+            cc = correct_covariance(simulate_records(cov, config.kappa2, config.n_shots, seed))
+            sampled.append((cc.var_x, cc.var_p, cc.cov_xp))
+        sampled = np.array(sampled)
+        exact = bartlett_corrected_covariances(
+            cov, config.kappa2, config.n_shots, 100_000, np.random.default_rng(8)
+        )
+        truth = np.array([cov[0, 0], cov[1, 1], cov[0, 1]])
+        spread, exact_spread = sampled.std(axis=0, ddof=1), exact.std(axis=0, ddof=1)
+        # the oracle itself is unbiased
+        assert np.all(np.abs(exact.mean(axis=0) - truth) <= 4 * exact_spread / np.sqrt(len(exact)))
+        standard_error = np.hypot(spread / np.sqrt(len(sampled)), exact_spread / np.sqrt(len(exact)))
+        assert np.all(np.abs(sampled.mean(axis=0) - exact.mean(axis=0)) <= 4 * standard_error)
+        assert np.all((0.85 <= spread / exact_spread) & (spread / exact_spread <= 1.15))
 
     def test_statistical_error_formula(self):
         rec = simulate_records(VACUUM, 0.8, 1000, seed=64)
