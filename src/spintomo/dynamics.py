@@ -132,20 +132,22 @@ def lindblad_trajectory(
     Hermitian to 1e-12 (else :class:`PhysicalityError`); a rate that is
     negative or not finite raises ``ValueError``.
     ``times`` must be finite, non-decreasing and non-negative.  The state is
-    propagated in real Hermitian coordinates X = Re rho + Im rho: the real
-    d^2 x d^2 generator L_r of the master equation (see ``_liouvillian``) is
-    diagonalized once, L_r = V diag(lambda) V^-1; with c = V^-1 vec(X0)
-    every state is Re(V (exp(lambda t) * c)), so the cost does not grow
-    with the times or their spacing, and rho = (X + X^T)/2 + i (X - X^T)/2
-    is Hermitian by construction.  The eigenbasis is checked against an
-    independent second method, the Pade-13 scaling-and-squaring matrix
-    exponential (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) of the
-    same L_r, at the last time: a mismatch above 1e-10 means an
-    ill-conditioned eigenbasis, and a mismatch that is not finite means the
-    propagation overflowed at that time; both raise
-    :class:`PhysicalityError`.  The states must pass the checks of
-    :func:`check_density`, made once over the stack; a failure names the
-    time of the first failing state.
+    propagated in real Hermitian coordinates X = Re rho + Im rho, by the
+    real d^2 x d^2 generator L_r of the master equation (see
+    ``_liouvillian``), and rho = (X + X^T)/2 + i (X - X^T)/2 is Hermitian by
+    construction.  The state at the last time t_max is exp(L_r t_max) vec(X0),
+    by the Pade-13 scaling-and-squaring matrix exponential (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)); a state there that is not finite
+    means the propagation overflowed and raises :class:`PhysicalityError`.
+    One time, or times all equal to t_max, need nothing more.  Earlier times
+    come from one diagonalization L_r = V diag(lambda) V^-1: with
+    c = V^-1 vec(X0) each is Re(V (exp(lambda t) * c)), so the cost does not
+    grow with the times or their spacing.  The eigen-solution is checked at
+    t_max against the exponential, an independent second method: a mismatch
+    above 1e-10 means an ill-conditioned eigenbasis, and one that is not
+    finite an overflow; both raise :class:`PhysicalityError`.  The states
+    must pass the checks of :func:`check_density`, made once over the stack;
+    a failure names the time of the first failing state.
     """
     rho0 = check_density(rho0)
     d = rho0.shape[-1]
@@ -169,23 +171,33 @@ def lindblad_trajectory(
 
     lr = _liouvillian(h, depolarization, dephasing, spin_operators((d - 1) / 2.0)[0])
     x0 = (rho0.real + rho0.imag).ravel()
-    w, v = np.linalg.eig(lr)
-    c = np.linalg.solve(v, x0)
     t_max = times[-1]
+    n_early = int(np.searchsorted(times, t_max))  # times below t_max
+    x = np.empty((times.size, d * d))
+    mismatch = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        xs = (v @ (np.exp(np.outer(w, times)) * c[:, None])).real
-        mismatch = np.abs(_expm(lr * t_max) @ x0 - xs[:, -1]).max()
-        if not np.isfinite(mismatch):
-            raise PhysicalityError(
-                f"propagation overflowed at t_max={t_max:g} ms: "
-                f"||L||_1 t_max = {np.abs(lr).sum(axis=0).max() * t_max:.3g}"
-            )
+        x_max = _expm(lr * t_max) @ x0
+        x[n_early:] = x_max
+        if n_early:
+            w, v = np.linalg.eig(lr)
+            c = np.linalg.solve(v, x0)
+            e = np.exp(np.outer(w, np.append(times[:n_early], t_max))) * c[:, None]
+            # Re(V e) from real products: the complex one leaves an OpenBLAS
+            # thread spinning for about 50 ms after it returns
+            xs = v.real @ e.real - v.imag @ e.imag
+            x[:n_early] = xs[:, :-1].T
+            mismatch = np.abs(x_max - xs[:, -1]).max()
+    if not (np.isfinite(x_max).all() and np.isfinite(mismatch)):
+        raise PhysicalityError(
+            f"propagation overflowed at t_max={t_max:g} ms: "
+            f"||L||_1 t_max = {np.abs(lr).sum(axis=0).max() * t_max:.3g}"
+        )
     if not mismatch <= 1e-10:
         raise PhysicalityError(
             f"Liouvillian eigenbasis is ill-conditioned: at t_max={t_max:g} ms the "
             f"eigen-solution differs from expm(L t) by {mismatch:.3g}"
         )
-    x = xs.T.reshape(-1, d, d)
+    x = x.reshape(-1, d, d)
     xt = x.swapaxes(-1, -2)
     states = (x + xt) / 2.0 + 0.5j * (x - xt)
     _check_stack(states, lambda i: f"evolved state at t={times[i]:g} ms: ")

@@ -48,8 +48,9 @@ SCAN_POINTS = 2000
 BRACKET_POINTS = 32
 REFINE_TOL = 1e-6
 
-# most nodes a Husimi grid may have: 10^6 nodes of an F = 4 state take 144 MB
-# of coherent-state amplitudes
+# most nodes a Husimi grid may have.  The separable sum keeps no per-node
+# amplitudes, so memory grows as n_theta * n_phi, not n_theta * n_phi * d:
+# 10^6 nodes take 8 MB of values and about 60 MB of CSV text
 MAX_GRID_NODES = 10**6
 
 
@@ -153,8 +154,9 @@ def tact_optimum(f) -> TactOptimum:
             "below F=1 (for F=1/2 both squares are proportional to the identity)"
         )
     ops = spin_operators(j_init)
-    w, v = np.linalg.eigh(tact_hamiltonian(ops, 1.0))
-    coeffs = v.conj().T @ coherent_state_vector(j_init, np.pi / 2.0, 0.0)
+    # Fz^2 - Fy^2 is real in the Fz basis, and so are the eigenvectors and the state along +x
+    w, v = np.linalg.eigh(tact_hamiltonian(ops, 1.0).real)
+    coeffs = v.T @ coherent_state_vector(j_init, np.pi / 2.0, 0.0).real
 
     def params_at(taus: np.ndarray) -> np.ndarray:
         # (chi2, zeta2, xi2) rows, one per time.  The mean spin stays on the
@@ -163,7 +165,12 @@ def tact_optimum(f) -> TactOptimum:
         # growing as 1/|<F>|^2; chi2 stays finite.  squeezing_report has no such
         # rule: its zeta2 on a round-off mean spin is near 0, and the F = 1
         # zeta2_min of `limits` would fall from 5.0e-5 to 4.2e-7 through it.
-        psi = (np.exp(-1j * np.multiply.outer(taus, w)) * coeffs) @ v.T
+        # psi = (exp(-i tau w) * coeffs) @ v.T from real products: a complex
+        # one leaves an OpenBLAS thread spinning for about 50 ms after it returns
+        phase = np.multiply.outer(taus, w)
+        psi = np.empty(phase.shape, dtype=complex)
+        psi.real = (np.cos(phase) * coeffs) @ v.T
+        psi.imag = (np.sin(phase) * -coeffs) @ v.T
         rho = np.einsum("ni,nj->nij", psi, psi.conj())
         mean, cov = moments(rho, ops)
         v_min = variance_extrema(cov[:, 1:, 1:])[0]
@@ -225,21 +232,29 @@ class HusimiGrid:
 def husimi(rho, n_theta: int, n_phi: int) -> HusimiGrid:
     """Evaluate the Husimi function of the spin density matrix ``rho`` on an equiangular grid.
 
-    ``rho`` must pass :func:`~spintomo.spin_algebra.check_density`.  One
-    broadcast :func:`~spintomo.spin_algebra.coherent_state_vector` call gives
-    the amplitudes of every node.  A value more than 1e-12 outside [0, 1]
-    raises :class:`PhysicalityError`; round-off within that is clipped.  A
-    grid of more than ``MAX_GRID_NODES`` nodes raises ``ValueError``.
+    ``rho`` must pass :func:`~spintomo.spin_algebra.check_density`.  The
+    coherent amplitudes factor as a_m(theta) exp(-i m phi) with a real, so
+    Q(theta, phi) = g_0 + 2 sum_{k>=1} (Re g_k cos(k phi) - Im g_k sin(k phi)),
+    where g_k(theta) is the sum of the k-th superdiagonal of (a a^T) * rho
+    (Arecchi et al., Phys. Rev. A 6, 2211 (1972)): one
+    :func:`~spintomo.spin_algebra.coherent_state_vector` call at phi = 0
+    gives a on the theta nodes, and two real products sum the grid.  A value
+    more than 1e-12 outside [0, 1] raises :class:`PhysicalityError`;
+    round-off within that is clipped.  A grid of more than
+    ``MAX_GRID_NODES`` nodes raises ``ValueError``.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     if n_theta * n_phi > MAX_GRID_NODES:
         raise ValueError(f"grid must have at most {MAX_GRID_NODES} nodes, got {n_theta}x{n_phi}")
     rho = check_density(rho)
+    d = rho.shape[-1]
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    amps = coherent_state_vector((rho.shape[-1] - 1) / 2.0, thetas[:, None], phis[None, :])
-    values = np.real(np.einsum("ijd,de,ije->ij", amps.conj(), rho, amps))
+    a = coherent_state_vector((d - 1) / 2.0, thetas, 0.0).real
+    g = np.stack([(a[:, : d - k] * a[:, k:]) @ np.diagonal(rho, k) for k in range(d)], axis=1)
+    k_phi = np.multiply.outer(np.arange(1, d), phis)
+    values = g[:, :1].real + 2.0 * (g[:, 1:].real @ np.cos(k_phi) - g[:, 1:].imag @ np.sin(k_phi))
     if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
         raise PhysicalityError("Husimi values must lie in [0, 1]")
     values = np.clip(values, 0.0, 1.0)

@@ -29,6 +29,8 @@ HALF_STEPS = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 DARK = (1.0 / 80.0, 2.0 * (1.0 / 20.0 - 1.0 / 80.0))
 # the same with the default drive-induced scatter rate 0.01/ms added to the depolarization
 DRIVEN = (DARK[0] + 0.01, DARK[1])
+# several times (an eigen-solution checked at the last) and single times (the exponential alone)
+ONE_OR_MORE_TIMES = [[0.0, 0.8, 2.5, 6.0], [0.8], [6.0], [60.0]]
 
 
 def column_stacked_generator(h, fx, depolarization, dephasing):
@@ -306,10 +308,12 @@ class TestLindblad:
         assert purities[0] < 1.0
 
     def test_trajectory_matches_single_calls(self, ops4, css_x4):
+        # the trajectory's earlier state comes from the eigen-solution, a one-time
+        # call's from the matrix exponential: two methods for the same state
         h = tact_hamiltonian(ops4, 0.12)
         traj = lindblad_trajectory(css_x4, h, *DARK, [0.7, 1.4])
-        single = lindblad_trajectory(css_x4, h, *DARK, [1.4])[0]
-        assert np.abs(traj[1] - single).max() <= 1e-12
+        single = lindblad_trajectory(css_x4, h, *DARK, [0.7])[0]
+        assert np.abs(traj[0] - single).max() <= 1e-12
 
     def test_returns_one_read_only_stack(self, ops4, css_x4):
         h = tact_hamiltonian(ops4, 0.12)
@@ -373,11 +377,11 @@ class TestLindblad:
             + dephasing
             * (np.kron(fx.T, fx) - 0.5 * (np.kron(eye, fx2) + np.kron(fx2.T, eye)))
         )
-        times = [0.0, 0.8, 2.5, 6.0]
-        states = lindblad_trajectory(css_x4, hm, *DRIVEN, times)
-        for t, state in zip(times, states):
-            vec = expm(generator * t) @ css_x4.ravel(order="F")
-            assert np.abs(state - vec.reshape(9, 9, order="F")).max() <= 1e-12
+        for times in ONE_OR_MORE_TIMES:
+            states = lindblad_trajectory(css_x4, hm, *DRIVEN, times)
+            for t, state in zip(times, states):
+                vec = expm(generator * t) @ css_x4.ravel(order="F")
+                assert np.abs(state - vec.reshape(9, 9, order="F")).max() <= 1e-12
 
     @pytest.mark.parametrize("f", [0.5, 1.5, 4.0])
     @pytest.mark.parametrize("rates", [DARK, DRIVEN], ids=["dark", "driven"])
@@ -389,12 +393,12 @@ class TestLindblad:
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         hm = (a + a.conj().T) / 2.0
         state = random_density_matrix(d, rng)
-        times = [0.0, 0.8, 6.0]
-        states = lindblad_trajectory(state, hm, *rates, times)
         generator = column_stacked_generator(hm, ops[0], *rates)
-        for t, evolved in zip(times, states):
-            vec = expm(generator * t) @ state.ravel(order="F")
-            assert np.abs(evolved - vec.reshape(d, d, order="F")).max() <= 1e-12
+        for times in ONE_OR_MORE_TIMES:
+            states = lindblad_trajectory(state, hm, *rates, times)
+            for t, evolved in zip(times, states):
+                vec = expm(generator * t) @ state.ravel(order="F")
+                assert np.abs(evolved - vec.reshape(d, d, order="F")).max() <= 1e-12
 
     def test_eig_sees_one_real_generator(self, ops4, css_x4, monkeypatch):
         seen = []
@@ -408,15 +412,24 @@ class TestLindblad:
         lindblad_trajectory(css_x4, tact_hamiltonian(ops4, 0.12), *DRIVEN, [0.0, 0.8, 6.0])
         assert [(a.dtype, a.shape) for a in seen] == [(np.dtype(np.float64), (81, 81))]
 
+    @pytest.mark.parametrize("times", [[0.8], [2.0, 2.0]])
+    def test_one_time_needs_no_eigendecomposition(self, ops4, css_x4, monkeypatch, times):
+        def refuse(a):
+            raise AssertionError("eig called")
+
+        monkeypatch.setattr(dynamics.np.linalg, "eig", refuse)
+        states = lindblad_trajectory(css_x4, tact_hamiltonian(ops4, 0.12), *DRIVEN, times)
+        assert states.shape == (len(times), 9, 9)
+
     @pytest.mark.parametrize("rate", [1e20, 1e100])
     def test_overflow_names_the_propagation(self, ops4, css_x4, rate):
-        # the eigen-solution overflows; the eigenbasis is not blamed
+        # the propagation overflows, with or without an eigen-solution; the
+        # eigenbasis is not blamed
         h = compensated_hamiltonian(ops4, 2.0 * rate, residual=0.15)
-        with pytest.raises(
-            PhysicalityError,
-            match=r"^propagation overflowed at t_max=0.8 ms: \|\|L\|\|_1 t_max = \d\.\d\de\+\d+$",
-        ):
-            lindblad_trajectory(css_x4, h, *DRIVEN, [0.0, 0.8])
+        message = r"^propagation overflowed at t_max=0.8 ms: \|\|L\|\|_1 t_max = \d\.\d\de\+\d+$"
+        for times in ([0.0, 0.8], [0.8]):
+            with pytest.raises(PhysicalityError, match=message):
+                lindblad_trajectory(css_x4, h, *DRIVEN, times)
 
     @pytest.mark.parametrize("t", [0.0, 0.8, 6.0, 60.0])
     def test_guard_expm_matches_scipy_on_liouvillian(self, ops4, t):

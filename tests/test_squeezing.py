@@ -240,12 +240,14 @@ class TestHusimi:
         grid = husimi(mixed, 24, 24)
         assert_allclose(grid.values, np.full((24, 24), 1.0 / 9.0), atol=1e-12)
 
-    def test_matches_nodewise_expectation(self):
+    @pytest.mark.parametrize("f", [0.0, 0.5, 1.0, 1.5, 4.0])
+    def test_matches_nodewise_expectation(self, f):
         # second method: <psi|rho|psi> with psi = exp(-i phi Fz) exp(-i theta Fy)|F, F>
-        # from the eigendecompositions of the spin matrices, one node at a time
+        # from the eigendecompositions of the spin matrices, one node at a time;
+        # even and odd d, and d = 1 with no off-diagonal sum
         rng = np.random.default_rng(23)
-        state = random_density_matrix(9, rng)
-        ops = spin_operators(4)
+        ops = spin_operators(f)
+        state = random_density_matrix(len(ops[0]), rng)
         wy, vy = np.linalg.eigh(ops[1])
         wz, vz = np.linalg.eigh(ops[2])
         grid = husimi(state, 6, 10)
