@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_qpd.add_argument("--tr", type=float, required=True)
     p_qpd.add_argument("--grid", default="64x128", help="NxM grid in theta x phi")
     p_qpd.add_argument("--out", required=True)
-    p_qpd.add_argument("--seed", type=int, default=None)
 
     return parser
 
@@ -183,7 +182,7 @@ def _cmd_reconstruct(args) -> None:
 
 
 def _cmd_qpd(args) -> None:
-    config = _load_config(args.config, args.seed)
+    config = _load_config(args.config, None)  # a Husimi grid does not depend on the seed
     try:
         n_theta, _, n_phi = args.grid.partition("x")
         n_theta, n_phi = int(n_theta), int(n_phi)

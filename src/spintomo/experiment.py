@@ -336,9 +336,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
         try:
             cov = canonical_moments(report.cov[i], report.length[i])
             record = simulate_records(cov, config.kappa2, config.n_shots, _point_seed(config, t_r))
-            corrected = correct_covariance(record)
-            zeta2_rec = 2.0 * corrected.min_variance
-            zeta2_err = _zeta2_error(corrected, config.kappa2)
+            zeta2_rec, zeta2_err = _zeta2_estimate(correct_covariance(record), config.kappa2)
         except Exception as exc:
             raise SweepPointError(t_r, exc) from exc
         rows.append(
@@ -356,9 +354,10 @@ def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
     return tuple(rows)
 
 
-def _zeta2_error(corrected: CorrectedCovariance, kappa2: float) -> float:
-    """1-sigma error of 2*min_variance propagated from the output-variance estimate."""
-    v_min = max(corrected.min_variance, 0.0)
+def _zeta2_estimate(corrected: CorrectedCovariance, kappa2: float) -> tuple[float, float]:
+    """(zeta2, sigma): 2*min_variance and its error propagated from the output variance."""
+    v_min = corrected.min_variance
     gain, noise = readout_model(kappa2)
-    return 2.0 * corrected.statistical_error * (noise + gain * v_min) / gain
+    sigma = 2.0 * corrected.statistical_error * (noise + gain * max(v_min, 0.0)) / gain
+    return 2.0 * v_min, sigma
 

@@ -419,6 +419,14 @@ class TestQpd:
                        "--grid", "12", "--out", str(tmp_path / "q.csv")) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_takes_no_seed(self, config_path, tmp_path, capsys):
+        # a Husimi grid does not depend on the seed
+        out = tmp_path / "q.csv"
+        assert run_cli("qpd", "--config", config_path, "--tr", "0.8", "--grid", "4x8",
+                       "--out", str(out), "--seed", "3") == 2
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --seed 3\n"
+        assert not out.exists()
+
 
 class TestInputBounds:
     @pytest.mark.parametrize("command", ["sweep", "records", "qpd"])

@@ -215,6 +215,22 @@ class TestRunSweep:
         for row in run_sweep(short_config(n_shots=20_000)):
             assert abs(row.zeta2_reconstructed - row.zeta2_true) <= 4 * row.zeta2_error
 
+    @pytest.mark.parametrize("n_shots", [10, 4000])
+    def test_zeta2_error_closed_form(self, n_shots):
+        # sigma = 2 sqrt(2/(n-1)) (max(v_min, 0) + noise/gain), with the probe's
+        # gain kappa2/2 and noise 1/2 + kappa2^2/24, so noise/gain = 1/kappa2 +
+        # kappa2/12; at 10 shots some corrected v_min fall below zero
+        cfg = short_config(raman_durations=(0.0, 0.4, 0.8, 1.2, 2.0, 3.0), n_shots=n_shots)
+        rows = run_sweep(cfg)
+        k = cfg.kappa2
+        for row in rows:
+            v_min = row.zeta2_reconstructed / 2.0
+            expected = 2.0 * np.sqrt(2.0 / (n_shots - 1)) * (max(v_min, 0.0) + 1.0 / k + k / 12.0)
+            assert abs(row.zeta2_error - expected) <= 1e-12 * expected
+        if n_shots == 10:
+            zeta2 = [row.zeta2_reconstructed for row in rows]
+            assert min(zeta2) < 0.0 < max(zeta2)
+
     def test_deterministic_bytes(self):
         cfg = short_config()
         a = _row_bytes(run_sweep(cfg))

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -123,6 +124,22 @@ class TestCorrectCovariance:
         assert abs(cc.cov_xp - truth[0, 1]) <= 5 * sigma_var
         assert abs(cc.mean_x - 0.3) <= 5 * np.sqrt(1.0 / rec.n_shots) * 2.5
         assert abs(cc.mean_p + 0.2) <= 5 * np.sqrt(1.0 / rec.n_shots) * 2.5
+
+    def test_matches_statistics_module(self):
+        # correlated, displaced quadratures; the oracle is the standard
+        # library's sample moments inverted through gain kappa2/2 and noise
+        # 1/2 + kappa2^2/24
+        kappa2 = 0.8
+        rec = displaced(simulate_records(quadrature_cov(1.1, 0.25, 0.1), kappa2, 10_000, seed=65),
+                        0.3, -0.2)
+        y_c, y_s = rec.y_c.tolist(), rec.y_s.tolist()
+        gain, noise = kappa2 / 2.0, 0.5 + kappa2**2 / 24.0
+        cc = correct_covariance(rec)
+        assert cc.var_x == pytest.approx((statistics.variance(y_c) - noise) / gain, rel=1e-12)
+        assert cc.var_p == pytest.approx((statistics.variance(y_s) - noise) / gain, rel=1e-12)
+        assert cc.cov_xp == pytest.approx(statistics.covariance(y_c, y_s) / gain, rel=1e-12)
+        assert cc.mean_x == pytest.approx(statistics.fmean(y_c) / math.sqrt(gain), rel=1e-12)
+        assert cc.mean_p == pytest.approx(statistics.fmean(y_s) / math.sqrt(gain), rel=1e-12)
 
     def test_zero_coupling_rejected(self):
         rec = MeasurementRecord(shots=np.random.default_rng(0).normal(size=(100, 2)),
