@@ -20,7 +20,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import astuple, fields
+from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -100,11 +101,12 @@ def _atomic_write(path: str, text: str) -> None:
 def _table_text(fmt: str, meta: dict, rows) -> str:
     """``rows`` of one frozen dataclass as a CSV or JSON table headed by ``meta``.
 
-    The columns are the row type's fields and the units its ``UNITS``.
+    The columns are the row type's fields, read from each row without a
+    copy, and the units its ``UNITS``.
     """
     columns = [spec.name for spec in fields(rows[0])]
     units = list(rows[0].UNITS)
-    values = [astuple(row) for row in rows]
+    values = list(map(attrgetter(*columns), rows))
     if fmt == "json":
         table = {**meta, "columns": columns, "units": units,
                  "rows": [dict(zip(columns, row)) for row in values]}

@@ -4,14 +4,20 @@ A table is ``# `` comment lines, a header row of column names, then
 comma-separated rows of numbers with 17 significant digits, so reading a
 table back gives bit-identical floats.
 
-The writer formats the whole table in one call: it fills one
-``%`` template, a ``%.17g`` row repeated n times, with every value of the
-(n, k) array; ``"%.17g" % x`` is the same CPython conversion as
-``f"{x:.17g}"``, so every byte is too, ``-0``, subnormals, ``inf`` and
-``nan`` included.  The reader takes the stream one line at a time, keeps
-each row's fields as text and converts them all with one numpy call, whose
-str-to-float conversion follows ``float()``.  Comment lines are read back
-verbatim: a comma or a quote in one is text, not a field separator.
+Two writers write this one format, and both format the whole table in
+one ``%`` operation.  :func:`write_table` fills a ``%.17g`` row repeated n
+times with every value of an (n, k) array.  :func:`write_grid_table` writes
+a function sampled on a grid as rows (row node, column node, value): its
+template holds each column node's text, formatted once, and it is filled
+with each row node's text, also formatted once, and the values.  Its bytes
+equal those of :func:`write_table` on the meshgrid rows.  ``"%.17g" % x``
+is the same CPython conversion as ``f"{x:.17g}"``, so every byte is too,
+``-0``, subnormals, ``inf`` and ``nan`` included.
+
+The reader takes the stream one line at a time, keeps each row's fields as
+text and converts them all with one numpy call, whose str-to-float
+conversion follows ``float()``.  Comment lines are read back verbatim: a
+comma or a quote in one is text, not a field separator.
 """
 
 from __future__ import annotations
@@ -20,15 +26,37 @@ import math
 
 import numpy as np
 
-__all__ = ["write_table", "read_table", "parse_number", "parse_whole_number"]
+__all__ = ["write_table", "write_grid_table", "read_table", "parse_number", "parse_whole_number"]
+
+
+def _head(comments, columns) -> str:
+    """The ``# `` comment lines and the header row of a table."""
+    return "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
 
 
 def write_table(stream, comments, columns, rows) -> None:
     """Write ``comments`` as ``# `` lines, the header ``columns``, then the (n, k) array ``rows``."""
     rows = np.asarray(rows, dtype=float)
-    head = "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    stream.write(head + row * len(rows) % tuple(rows.ravel().tolist()))
+    stream.write(_head(comments, columns) + row * len(rows) % tuple(rows.ravel().tolist()))
+
+
+def write_grid_table(stream, comments, columns, row_axis, col_axis, values) -> None:
+    """Write the (n_row, n_col) ``values`` as rows (row_axis[i], col_axis[j], values[i, j]), i-major.
+
+    The bytes are those of :func:`write_table` on the three meshgrid columns,
+    but each node of either axis is formatted once: the template of one row
+    block holds every ``col_axis`` text (none contains a ``%``) and is filled
+    n_row times, each row node's text interleaved with its values.
+    """
+    row_axis = np.asarray(row_axis, dtype=float)
+    col_axis = np.asarray(col_axis, dtype=float)
+    values = np.asarray(values, dtype=float).reshape(len(row_axis), len(col_axis))
+    block = "".join(["%s," + "%.17g" % node + ",%.17g\n" for node in col_axis.tolist()])
+    fill = np.empty(values.shape + (2,), dtype=object)
+    fill[..., 0] = np.array(["%.17g" % node for node in row_axis.tolist()], dtype=object)[:, None]
+    fill[..., 1] = values
+    stream.write(_head(comments, columns) + block * len(row_axis) % tuple(fill.ravel().tolist()))
 
 
 def read_table(stream) -> tuple[list[str], list[str], np.ndarray]:

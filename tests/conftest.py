@@ -201,6 +201,12 @@ def csv_module_write_table(stream, comments, columns, rows) -> None:
     writer.writerows([f"{v:.17g}" for v in row] for row in rows)
 
 
+def meshgrid_rows(row_axis, col_axis, values) -> list[list[float]]:
+    """Rows (row_axis[i], col_axis[j], values[i, j]), i-major: a grid's table for the oracle writer."""
+    row, col = np.meshgrid(row_axis, col_axis, indexing="ij")
+    return np.column_stack([row.ravel(), col.ravel(), np.ravel(values)]).tolist()
+
+
 def csv_module_read_table(stream) -> tuple[list[str], list[str], list[tuple[float, ...]]]:
     """Per-field table reader on the :mod:`csv` module: an oracle for ``tables.read_table``.
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from spintomo import ExperimentConfig, PhysicalityError, cli, experiment, record_from_csv
+from spintomo import (ExperimentConfig, PhysicalityError, cli, evolved_state, experiment, husimi,
+                      record_from_csv)
 from spintomo.cli import main
 from spintomo.tables import read_table
-from conftest import fail_at_call
+from conftest import csv_module_write_table, fail_at_call, meshgrid_rows
 
 
 @pytest.fixture()
@@ -413,6 +415,22 @@ class TestQpd:
         values = np.array([float(l.split(",")[2]) for l in data])
         assert values.min() >= 0.0
         assert values.max() <= 1.0
+
+    @pytest.mark.parametrize("grid", ["4x8", "3x5"])
+    def test_file_matches_the_csv_module_writer(self, config_path, tmp_path, grid):
+        out = tmp_path / "qpd.csv"
+        assert run_cli("qpd", "--config", config_path, "--tr", "0.8", "--grid", grid,
+                       "--out", str(out)) == 0
+        config = ExperimentConfig.from_file(config_path)
+        q = husimi(evolved_state(config, 0.8), *map(int, grid.split("x")))
+        oracle = io.StringIO()
+        csv_module_write_table(
+            oracle,
+            [f"config_sha256={config.config_hash}", f"t_r_ms={0.8:.17g}"],
+            ("theta_rad", "phi_rad", "q_value"),
+            meshgrid_rows(q.thetas, q.phis, q.values),
+        )
+        assert out.read_bytes() == oracle.getvalue().encode()
 
     def test_bad_grid_spec(self, config_path, tmp_path, capsys):
         assert run_cli("qpd", "--config", config_path, "--tr", "0.5",

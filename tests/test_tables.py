@@ -3,9 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from conftest import csv_module_read_table, csv_module_write_table
+from conftest import csv_module_read_table, csv_module_write_table, meshgrid_rows
 from spintomo import MeasurementRecord, record_from_csv, record_to_csv
-from spintomo.tables import parse_whole_number, read_table, write_table
+from spintomo.tables import parse_whole_number, read_table, write_grid_table, write_table
 
 # every kind of float the 17-digit text must carry: signed zeros, the
 # smallest subnormal, the smallest normal, the extremes, inf and nan
@@ -73,6 +73,29 @@ def test_write_matches_the_csv_module_writer(n, k):
     write_table(ours, comments, columns, rows)
     csv_module_write_table(oracle, comments, columns, rows.tolist())
     assert ours.getvalue() == oracle.getvalue()
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 8), (64, 128)])
+def test_grid_writer_matches_the_csv_module_writer_on_meshgrid_rows(n, m):
+    columns = ("theta_rad", "phi_rad", "q_value")
+    comments = [f"grid={n}x{m}", "t_r_ms=0.8"]
+    # an axis shorter than SPECIAL gets one pass per leading value; a longer one holds them all
+    for shift in range(len(SPECIAL) if min(n, m) < len(SPECIAL) else 1):
+        special = np.roll(SPECIAL, -shift)
+        row_axis, col_axis, values = (_random_table(size, 1, seed=size + shift).ravel()
+                                      for size in (n, m, n * m))
+        for axis in (row_axis, col_axis, values):
+            axis[: len(special)] = special[: axis.size]
+        values = values.reshape(n, m)
+        rows = meshgrid_rows(row_axis, col_axis, values)
+        ours, oracle, long_form = io.StringIO(), io.StringIO(), io.StringIO()
+        write_grid_table(ours, comments, columns, row_axis, col_axis, values)
+        csv_module_write_table(oracle, comments, columns, rows)
+        write_table(long_form, comments, columns, rows)
+        # compared line by line, so a failure names the first differing line
+        lines = ours.getvalue().split("\n")
+        assert lines == oracle.getvalue().split("\n")
+        assert lines == long_form.getvalue().split("\n")
 
 
 @pytest.mark.parametrize("n, k", TABLE_SIZES)
