@@ -29,7 +29,7 @@ from .errors import PhysicalityError, SweepPointError
 from .experiment import ExperimentConfig, evolved_state, point_record, run_sweep
 from .probe import record_from_csv, record_to_csv
 from .spin_algebra import spin_dimension
-from .squeezing import REFINE_TOL, SCAN_POINTS, husimi, tact_optimum
+from .squeezing import SCAN_POINTS, husimi, tact_optimum
 from .tables import write_table
 from .tomography import mle_reconstruct, correct_covariance
 
@@ -136,10 +136,8 @@ def _cmd_limits(args) -> None:
     spin_dimension(largest)  # finite, dimension <= 16
     spins = [float(k) for k in range(1, int(largest) + 1)]
     optima = [tact_optimum(f) for f in spins]
-    params_hash = hashlib.sha256(
-        f"limits f={args.f:.17g} scan={SCAN_POINTS} refine={REFINE_TOL:g}".encode()
-    ).hexdigest()
-    meta = {"params_sha256": params_hash, "scan_points": SCAN_POINTS, "refine_tol": REFINE_TOL}
+    params_hash = hashlib.sha256(f"limits f={args.f:.17g} scan={SCAN_POINTS}".encode()).hexdigest()
+    meta = {"params_sha256": params_hash, "scan_points": SCAN_POINTS}
     _atomic_write(args.out, _table_text(args.format, meta, optima))
 
 

@@ -16,6 +16,7 @@ N-independent.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -42,11 +43,8 @@ __all__ = [
     "husimi",
 ]
 
-# countertwisting scan of tact_optimum: grid points over (0, pi], points per
-# bracket of each zoom step, and the grid step at which the zoom stops
+# grid points over (0, pi] on which tact_optimum brackets each minimum and the collapse
 SCAN_POINTS = 2000
-BRACKET_POINTS = 32
-REFINE_TOL = 1e-6
 
 # most nodes a Husimi grid may have.  The separable sum keeps no per-node
 # amplitudes, so memory grows as n_theta * n_phi, not n_theta * n_phi * d:
@@ -111,13 +109,13 @@ def squeezing_report(rho) -> SqueezingReport:
 
 @dataclass(frozen=True)
 class TactOptimum:
-    """Per-parameter minima of the countertwisting scan for one spin: one ``limits`` row.
+    """Per-parameter minima of the countertwisting evolution of one spin: one ``limits`` row.
 
     The reported values are the minima of the first squeezing window: the
-    interval from t=0 up to the first turning point of each parameter, with
-    the scaled time alpha*t at which each is reached.  The evolution revives
-    and can dip again at later times, but those recurrences live on a
-    collapsed mean spin and are not the operating point.
+    interval from t=0 up to the collapse, the first zero of the mean spin,
+    with the scaled time alpha*t at which each is reached.  A parameter that
+    falls all through the window (only at F = 1) reports its limit at the
+    collapse, where zeta2 and xi2 are 0/0: infima that are not attained.
     """
 
     UNITS: ClassVar[tuple[str, ...]] = ("spin", "1", "rad", "1", "rad", "1", "rad")
@@ -131,23 +129,16 @@ class TactOptimum:
     alpha_t_xi2: float
 
 
-def _first_local_min(values: np.ndarray) -> int:
-    """Index of the first interior local minimum, or argmin if none exists."""
-    inner = values[1:-1]
-    hits = np.flatnonzero((inner < values[:-2]) & (inner <= values[2:]))
-    return int(hits[0]) + 1 if hits.size else int(np.argmin(values))
-
-
 def tact_optimum(f) -> TactOptimum:
-    """Scan countertwisting evolution of a polarized spin for its squeezing limits.
+    """Exact first-window minima of a polarized spin's squeezing parameters under countertwisting.
 
-    Evolves the coherent state along +x under Fz^2 - Fy^2 over the scaled
-    time alpha*t in (0, pi] and locates the first minimum of each squeezing
-    parameter on a uniform grid of ``SCAN_POINTS``.  Each minimum is zoomed:
-    ``BRACKET_POINTS`` times span one grid step either side of it, the best
-    becomes the centre and their spacing the step, until the step is at most
-    ``REFINE_TOL``.  The scan and each zoom step (all three brackets) are one
-    batched :func:`~spintomo.spin_algebra.moments` call on a stack of states.
+    The coherent state along +x evolves under Fz^2 - Fy^2 over tau = alpha*t.  Each moment is a
+    sum over eigenvalue pairs of exp(i(w_j - w_k) tau), so one real product per time gives
+    L = <Fx>, the smaller (Fy, Fz) variance v and their first two derivatives.  Parameter k =
+    0, 1, 2 (chi2, zeta2, xi2) is 2 F^(k-1) v / L^k: its minimum is the first - to + turn of
+    g_k = v' L - k v L' on ``SCAN_POINTS`` times in (0, pi] up to the collapse L = 0, refined by
+    Newton, or else the limit 2 F^(k-1) v^(k) / (k! L'^k) at the collapse, where v = 0 must hold.
+    A failed premise or a Newton step out of its scan bracket raises ``ArithmeticError``.
     """
     j_init = (spin_dimension(f) - 1) / 2.0
     if j_init < 1:
@@ -155,57 +146,68 @@ def tact_optimum(f) -> TactOptimum:
             f"F={j_init:g} cannot squeeze: Fz^2 - Fy^2 generates no twisting "
             "below F=1 (for F=1/2 both squares are proportional to the identity)"
         )
-    ops = spin_operators(j_init)
-    # Fz^2 - Fy^2 is real in the Fz basis, and so are the eigenvectors and the state along +x
-    w, v = np.linalg.eigh(tact_hamiltonian(ops, 1.0).real)
-    coeffs = v.T @ coherent_state_vector(j_init, np.pi / 2.0, 0.0).real
+    fx, fy, fz = spin_operators(j_init)
+    # quantized along x, (fz, fx, fy) act as (Fx, Fy, Fz) and +x is the first basis vector; the
+    # real Fz^2 - Fy^2 changes m_x by 0 or 2, so the state keeps to m_x = F, F - 2, ...
+    w, vec = np.linalg.eigh(tact_hamiltonian(np.array([fz, fx, fy]), 1.0).real[::2, ::2])
+    # the pi rotation about x keeps <Fy> = <Fz> = 0; the pi/2 one negates the generator, so with
+    # time reversal <Fy^2> = <Fz^2>: the (Fy, Fz) covariance has eigenvectors (y -+ z)/sqrt 2
+    minus, plus = fx - fy, fx + fy
+    observables = np.array([fz, minus @ minus / 2.0, plus @ plus / 2.0])[:, ::2, ::2]
+    omega = np.subtract.outer(w, w).ravel()
+    terms = (vec.T @ observables @ vec).reshape(3, 1, -1) * np.outer(vec[0], vec[0]).ravel()
+    terms = (terms * (1j * omega) ** np.arange(3)[:, None]).reshape(9, -1)
+    # Re sum_jk T_jk exp(i omega_jk tau) = cos(omega tau) . Re T - sin(omega tau) . Im T
+    kernel = np.concatenate([terms.real, -terms.imag], axis=1).T
 
-    def params_at(taus: np.ndarray) -> np.ndarray:
-        # (chi2, zeta2, xi2) rows, one per time.  The mean spin stays on the
-        # +-x axis by symmetry.  Below |<F>|^2 = 1e-8 F it counts as collapsed
-        # and zeta2, xi2 are infinite: xi2 is a 0/0 there, with round-off
-        # growing as 1/|<F>|^2; chi2 stays finite.  squeezing_report has no such
-        # rule: its zeta2 on a round-off mean spin is near 0, and the F = 1
-        # zeta2_min of `limits` would fall from 5.0e-5 to 4.2e-7 through it.
-        # psi = (exp(-i tau w) * coeffs) @ v.T from real products: a complex
-        # one leaves an OpenBLAS thread spinning for about 50 ms after it returns
-        phase = np.multiply.outer(taus, w)
-        psi = np.empty(phase.shape, dtype=complex)
-        psi.real = (np.cos(phase) * coeffs) @ v.T
-        psi.imag = (np.sin(phase) * -coeffs) @ v.T
-        rho = np.einsum("ni,nj->nij", psi, psi.conj())
-        mean, cov = moments(rho, ops)
-        v_min = variance_extrema(cov[:, 1:, 1:])[0]
-        length = np.abs(mean[:, 0])
-        collapsed = length**2 < 1e-8 * j_init
-        length = np.where(collapsed, 1.0, length)
-        params = np.stack(_squeezing_parameters(v_min, length, j_init), axis=1)
-        params[collapsed, 1:] = np.inf
-        return params
+    def moments_at(taus):
+        # (3, n) arrays of <Fx> and v, and of their first two derivatives, at the times taus.
+        # einsum, not a BLAS product: one of this size leaves an OpenBLAS thread spinning
+        phase = np.multiply.outer(taus, omega)
+        trig = np.hstack([np.cos(phase), np.sin(phase)])
+        x, v_minus, v_plus = np.einsum("nk,kc->cn", trig, kernel).reshape(3, 3, -1)
+        return x, np.where(v_minus[0] <= v_plus[0], v_minus, v_plus)
 
-    step = np.pi / SCAN_POINTS
-    taus = np.linspace(step, np.pi, SCAN_POINTS)
-    table = params_at(taus)
-    cols = np.arange(3)
-    first = [_first_local_min(table[:, col]) for col in cols]
-    centres, minima = taus[first], table[first, cols]
-    offsets = np.linspace(-1.0, 1.0, BRACKET_POINTS)
-    while step > REFINE_TOL:
-        # row c of grids brackets the minimum of parameter c
-        grids = np.clip(centres[:, None] + step * offsets, taus[0], taus[-1])
-        values = params_at(grids.ravel()).reshape(3, BRACKET_POINTS, 3)[cols, :, cols]
-        best = np.argmin(values, axis=1)
-        centres, minima = grids[cols, best], values[cols, best]
-        step *= 2.0 / (BRACKET_POINTS - 1)
-    return TactOptimum(
-        f=j_init,
-        chi2_min=float(minima[0]),
-        alpha_t_chi2=float(centres[0]),
-        zeta2_min=float(minima[1]),
-        alpha_t_zeta2=float(centres[1]),
-        xi2_min=float(minima[2]),
-        alpha_t_xi2=float(centres[2]),
-    )
+    def slope(k, x, v):  # g_k and g_k'
+        return v[1] * x[0] - k * v[0] * x[1], v[2] * x[0] + (1 - k) * v[1] * x[1] - k * v[0] * x[2]
+
+    def newton(fun, lo, hi):
+        # root in [lo, hi] of fun = (value, slope) from the secant point, to round-off
+        (y_lo, y_hi), _ = fun(np.array([lo, hi]))
+        tau, last = lo - y_lo * (hi - lo) / (y_hi - y_lo), np.inf
+        while True:
+            value, derivative = fun(np.array([tau]))
+            step = value[0] / derivative[0]
+            if not abs(step) < abs(last) / 2.0:
+                return tau
+            tau, last = tau - step, step
+            if not lo <= tau <= hi:
+                raise ArithmeticError(f"F={j_init:g}: Newton left its bracket at alpha*t={tau:.6g}")
+
+    taus = np.linspace(np.pi / SCAN_POINTS, np.pi, SCAN_POINTS)
+    x, v = moments_at(taus)
+    end = np.flatnonzero(x[0] <= 0.0)[0]  # every spin up to MAX_DIMENSION collapses by pi
+    collapse = newton(lambda t: moments_at(t)[0][:2], taus[end - 1], taus[end])
+    x_c, v_c = moments_at(np.array([collapse]))
+    row = [j_init]
+    for k in range(3):
+        g = slope(k, x[:, :end], v[:, :end])[0]
+        turns = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
+        if turns.size:
+            tau = newton(lambda t: slope(k, *moments_at(t)), taus[turns[0]], taus[turns[0] + 1])
+            x_t, v_t = moments_at(np.array([tau]))
+            value = _squeezing_parameters(v_t[0, 0], x_t[0, 0], j_init)[k]
+        else:
+            # v = 0 to the round-off of summing moments up to F(F + 1); then v' = 0 too, as v >= 0
+            if not abs(v_c[0, 0]) <= len(kernel) * np.finfo(float).eps * j_init * (j_init + 1.0):
+                raise ArithmeticError(
+                    f"F={j_init:g}: parameter {k} has no minimum before the collapse at "
+                    f"alpha*t={collapse:.17g}, where v_min={v_c[0, 0]:.3g} is not 0"
+                )
+            tau = collapse
+            value = 2.0 * j_init ** (k - 1) * v_c[k, 0] / (math.factorial(k) * x_c[1, 0] ** k)
+        row += [float(value), float(tau)]
+    return TactOptimum(*row)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spintomo import (ExperimentConfig, PhysicalityError, cli, evolved_state, experiment, husimi,
-                      record_from_csv)
+                      record_from_csv, squeezing)
 from spintomo.cli import main
 from spintomo.tables import read_table
 from conftest import csv_module_write_table, fail_at_call, meshgrid_rows
@@ -78,12 +78,31 @@ class TestLimits:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
+    def test_every_supported_spin_is_finite(self, tmp_path):
+        # main runs under numpy errors that raise; F = 1's limits at the
+        # collapse, a 0/0 of the parameters, are finite values too
+        csv_out, json_out = tmp_path / "limits.csv", tmp_path / "limits.json"
+        assert run_cli("limits", "7", "--out", str(csv_out)) == 0
+        _, _, data = read_table(csv_out.open())
+        assert data.shape == (7, 7) and np.isfinite(data).all()
+        assert run_cli("limits", "7", "--out", str(json_out), "--format", "json") == 0
+        json.dumps(json.loads(json_out.read_text()), allow_nan=False)
+
+    def test_failed_premise_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # a scan too coarse to see F = 2's minima reaches the collapse with v_min > 0
+        monkeypatch.setattr(squeezing, "SCAN_POINTS", 8)
+        out = tmp_path / "limits.csv"
+        assert run_cli("limits", "2", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: F=2: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_csv_header_lines(self, tmp_path):
         out = tmp_path / "limits.csv"
         assert run_cli("limits", "2", "--out", str(out)) == 0
         comments, columns, _ = read_table(out.open())
         assert len(comments[0].removeprefix("params_sha256=")) == 64
-        assert comments[1:] == ["scan_points=2000", "refine_tol=1e-06", "units: spin,1,rad,1,rad,1,rad"]
+        assert comments[1:] == ["scan_points=2000", "units: spin,1,rad,1,rad,1,rad"]
         assert columns == ["f", "chi2_min", "alpha_t_chi2", "zeta2_min", "alpha_t_zeta2",
                            "xi2_min", "alpha_t_xi2"]
 

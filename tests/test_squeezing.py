@@ -15,7 +15,6 @@ from spintomo import (
     tact_optimum,
 )
 from spintomo import squeezing
-from spintomo.squeezing import _first_local_min
 from conftest import evolve_unitary, oat_hamiltonian, random_density_matrix, rotate
 
 
@@ -30,6 +29,43 @@ def _dicke_zero():
     rho = np.zeros((9, 9))
     rho[4, 4] = 1.0
     return rho
+
+
+def _expm_parameters(f, tau):
+    """(chi2, zeta2, xi2) of the countertwisted state along +x at alpha*t = tau.
+
+    An oracle written independently of the scanned module: the top
+    eigenvector of Fx is propagated by a matrix exponential, and the smaller
+    transverse variance is the closed-form eigenvalue of the full (Fy, Fz)
+    covariance.
+    """
+    ops = spin_operators(f)
+    fx, fy, fz = ops
+    psi = expm(-1j * tau * tact_hamiltonian(ops, 1.0)) @ np.linalg.eigh(fx)[1][:, -1]
+    ex, ey, ez = (np.real(psi.conj() @ op @ psi) for op in (fx, fy, fz))
+    vyy = np.real(psi.conj() @ fy @ fy @ psi) - ey**2
+    vzz = np.real(psi.conj() @ fz @ fz @ psi) - ez**2
+    vyz = np.real(psi.conj() @ (fy @ fz + fz @ fy) / 2 @ psi) - ey * ez
+    vmin = (vyy + vzz) / 2 - np.hypot((vyy - vzz) / 2, vyz)
+    length = np.sqrt(ex**2 + ey**2 + ez**2)
+    return np.array([2.0 * vmin / f, 2.0 * vmin / length, 2.0 * f * vmin / length**2])
+
+
+def _golden_section_min(fun, lo, hi, steps=80):
+    """(tau, fun(tau)) at the minimum of the unimodal ``fun`` on [lo, hi]."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    for _ in range(steps):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = fun(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def _evolved_tact(f, tau):
@@ -130,44 +166,51 @@ class TestTactOptimum:
         assert abs(opt.xi2_min - 0.327) <= 0.005
 
     def test_f4_against_independent_scan(self):
-        # oracle: matrix-exponential evolution on a shifted fine grid plus
-        # parabolic refinement, written independently of the scanned module
-        ops = spin_operators(4)
-        h = tact_hamiltonian(ops, 1.0)
-        psi0 = np.zeros(9, dtype=complex)
-        state = coherent_spin_state(4, np.pi / 2.0, 0.0)
-        w, v = np.linalg.eigh(state)
-        psi0 = v[:, np.argmax(w)]
-        fx, fy, fz = ops
-
-        def zeta2_of(tau):
-            u = expm(-1j * tau * h)
-            psi = u @ psi0
-            ey = np.real(psi.conj() @ fy @ psi)
-            ez = np.real(psi.conj() @ fz @ psi)
-            ex = np.real(psi.conj() @ fx @ psi)
-            vyy = np.real(psi.conj() @ fy @ fy @ psi) - ey**2
-            vzz = np.real(psi.conj() @ fz @ fz @ psi) - ez**2
-            vyz = np.real(psi.conj() @ (fy @ fz + fz @ fy) / 2 @ psi) - ey * ez
-            vmin = (vyy + vzz) / 2 - np.hypot((vyy - vzz) / 2, vyz)
-            return 2.0 * vmin / np.sqrt(ex**2 + ey**2 + ez**2)
-
+        # oracle: matrix-exponential evolution on a fine grid
         taus = np.linspace(0.05, 0.25, 801)
-        vals = np.array([zeta2_of(t) for t in taus])
+        vals = np.array([_expm_parameters(4, t)[1] for t in taus])
         i = int(np.argmin(vals))
         opt = tact_optimum(4)
         assert abs(opt.zeta2_min - vals[i]) <= 1e-5
         assert abs(opt.alpha_t_zeta2 - taus[i]) <= 5e-4
 
+    @pytest.mark.parametrize("f", [2, 3, 4])
+    def test_minima_match_golden_section_search(self, f):
+        # oracle: a coarse scan of the expm evolution brackets each first
+        # minimum, and a golden-section search refines it
+        taus = np.linspace(0.005, 0.5, 100)
+        table = np.array([_expm_parameters(f, t) for t in taus])
+        opt = tact_optimum(f)
+        for k, name in enumerate(("chi2", "zeta2", "xi2")):
+            col = table[:, k]
+            i = 1 + int(np.flatnonzero((col[1:-1] < col[:-2]) & (col[1:-1] <= col[2:]))[0])
+            tau, value = _golden_section_min(lambda t: _expm_parameters(f, t)[k], taus[i - 1], taus[i + 1])
+            assert abs(getattr(opt, f"{name}_min") - value) <= 1e-14, name
+            assert abs(getattr(opt, f"alpha_t_{name}") - tau) <= 1e-8, name
+
     def test_f1_regression_fixture(self):
-        # spin-1 countertwisting reaches a perfectly squeezed quadrature at
-        # alpha*t = pi/4 while the mean spin collapses; xi2 bottoms at 1/2
+        # spin-1 countertwisting squeezes one quadrature perfectly at the
+        # collapse alpha*t = pi/4, where zeta2 and xi2 are 0/0: the row holds
+        # their limits there, (0, 0, 1/2)
         opt = tact_optimum(1)
-        assert opt.chi2_min <= 1e-10
-        assert opt.zeta2_min <= 1e-4
-        assert abs(opt.xi2_min - 0.5) <= 1e-6
-        assert abs(opt.alpha_t_chi2 - np.pi / 4.0) <= 1e-3
-        assert abs(opt.alpha_t_xi2 - np.pi / 4.0) <= 1e-3
+        for value, expected in ((opt.chi2_min, 0.0), (opt.zeta2_min, 0.0), (opt.xi2_min, 0.5)):
+            assert abs(value - expected) <= 1e-12
+        for alpha_t in (opt.alpha_t_chi2, opt.alpha_t_zeta2, opt.alpha_t_xi2):
+            assert abs(alpha_t - np.pi / 4.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "scan_points, f, message",
+        [(8, 2, "F=2: parameter 0 has no minimum before the collapse"),
+         (5, 4, "F=4: Newton left its bracket")],
+        ids=["collapse-with-variance", "newton-out-of-bracket"],
+    )
+    def test_failed_premise_raises(self, monkeypatch, scan_points, f, message):
+        # a grid too coarse to bracket the minima: at 8 points F = 2's window
+        # holds one node, so no turn is seen and the collapse has v_min > 0;
+        # at 5 points a secant start on F = 4 is too far for Newton
+        monkeypatch.setattr(squeezing, "SCAN_POINTS", scan_points)
+        with pytest.raises(ArithmeticError, match=message):
+            tact_optimum(f)
 
     def test_minima_ordered_in_time(self):
         # anti-squeezing grows monotonically, so the stricter parameters
@@ -181,13 +224,6 @@ class TestTactOptimum:
         opt = tact_optimum(4)
         report = squeezing_report(_evolved_tact(4, opt.alpha_t_zeta2))
         assert abs(report.zeta2 - opt.zeta2_min) <= 1e-9
-
-    @pytest.mark.parametrize("bracket_points", [4, 8, 16, 64, 128])
-    def test_f1_fixture_at_every_bracket_size(self, monkeypatch, bracket_points):
-        # the spin-1 collapse at alpha*t = pi/4 makes xi2 a 0/0; the zoom must
-        # not depend on where its bracket points happen to fall
-        monkeypatch.setattr(squeezing, "BRACKET_POINTS", bracket_points)
-        self.test_f1_regression_fixture()
 
     def test_oat_is_weaker_than_tact(self, ops4, css_x4):
         # dense scan of one-axis twisting as the comparison oracle
@@ -205,25 +241,6 @@ class TestTactOptimum:
     def test_spin_half_rejected(self):
         with pytest.raises(ValueError, match="cannot squeeze"):
             tact_optimum(0.5)
-
-    def test_first_local_min_matches_loop(self):
-        # the vectorized first-minimum search of the scan against a plain loop
-        def reference(values):
-            for i in range(1, len(values) - 1):
-                if values[i] < values[i - 1] and values[i] <= values[i + 1]:
-                    return i
-            return int(np.argmin(values))
-
-        rng = np.random.default_rng(17)
-        cases = [rng.integers(0, 4, n).astype(float) for n in (3, 5, 12, 40) for _ in range(25)]
-        cases += [
-            np.arange(6.0),
-            np.arange(6.0)[::-1],
-            np.array([np.inf, 1.0, np.inf, 0.5]),
-            np.full(3, 2.0),
-        ]
-        for values in cases:
-            assert _first_local_min(values) == reference(values)
 
 
 class TestHusimi:
