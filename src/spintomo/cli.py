@@ -14,6 +14,7 @@ rows; as JSON, it is an object with the same keys plus ``columns``,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -159,21 +160,29 @@ def _cmd_records(args) -> None:
     _atomic_write(args.out, buf.getvalue())
 
 
-def _hashed_lines(lines, digest):
-    """Yield ``lines`` unchanged, feeding each one's UTF-8 bytes to ``digest`` on the way."""
-    for line in lines:
-        digest.update(line.encode())
-        yield line
+def _read_lines(path: str):
+    """(SHA-256 hex digest, lines) of a UTF-8 text file, read in one pass.
+
+    The digest is that of the text after newline translation.  The lines
+    come without their newline, from an iterator that drops each one as it
+    hands it out, so a parse of them never holds the text twice.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    lines = text.split("\n")
+    lines.append(None)  # the sentinel that ends the iterator, popped last
+    lines.reverse()
+    return digest, iter(lines.pop, None)
 
 
 def _cmd_reconstruct(args) -> None:
     if not os.path.exists(args.records_csv):
         raise _UsageError(f"records file not found: {args.records_csv}")
-    digest = hashlib.sha256()
-    with open(args.records_csv, "r", encoding="utf-8") as fh:
-        record = record_from_csv(_hashed_lines(fh, digest))
+    digest, lines = _read_lines(args.records_csv)
+    record = record_from_csv(lines)
     payload = {
-        "source_sha256": digest.hexdigest(),
+        "source_sha256": digest,
         "corrected_covariance": correct_covariance(record).to_dict(),
     }
     if args.mle:
@@ -205,10 +214,13 @@ _COMMANDS = {
 }
 
 
+# parsing leaves the parser unchanged, so one serves every call of main in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # numpy overflow, invalid values and zero division raise: no warning precedes the error
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _COMMANDS[args.command](args)

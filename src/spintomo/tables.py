@@ -4,15 +4,16 @@ A table is ``# `` comment lines, a header row of column names, then
 comma-separated rows of numbers with 17 significant digits, so reading a
 table back gives bit-identical floats.
 
-Two writers write this one format, and both format the whole table in
-one ``%`` operation.  :func:`write_table` fills a ``%.17g`` row repeated n
-times with every value of an (n, k) array.  :func:`write_grid_table` writes
-a function sampled on a grid as rows (row node, column node, value): its
+Two writers write this one format by ``%`` operations.
+:func:`write_table` fills a ``%.17g`` row repeated n times with every value
+of an (n, k) array, in one operation.  :func:`write_grid_table` writes a
+function sampled on a grid as rows (row node, column node, value): its
 template holds each column node's text, formatted once, and it is filled
-with each row node's text, also formatted once, and the values.  Its bytes
-equal those of :func:`write_table` on the meshgrid rows.  ``"%.17g" % x``
-is the same CPython conversion as ``f"{x:.17g}"``, so every byte is too,
-``-0``, subnormals, ``inf`` and ``nan`` included.
+with each row node's text, also formatted once, and the values, one
+operation per block of rows.  Its bytes equal those of :func:`write_table`
+on the meshgrid rows.  ``"%.17g" % x`` is the same CPython conversion as
+``f"{x:.17g}"``, so every byte is too, ``-0``, subnormals, ``inf`` and
+``nan`` included.
 
 The reader takes the stream one line at a time, keeps each row's fields as
 text and converts them all with one numpy call, whose str-to-float
@@ -27,6 +28,10 @@ import math
 import numpy as np
 
 __all__ = ["write_table", "write_grid_table", "read_table", "parse_number", "parse_whole_number"]
+
+
+# values per formatted block of write_grid_table; a 64x128 Husimi grid is one block
+GRID_BLOCK_CELLS = 2**16
 
 
 def _head(comments, columns) -> str:
@@ -45,18 +50,26 @@ def write_grid_table(stream, comments, columns, row_axis, col_axis, values) -> N
     """Write the (n_row, n_col) ``values`` as rows (row_axis[i], col_axis[j], values[i, j]), i-major.
 
     The bytes are those of :func:`write_table` on the three meshgrid columns,
-    but each node of either axis is formatted once: the template of one row
-    block holds every ``col_axis`` text (none contains a ``%``) and is filled
-    n_row times, each row node's text interleaved with its values.
+    but each node of either axis is formatted once: the template of one grid
+    row holds every ``col_axis`` text (none contains a ``%``) and is filled
+    once per row node, its text interleaved with that row's values.  Rows go
+    out in blocks of at most ``GRID_BLOCK_CELLS`` values (one row, if a row
+    holds more), one ``%`` operation each, so the memory a block takes does
+    not grow with the number of rows.
     """
     row_axis = np.asarray(row_axis, dtype=float)
     col_axis = np.asarray(col_axis, dtype=float)
     values = np.asarray(values, dtype=float).reshape(len(row_axis), len(col_axis))
-    block = "".join(["%s," + "%.17g" % node + ",%.17g\n" for node in col_axis.tolist()])
-    fill = np.empty(values.shape + (2,), dtype=object)
-    fill[..., 0] = np.array(["%.17g" % node for node in row_axis.tolist()], dtype=object)[:, None]
-    fill[..., 1] = values
-    stream.write(_head(comments, columns) + block * len(row_axis) % tuple(fill.ravel().tolist()))
+    template = "".join(["%s," + "%.17g" % node + ",%.17g\n" for node in col_axis.tolist()])
+    row_texts = np.array(["%.17g" % node for node in row_axis.tolist()], dtype=object)
+    stream.write(_head(comments, columns))
+    block_rows = max(1, GRID_BLOCK_CELLS // max(1, len(col_axis)))
+    for start in range(0, len(row_axis), block_rows):
+        block = values[start : start + block_rows]
+        fill = np.empty(block.shape + (2,), dtype=object)
+        fill[..., 0] = row_texts[start : start + block_rows, None]
+        fill[..., 1] = block
+        stream.write(template * len(block) % tuple(fill.ravel().tolist()))
 
 
 def read_table(stream) -> tuple[list[str], list[str], np.ndarray]:

@@ -293,9 +293,13 @@ def _density_projection(h: np.ndarray) -> np.ndarray:
     they sum to 1 (Duchi et al., ICML 2008).
     """
     w, v = np.linalg.eigh(h)
-    descending = w[::-1]
-    excess = (np.cumsum(descending) - 1.0) / np.arange(1, len(w) + 1)
-    kept = np.count_nonzero(descending > excess)  # a leading run of the descending order
+    # tau from the at most BASIS_DIM eigenvalues in descending order: the mean excess
+    # over 1 of the largest k, for the largest k whose k-th value exceeds it
+    total, kept, excess = 0.0, 0, []
+    for k, value in enumerate(w.tolist()[::-1], 1):
+        total += value
+        excess.append((total - 1.0) / k)
+        kept += value > excess[-1]  # a leading run of the descending order
     return (v * np.maximum(w - excess[kept - 1], 0.0)).dot(v.conj().T)
 
 
@@ -319,6 +323,13 @@ def _apg_mle(povms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, int, fl
     N (lambda_max(R(rho)) - 1), since l is concave and Tr(rho R(rho)) = 1
     (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)); the solver
     stops when that bound is below ``GAP_TOL``, or after ``MAX_ITER`` steps.
+    The bound is computed, by ``eigvalsh``, only when it could be below
+    ``GAP_TOL``: the Rayleigh quotient u^dag R u at the top eigenvector u of
+    R at the last such solve is a lower bound on lambda_max(R), so a
+    quotient at or above 1 + GAP_TOL / N (plus a margin for round-off) rules
+    the stop out.  Each solve that does not stop refreshes u by ``eigh``.
+    The last step of a ``MAX_ITER`` run always solves, so the bound returned
+    is the exact one at the returned iterate.
     A bin that I/d gives no probability cannot be reached by any state of
     the basis and raises :class:`PhysicalityError`.
 
@@ -372,6 +383,10 @@ def _apg_mle(povms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, int, fl
     history = [-total * f]
     y, p_y, f_y = rho, p, f
     theta, t, gap = 1.0, 1.0, np.inf
+    # Rayleigh quotients of R at or above this prove gap >= GAP_TOL, with a margin far
+    # above the round-off of the quotient and of eigvalsh
+    open_gap = (1.0 + GAP_TOL / total) * (1.0 + 1e-12)
+    top = None  # top eigenvector of R at the last exact solve
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         c, p_c, f_c, t = descend(y, p_y, f_y, t, extrapolated=y is not rho)
@@ -381,9 +396,11 @@ def _apg_mle(povms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, int, fl
         previous, rho, p, f = rho, c, p_c, f_c
         history.append(-total * f)
         r = weighted_sum(p).view(np.complex128).reshape(dim, dim)
-        gap = total * (np.linalg.eigvalsh(r)[-1] - 1.0)
-        if gap < GAP_TOL:
-            break
+        if top is None or iterations == MAX_ITER or top.conj().dot(r.dot(top)).real < open_gap:
+            gap = total * (np.linalg.eigvalsh(r)[-1] - 1.0)
+            if gap < GAP_TOL:
+                break
+            top = np.linalg.eigh(r)[1][:, -1]
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         y = rho + ((theta - 1.0) / theta_next) * (rho - previous)
         theta = theta_next

@@ -572,3 +572,45 @@ class TestParser:
         assert run_cli("limits", "1") == 0
         out = capsys.readouterr().out
         assert "zeta2_min" in out
+
+    def test_one_process_matches_separate_processes(self, config_path, tmp_path):
+        # main reuses one parser per process: a run of commands, a usage error among them,
+        # gives each command the exit code, stderr and output file of a fresh interpreter
+        rec, qpd = tmp_path / "rec.csv", tmp_path / "qpd.csv"
+        calls = [
+            ["records", "--config", config_path, "--tr", "0.8", "--out", str(rec)],
+            ["reconstruct", str(rec), "--mle", "--out", str(tmp_path / "mle.json")],
+            ["qpd", "--config", config_path, "--tr", "zero", "--out", str(tmp_path / "none.csv")],
+            ["qpd", "--config", config_path, "--tr", "0.8", "--grid", "8x16", "--out", str(qpd)],
+        ]
+        outputs = [argv[-1] for argv in calls]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def read_outputs():
+            return [open(path, "rb").read() if os.path.exists(path) else None for path in outputs]
+
+        separate = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "spintomo.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            separate.append((done.returncode, done.stderr))
+        separate_files = read_outputs()
+        for path in (rec, qpd, tmp_path / "mle.json"):
+            path.unlink()
+        code = (
+            "import contextlib, io, json\n"
+            "from spintomo.cli import main\n"
+            "results = []\n"
+            f"for argv in {calls!r}:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        results.append((main(argv), err.getvalue()))\n"
+            "print(json.dumps(results))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert [tuple(result) for result in json.loads(done.stdout)] == separate
+        assert [code for code, _ in separate] == [0, 0, 2, 0]
+        assert read_outputs() == separate_files
+        assert separate_files[2] is None

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import csv_module_read_table, csv_module_write_table, meshgrid_rows
 from spintomo import MeasurementRecord, record_from_csv, record_to_csv
+from spintomo import tables
 from spintomo.tables import parse_whole_number, read_table, write_grid_table, write_table
 
 # every kind of float the 17-digit text must carry: signed zeros, the
@@ -75,8 +76,16 @@ def test_write_matches_the_csv_module_writer(n, k):
     assert ours.getvalue() == oracle.getvalue()
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 8), (64, 128)])
-def test_grid_writer_matches_the_csv_module_writer_on_meshgrid_rows(n, m):
+@pytest.mark.parametrize(
+    "n, m, block_cells",
+    [(1, 1, None), (2, 3, None), (4, 8, None), (64, 128, None), (130, 1024, None),
+     (7, 5, 10), (3, 8, 4)],
+    ids=["1-1", "2-3", "4-8", "64-128", "130-1024-three-blocks", "7-5-blocks-of-two-rows",
+         "3-8-rows-wider-than-a-block"],
+)
+def test_grid_writer_matches_the_csv_module_writer_on_meshgrid_rows(n, m, block_cells, monkeypatch):
+    if block_cells is not None:
+        monkeypatch.setattr(tables, "GRID_BLOCK_CELLS", block_cells)
     columns = ("theta_rad", "phi_rad", "q_value")
     comments = [f"grid={n}x{m}", "t_r_ms=0.8"]
     # an axis shorter than SPECIAL gets one pass per leading value; a longer one holds them all

@@ -5,6 +5,7 @@ import statistics
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh as scipy_eigh
 from scipy.special import ndtr
 
 from spintomo import (
@@ -12,6 +13,7 @@ from spintomo import (
     OscillatorDensityMatrix,
     PhysicalityError,
     canonical_moments,
+    check_density,
     correct_covariance,
     evolved_state,
     mle_reconstruct,
@@ -28,6 +30,7 @@ from conftest import (
     einsum_kernel,
     mle_likelihood_trace,
     quadrature_cov,
+    random_density_matrix,
     rrr_iteration,
     variances_from_rho,
 )
@@ -380,6 +383,105 @@ class TestSolver:
         povms = np.array([np.eye(2), np.diag([0.0, 0.0]), np.zeros((2, 2))], dtype=complex)
         with pytest.raises(PhysicalityError, match="2 occupied bins lie beyond the reach"):
             tomography._apg_mle(povms, np.array([5.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("t_r", [0.0, 0.8])
+    def test_stops_at_the_first_step_whose_exact_gap_is_below_the_tolerance(self, t_r, monkeypatch):
+        # runs cut short by MAX_ITER follow the same steps and each returns the exact gap
+        # bound N (lambda_max(R) - 1) at its state, recomputed per element: at or above
+        # GAP_TOL on every step before the one the full run stops at
+        povms, counts = _default_povms(t_r)
+        rho_n, n, gap_n, history_n = tomography._apg_mle(povms, counts)
+        probabilities, weighted_sum = einsum_kernel(povms)
+
+        def exact_gap(rho):
+            weights = counts / counts.sum() / probabilities(rho)
+            return counts.sum() * (np.linalg.eigvalsh(weighted_sum(weights))[-1] - 1.0)
+
+        assert gap_n < tomography.GAP_TOL
+        assert abs(gap_n - exact_gap(rho_n)) <= 1e-8
+        for m in sorted({*range(1, n, max(1, n // 16)), n - 1}):
+            monkeypatch.setattr(tomography, "MAX_ITER", m)
+            rho, iterations, gap, history = tomography._apg_mle(povms, counts)
+            assert (iterations, history) == (m, history_n[: m + 1])
+            assert gap >= tomography.GAP_TOL
+            assert abs(gap - exact_gap(rho)) <= 1e-8
+
+    @pytest.mark.parametrize("t_r", [0.0, 0.8])
+    def test_solves_for_the_gap_on_fewer_than_a_quarter_of_the_steps(self, t_r, monkeypatch):
+        povms, counts = _default_povms(t_r)
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted_eigvalsh(a):
+            solves.append(a)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        _, n, gap, _ = tomography._apg_mle(povms, counts)
+        assert gap < tomography.GAP_TOL
+        assert 1 <= len(solves) < n / 4
+
+
+def _projection_by_bisection(h):
+    """The density matrix nearest to ``h``: scipy's eigenvectors of ``h``, with eigenvalues
+    max(w - tau, 0) for the tau that bisection finds to make them sum to 1."""
+    w, v = scipy_eigh(h)
+    lo, hi = w.min() - 1.0, w.max()  # the sum is at least 1 at lo and 0 at hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(w - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return (v * np.maximum(w - 0.5 * (lo + hi), 0.0)) @ v.conj().T
+
+
+def _hermitian_with_eigenvalues(eigenvalues, seed):
+    u = np.linalg.qr(random_density_matrix(len(eigenvalues), np.random.default_rng(seed)))[0]
+    h = (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+class TestDensityProjection:
+    @pytest.mark.parametrize("dim", [1, 2, 10])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
+    def test_matches_bisection_on_random_hermitian_inputs(self, dim, scale):
+        rng = np.random.default_rng(dim + int(1e3 * scale))
+        for _ in range(20):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = scale * (a + a.conj().T)
+            out = tomography._density_projection(h)
+            assert np.abs(out - _projection_by_bisection(h)).max() <= 1e-12 * max(1.0, scale)
+            check_density(out)
+
+    def test_density_matrix_comes_back_as_itself(self):
+        rng = np.random.default_rng(5)
+        vector = np.linalg.qr(random_density_matrix(10, rng))[0][:, 3]
+        for rho in (random_density_matrix(10, rng), np.diag(rng.dirichlet(np.ones(10))),
+                    np.eye(10) / 10, np.outer(vector, vector.conj())):
+            assert np.abs(tomography._density_projection(rho) - rho).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "eigenvalues",
+        [[0.4] * 3 + [-0.2] * 7, [2.0] * 10, [0.7, 0.7, 0.2, 0.2, 0.2, 0.0, 0.0, -1.0, -1.0, -1.0],
+         [-3.0, -2.5, -2.5, -2.0, -1.0, -1.0, -0.5, -0.5, -0.5, -0.4]],
+        ids=["degenerate-top", "multiple-of-identity", "degenerate-kept-and-dropped",
+             "negative-definite"],
+    )
+    def test_degenerate_and_negative_definite_inputs(self, eigenvalues):
+        h = _hermitian_with_eigenvalues(eigenvalues, seed=len(set(eigenvalues)))
+        out = tomography._density_projection(h)
+        assert np.abs(out - _projection_by_bisection(h)).max() <= 1e-13
+        check_density(out)
+
+    def test_rank_one_output(self):
+        # the top eigenvalue exceeds the next by more than 1: only its eigenvector is kept
+        h = _hermitian_with_eigenvalues([3.5, 1.2, 0.3, 0.0, -1.0, -2.0, -4.0, 0.1, 0.2, 1.0], seed=9)
+        top = np.linalg.eigh(h)[1][:, -1]
+        out = tomography._density_projection(h)
+        assert np.abs(out - np.outer(top, top.conj())).max() <= 1e-13
+        assert np.abs(out - _projection_by_bisection(h)).max() <= 1e-13
+        assert np.count_nonzero(np.linalg.eigvalsh(out) > 1e-12) == 1
 
 
 class TestMleReconstruct:
