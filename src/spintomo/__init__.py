@@ -19,11 +19,13 @@ from .experiment import (
 )
 from .probe import (
     MeasurementRecord,
+    RecordStatistics,
     canonical_moments,
     readout_model,
     record_from_csv,
     record_to_csv,
     simulate_records,
+    simulated_statistics,
 )
 from .spin_algebra import (
     check_density,

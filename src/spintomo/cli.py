@@ -183,7 +183,7 @@ def _cmd_reconstruct(args) -> None:
     record = record_from_csv(lines)
     payload = {
         "source_sha256": digest,
-        "corrected_covariance": correct_covariance(record).to_dict(),
+        "corrected_covariance": correct_covariance(record.statistics).to_dict(),
     }
     if args.mle:
         payload["mle"] = mle_reconstruct(record).to_dict()

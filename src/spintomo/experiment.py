@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import compensated_hamiltonian, lindblad_trajectory
 from .errors import SweepPointError
 from .probe import (MeasurementRecord, _check_kappa2, canonical_moments, readout_model,
-                    simulate_records)
+                    simulate_records, simulated_statistics)
 from .spin_algebra import check_density, coherent_spin_state, spin_dimension, spin_operators
 from .squeezing import squeezing_report
 from .tables import parse_number, parse_whole_number
@@ -322,9 +322,12 @@ def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
 
     zeta2_true / chi2_true / xi2_true come from one squeezing report of all
     the evolved density matrices; zeta2_reconstructed applies the covariance
-    correction to the synthesized records, with its propagated 1-sigma
-    sampling error.  A failure while probing or reconstructing one point, a
-    collapsed mean spin included, raises :class:`SweepPointError` naming its
+    correction to each point's record statistics, with its propagated 1-sigma
+    sampling error.  Those statistics come straight from the record's draws
+    (:func:`~spintomo.probe.simulated_statistics`), so no shot is formed; the
+    same point's :func:`point_record` gives the same row to round-off.  A
+    failure while probing or reconstructing one point, a collapsed mean spin
+    included, raises :class:`SweepPointError` naming its
     duration, chained to the original exception.
     """
     durations = config.raman_durations
@@ -335,8 +338,8 @@ def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
     for i, t_r in enumerate(durations):
         try:
             cov = canonical_moments(report.cov[i], report.length[i])
-            record = simulate_records(cov, config.kappa2, config.n_shots, _point_seed(config, t_r))
-            zeta2_rec, zeta2_err = _zeta2_estimate(correct_covariance(record), config.kappa2)
+            stats = simulated_statistics(cov, config.kappa2, config.n_shots, _point_seed(config, t_r))
+            zeta2_rec, zeta2_err = _zeta2_estimate(correct_covariance(stats), config.kappa2)
         except Exception as exc:
             raise SweepPointError(t_r, exc) from exc
         rows.append(

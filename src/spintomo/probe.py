@@ -23,12 +23,15 @@ carries it in its ``kappa2`` header.
 
 The three terms sum to one zero-mean Gaussian pair of covariance
 gain * cov(x, p) + noise * I with (gain, noise) from :func:`readout_model`,
-so a record draws each shot as that one pair.
+so a record draws each shot as that one pair.  The covariance correction
+reads a record only through its :class:`RecordStatistics`, and
+:func:`simulated_statistics` gives those of a seeded record without its shots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +40,11 @@ from .tables import parse_number, parse_whole_number, read_table, write_table
 
 __all__ = [
     "MeasurementRecord",
+    "RecordStatistics",
     "canonical_moments",
     "readout_model",
     "simulate_records",
+    "simulated_statistics",
     "record_to_csv",
     "record_from_csv",
 ]
@@ -54,6 +59,34 @@ def _check_kappa2(kappa2: float) -> None:
         raise ValueError(f"kappa2 must be finite and >= 0, got {kappa2}")
     if kappa2 > MAX_KAPPA2:
         raise ValueError(f"kappa2 must be <= {MAX_KAPPA2:g}, got {kappa2}")
+
+
+class RecordStatistics(NamedTuple):
+    """Sample moments of a record's (y_c, y_s) shots: all that the covariance correction reads."""
+
+    n_shots: int
+    kappa2: float
+    mean: np.ndarray  # (2,) sample means of (y_c, y_s)
+    cov: np.ndarray  # (2, 2) sample covariance, ddof = 1
+
+
+def _sample_moments(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean (2,), ddof=1 covariance (2, 2)) of an (n, 2) array of pairs.
+
+    Two passes over the column views: the means, then the three dot products
+    of the centred columns, so a large common offset costs no digits of the
+    spread.  Fewer than 2 pairs raise ``ValueError``.
+    """
+    n = len(pairs)
+    if n < 2:
+        raise ValueError("need at least 2 shots to estimate variances")
+    a, b = pairs[:, 0], pairs[:, 1]
+    mean_a, mean_b = a.sum() / n, b.sum() / n
+    da, db = a - mean_a, b - mean_b
+    k = n - 1
+    cab = np.dot(da, db) / k
+    return (np.array([mean_a, mean_b]),
+            np.array([[np.dot(da, da) / k, cab], [cab, np.dot(db, db) / k]]))
 
 
 @dataclass(frozen=True)
@@ -84,12 +117,10 @@ class MeasurementRecord:
         return self.shots.shape[0]
 
     @property
-    def y_c(self) -> np.ndarray:
-        return self.shots[:, 0]
-
-    @property
-    def y_s(self) -> np.ndarray:
-        return self.shots[:, 1]
+    def statistics(self) -> RecordStatistics:
+        """The sample moments of the shots; fewer than 2 shots raise ``ValueError``."""
+        mean, cov = _sample_moments(self.shots)
+        return RecordStatistics(self.n_shots, self.kappa2, mean, cov)
 
 
 def canonical_moments(cov, length) -> np.ndarray:
@@ -117,16 +148,9 @@ def readout_model(kappa2: float) -> tuple[float, float]:
     return kappa2 / 2.0, 0.5 + kappa2**2 / 24.0
 
 
-def simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> MeasurementRecord:
-    """Draw a seeded record of (y_c, y_s) pairs from the Gaussian probe model.
-
-    ``cov`` is the symmetric 2x2 (x, p) covariance of :func:`canonical_moments`;
-    variances that are not positive or a determinant below the Heisenberg floor
-    1/4 (to 1e-9) raise :class:`PhysicalityError`.  Each shot is one zero-mean
-    normal pair, the sum of the three terms of the module docstring, drawn from
-    the output covariance of :func:`readout_model`.  A given seed always
-    produces bit-identical records.
-    """
+def _output_factor(cov, kappa2: float, n_shots: int) -> np.ndarray:
+    """Cholesky factor of the output covariance gain * cov + noise * I, after the
+    input checks of :func:`simulate_records`."""
     cov = np.asarray(cov, dtype=float)
     if not (cov[0, 0] > 0 and cov[1, 1] > 0):
         raise PhysicalityError(
@@ -138,9 +162,44 @@ def simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> Measurement
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     gain, noise = readout_model(kappa2)
-    chol = np.linalg.cholesky(gain * cov + noise * np.eye(2))
-    shots = np.random.default_rng(seed).standard_normal((n_shots, 2)) @ chol.T
+    return np.linalg.cholesky(gain * cov + noise * np.eye(2))
+
+
+def _standard_draws(n_shots: int, seed: int) -> np.ndarray:
+    """The (n_shots, 2) standard normals that a record of ``seed`` colours into its shots."""
+    return np.random.default_rng(seed).standard_normal((n_shots, 2))
+
+
+def simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> MeasurementRecord:
+    """Draw a seeded record of (y_c, y_s) pairs from the Gaussian probe model.
+
+    ``cov`` is the symmetric 2x2 (x, p) covariance of :func:`canonical_moments`;
+    variances that are not positive or a determinant below the Heisenberg floor
+    1/4 (to 1e-9) raise :class:`PhysicalityError`.  Each shot is one zero-mean
+    normal pair, the sum of the three terms of the module docstring: a standard
+    normal pair z times the transposed Cholesky factor L of the output
+    covariance of :func:`readout_model`.  A given seed always produces
+    bit-identical records; :func:`simulated_statistics` gives their sample
+    moments without the shots.
+    """
+    chol = _output_factor(cov, kappa2, n_shots)
+    shots = _standard_draws(n_shots, seed) @ chol.T
     return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
+
+
+def simulated_statistics(cov, kappa2: float, n_shots: int, seed: int) -> RecordStatistics:
+    """The :class:`RecordStatistics` of ``simulate_records(cov, kappa2, n_shots, seed)``, shotless.
+
+    The sample moments of the shots z L^T are exactly (L m_z, L S_z L^T) for
+    the sample mean m_z and covariance S_z of the same normals z (Anderson,
+    *An Introduction to Multivariate Statistical Analysis*, 3rd ed., 2003,
+    section 7.2), so this equals the record's statistics to round-off.  An
+    input that :func:`simulate_records` rejects raises the same error here, and
+    fewer than 2 shots raise the ``ValueError`` of ``MeasurementRecord.statistics``.
+    """
+    chol = _output_factor(cov, kappa2, n_shots)
+    mean, moments = _sample_moments(_standard_draws(n_shots, seed))
+    return RecordStatistics(int(n_shots), kappa2, chol @ mean, chol @ moments @ chol.T)
 
 
 def record_to_csv(record: MeasurementRecord, stream, header_comments: dict | None = None) -> None:

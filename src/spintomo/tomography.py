@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .probe import MeasurementRecord, readout_model
+from .probe import MeasurementRecord, RecordStatistics, readout_model
 from .spin_algebra import check_density, variance_extrema
 
 __all__ = [
@@ -41,6 +41,9 @@ MAX_ITER = 5000
 GAP_TOL = 0.1
 # factor by which the solver's trial step grows each iteration
 _STEP_GROWTH = 1.1
+# probability below which correct_covariance calls a sample variance
+# unphysical: Phi(-5), the one-sided 5-sigma tail
+FLOOR_LEVEL = 0.5 * math.erfc(5.0 / math.sqrt(2.0))
 
 
 def _readout_inverse(kappa2: float) -> tuple[float, float]:
@@ -83,39 +86,41 @@ class CorrectedCovariance:
         return {**asdict(self), "statistical_error": self.statistical_error}
 
 
-def correct_covariance(record: MeasurementRecord) -> CorrectedCovariance:
-    """Recover atomic canonical moments from a record by noise subtraction.
+def correct_covariance(statistics: RecordStatistics) -> CorrectedCovariance:
+    """Recover atomic canonical moments from a record's statistics by noise subtraction.
 
-    Both variances and the cross term come from one sample covariance
-    (ddof=1) of the (y_c, y_s) shots.  A corrected variance more than 5
-    standard errors below zero cannot come from a physical state plus
-    sampling noise and raises :class:`PhysicalityError`.
+    ``statistics`` is a :class:`~spintomo.probe.RecordStatistics`, from
+    ``MeasurementRecord.statistics`` or :func:`~spintomo.probe.simulated_statistics`:
+    both variances and the cross term come from its sample covariance (ddof=1)
+    of the (y_c, y_s) shots.  A physical state's output variance is at least
+    the readout noise, so from n shots a sample variance s^2 = r * noise with
+    r < 1 has probability at most P(chi2_k <= k r) <= exp(-(k/2)(r - 1 - ln r)),
+    k = n - 1 (Chernoff's bound).  A variance whose bound is below
+    ``FLOOR_LEVEL``, the one-sided 5-sigma tail, raises :class:`PhysicalityError`.
     """
     # variances invert var(y) = gain * var(atomic) + noise
-    gain, noise = _readout_inverse(record.kappa2)
-    n = record.n_shots
-    if n < 2:
-        raise ValueError("need at least 2 shots to estimate variances")
-    y_c, y_s = record.y_c, record.y_s
-    # two 1-D arguments: the (n, 2) shots with rowvar=False take about 4x as long
-    (var_yc, cov_cs), (_, var_ys) = np.cov(y_c, y_s, ddof=1).tolist()
+    gain, noise = _readout_inverse(statistics.kappa2)
+    (var_yc, cov_cs), (_, var_ys) = statistics.cov.tolist()
+    mean_c, mean_s = statistics.mean.tolist()
     amplitude_gain = np.sqrt(gain)
     corrected = CorrectedCovariance(
-        mean_x=float(np.mean(y_c)) / amplitude_gain,
-        mean_p=float(np.mean(y_s)) / amplitude_gain,
+        mean_x=mean_c / amplitude_gain,
+        mean_p=mean_s / amplitude_gain,
         var_x=(var_yc - noise) / gain,
         var_p=(var_ys - noise) / gain,
         cov_xp=cov_cs / gain,
-        n_shots=n,
+        n_shots=statistics.n_shots,
     )
+    half_k = 0.5 * (statistics.n_shots - 1)
     for name, val, raw in (
         ("var_x", corrected.var_x, var_yc),
         ("var_p", corrected.var_p, var_ys),
     ):
-        if val < -5.0 * corrected.statistical_error * raw / gain:
+        r = raw / noise
+        if r < 1 and (r == 0 or half_k * (r - 1 - math.log(r)) > -math.log(FLOOR_LEVEL)):
             raise PhysicalityError(
-                f"unphysical correction: {name} = {val:.6g} is more than "
-                "5 standard errors below zero"
+                f"unphysical correction: {name} = {val:.6g}; a physical state gives a "
+                f"sample variance this low with probability below {FLOOR_LEVEL:.3g}"
             )
     return corrected
 

@@ -119,7 +119,7 @@ def test_criterion_4_output_variance_round_trip():
     for seed in range(n_runs):
         start = time.monotonic()
         rec = displaced(simulate_records(truth, kappa2, n_shots, seed=300 + seed), 0.3, -0.2)
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         slowest = max(slowest, time.monotonic() - start)
         var_x, var_p = truth[0, 0], truth[1, 1]
         if abs(cc.var_x - var_x) <= 3 * sigma_x and abs(cc.var_p - var_p) <= 3 * sigma_p:
@@ -194,7 +194,7 @@ def test_criterion_6_physics_invariant_suite():
     squeezed = quadrature_cov(1.1, 0.25, 0.1)
     for seed in range(5):
         rec = simulate_records(squeezed, 0.8, 20_000, seed=700 + seed)
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         det = cc.var_x * cc.var_p - cc.cov_xp**2
         if det < 0.25 - 5 * cc.statistical_error:
             violations.append(f"corrected covariance det {det:.4f} under floor")
@@ -248,7 +248,7 @@ def test_criterion_8_estimator_consistency():
     for n in shot_counts:
         errs = []
         for seed in range(24):
-            cc = correct_covariance(simulate_records(truth, 0.8, n, seed=1000 + seed))
+            cc = correct_covariance(simulate_records(truth, 0.8, n, seed=1000 + seed).statistics)
             errs.append((cc.var_x - truth[0, 0]) ** 2 + (cc.var_p - truth[1, 1]) ** 2)
         rms.append(float(np.sqrt(np.mean(errs))))
     slope = float(np.polyfit(np.log10(shot_counts), np.log10(rms), 1)[0])

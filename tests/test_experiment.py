@@ -1,4 +1,5 @@
 import pickle
+import random
 import re
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -17,10 +18,11 @@ from spintomo import (
     prepare_initial_state,
     run_sweep,
     simulate_records,
+    simulated_statistics,
     squeezing_report,
 )
 from spintomo import experiment
-from spintomo.experiment import _evolved_states, _point_seed
+from spintomo.experiment import _evolved_states, _point_seed, _zeta2_estimate
 from conftest import covariance, expectation, fail_at_call, variances_from_rho
 
 
@@ -314,7 +316,7 @@ class TestRunSweep:
                 report = squeezing_report(state)
                 cov = canonical_moments(report.cov, report.length)
                 rec = simulate_records(cov, cfg.kappa2, cfg.n_shots, seed=9000 + 31 * seed + total)
-                cc = correct_covariance(rec)
+                cc = correct_covariance(rec.statistics)
                 zeta2_rec = 2.0 * cc.min_variance
                 sigma = 2.0 * cc.statistical_error * (0.5 + 0.4 * cc.min_variance + 0.8**2 / 24.0) * 2.5
                 total += 1
@@ -328,9 +330,42 @@ class TestPointRecord:
         cfg = short_config()
         sweep = run_sweep(cfg)
         rec = point_record(cfg, 0.4)
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         row = sweep[1]
         assert abs(2.0 * cc.min_variance - row.zeta2_reconstructed) <= 1e-12
+
+    def test_two_shot_sweep_runs(self):
+        # every point of a 2-shot sweep comes from a physical state; a Gaussian
+        # 5-standard-error floor called the 0.1 ms point unphysical
+        rows = run_sweep(ExperimentConfig(n_shots=2))
+        assert len(rows) == 61 and all(np.isfinite(row.zeta2_reconstructed) for row in rows)
+
+    @pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+    def test_every_row_matches_its_record(self, grid):
+        # the sweep's shotless statistics against the records route, at every
+        # point of the default config and of a 61-point grid drawn as the
+        # benchmark draws its non-uniform ones
+        cfg = ExperimentConfig()
+        if grid == "nonuniform":
+            interior = random.Random(33).sample(range(1, 60000), 59)
+            cfg = ExperimentConfig(raman_durations=(0.0, *sorted(i / 10000 for i in interior), 6.0))
+        report = squeezing_report(_evolved_states(cfg, cfg.raman_durations))
+        rows = run_sweep(cfg)
+        assert len(rows) == 61
+        for i, row in enumerate(rows):
+            rec = point_record(cfg, row.t_r)
+            zeta2, sigma = _zeta2_estimate(correct_covariance(rec.statistics), cfg.kappa2)
+            assert row.zeta2_reconstructed == pytest.approx(zeta2, rel=1e-12, abs=0)
+            assert row.zeta2_error == pytest.approx(sigma, rel=1e-12, abs=0)
+            cov = canonical_moments(report.cov[i], report.length[i])
+            stats = simulated_statistics(cov, cfg.kappa2, cfg.n_shots, _point_seed(cfg, row.t_r))
+            of_record = simulate_records(cov, cfg.kappa2, cfg.n_shots, _point_seed(cfg, row.t_r))
+            # relative to the shot spread: a mean far below its standard error
+            # keeps only the digits that survive the cancellation in its sum
+            spread = np.sqrt(np.diag(of_record.statistics.cov))
+            assert np.all(np.abs(stats.mean - of_record.statistics.mean) <= 1e-13 * spread)
+            assert np.all(np.abs(stats.cov - of_record.statistics.cov)
+                          <= 1e-13 * np.outer(spread, spread))
 
     def test_seed_depends_on_duration(self):
         cfg = short_config()
@@ -360,7 +395,7 @@ class TestReconstructSweep:
         assert squeezed.converged
         assert abs(np.trace(squeezed.rho).real - 1.0) <= 1e-8
         assert np.linalg.eigvalsh(squeezed.rho).min() >= -1e-8
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         _, cov = variances_from_rho(squeezed)
         sigma_p = cc.statistical_error * (0.5 + 0.4 * cc.var_p + 0.8**2 / 24.0) * 2.5
         assert abs(cov[1, 1] - cc.var_p) <= 3 * sigma_p

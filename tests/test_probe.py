@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,17 +9,21 @@ from scipy.stats import chi2 as chi2_dist
 from spintomo import (
     MeasurementRecord,
     PhysicalityError,
+    RecordStatistics,
     canonical_moments,
+    correct_covariance,
     coherent_spin_state,
     readout_model,
     record_from_csv,
     record_to_csv,
     simulate_records,
+    simulated_statistics,
     spin_operators,
     squeezing_report,
     tact_hamiltonian,
     variance_extrema,
 )
+from spintomo.probe import _sample_moments
 from conftest import (
     covariance,
     displaced,
@@ -139,8 +144,8 @@ class TestSimulateRecords:
     def test_zero_coupling_gives_shot_noise(self):
         rec = simulate_records(VACUUM, 0.0, 100_000, seed=1)
         se = 0.5 * np.sqrt(2.0 / (rec.n_shots - 1))
-        assert abs(np.var(rec.y_c, ddof=1) - 0.5) <= 3 * se
-        assert abs(np.var(rec.y_s, ddof=1) - 0.5) <= 3 * se
+        assert abs(np.var(rec.shots[:, 0], ddof=1) - 0.5) <= 3 * se
+        assert abs(np.var(rec.shots[:, 1], ddof=1) - 0.5) <= 3 * se
 
     def test_sample_variance_in_chi2_band(self):
         # self-consistency with the closed-form output variance at 99%
@@ -149,8 +154,8 @@ class TestSimulateRecords:
         var_yc, var_ys = output_variance(VACUUM, 0.8)
         lo = var_yc * chi2_dist.ppf(0.005, n - 1) / (n - 1)
         hi = var_yc * chi2_dist.ppf(0.995, n - 1) / (n - 1)
-        assert lo <= np.var(rec.y_c, ddof=1) <= hi
-        assert lo <= np.var(rec.y_s, ddof=1) <= hi
+        assert lo <= np.var(rec.shots[:, 0], ddof=1) <= hi
+        assert lo <= np.var(rec.shots[:, 1], ddof=1) <= hi
 
     def test_moment_round_trip_large_n(self):
         atomic = quadrature_cov(0.8, 0.4, 0.15)
@@ -159,12 +164,12 @@ class TestSimulateRecords:
         rec = simulate_records(atomic, kappa2, n, seed=4)
         gain = kappa2 / 2.0
         var_yc, var_ys = output_variance(atomic, kappa2)
-        for column, var_true in ((rec.y_c, var_yc), (rec.y_s, var_ys)):
+        for column, var_true in ((rec.shots[:, 0], var_yc), (rec.shots[:, 1], var_ys)):
             se_mean = np.sqrt(var_true / n)
             assert abs(np.mean(column)) <= 5 * se_mean
             se_var = var_true * np.sqrt(2.0 / (n - 1))
             assert abs(np.var(column, ddof=1) - var_true) <= 5 * se_var
-        cov = np.cov(rec.y_c, rec.y_s, ddof=1)[0, 1]
+        cov = np.cov(rec.shots[:, 0], rec.shots[:, 1], ddof=1)[0, 1]
         se_cov = np.sqrt(var_yc * var_ys / n)
         assert abs(cov - gain * atomic[0, 1]) <= 5 * se_cov
 
@@ -203,6 +208,96 @@ class TestSimulateRecords:
             simulate_records(VACUUM, 0.8, 0, seed=1)
         with pytest.raises(ValueError, match="kappa2 must be finite and >= 0, got -0.1"):
             simulate_records(VACUUM, -0.1, 10, seed=1)
+
+
+def _exact_moments(pairs):
+    """(mean, ddof=1 covariance) of the stored floats in exact rational arithmetic."""
+    columns = [[Fraction(v) for v in column] for column in np.asarray(pairs).T.tolist()]
+    n = len(columns[0])
+    means = [sum(column) / n for column in columns]
+    centred = [[v - m for v in column] for column, m in zip(columns, means)]
+    cov = [[sum(a * b for a, b in zip(u, v)) / (n - 1) for v in centred] for u in centred]
+    return np.array([float(m) for m in means]), np.array([[float(c) for c in row] for row in cov])
+
+
+class TestSampleMoments:
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_matches_exact_arithmetic(self, n):
+        pairs = np.random.default_rng(80 + n).standard_normal((n, 2)) @ [[1.3, 0.4], [0.0, 0.7]]
+        mean, cov = _sample_moments(pairs + [0.3, -0.2])
+        exact_mean, exact_cov = _exact_moments(pairs + [0.3, -0.2])
+        assert_allclose(mean, exact_mean, rtol=1e-15, atol=0)
+        assert_allclose(cov, exact_cov, rtol=1e-15, atol=0)
+
+    def test_large_offset_keeps_the_spread(self):
+        # at an offset of 1e8 the squared shots carry 1e16, so a one-pass Gram
+        # formula sum(y^2) - n mean^2 loses every digit of a unit variance
+        pairs = np.random.default_rng(83).standard_normal((10_000, 2)) + 1e8
+        mean, cov = _sample_moments(pairs)
+        exact_mean, exact_cov = _exact_moments(pairs)
+        assert_allclose(mean, exact_mean, rtol=1e-15, atol=0)
+        assert_allclose(cov, exact_cov, rtol=1e-8, atol=0)
+        n = len(pairs)
+        mean_row = pairs.mean(axis=0)
+        one_pass = (pairs.T @ pairs - n * np.outer(mean_row, mean_row)) / (n - 1)
+        assert np.max(np.abs(one_pass - exact_cov) / np.abs(exact_cov)) > 1e-2
+
+    def test_one_shot_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 shots to estimate variances$"):
+            _sample_moments(np.array([[0.1, 0.2]]))
+        with pytest.raises(ValueError, match="^need at least 2 shots to estimate variances$"):
+            MeasurementRecord(shots=np.array([[0.1, 0.2]]), kappa2=0.8, seed=0).statistics
+
+    def test_record_statistics_fields(self):
+        rec = simulate_records(quadrature_cov(0.7, 0.5, 0.1), 0.8, 300, seed=84)
+        stats = rec.statistics
+        assert isinstance(stats, RecordStatistics)
+        assert (stats.n_shots, stats.kappa2) == (300, 0.8)
+        assert_allclose(stats.mean, rec.shots.mean(axis=0), rtol=1e-13)
+        assert_allclose(stats.cov, np.cov(rec.shots, rowvar=False, ddof=1), rtol=1e-13)
+
+
+def _raised(call):
+    """(exception type, text) that ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestSimulatedStatistics:
+    @pytest.mark.parametrize("atomic, kappa2, n_shots, seed", [
+        (VACUUM, 0.8, 2, 1),
+        (VACUUM, 0.0, 10_000, 2),
+        (quadrature_cov(1.1, 0.25, 0.1), 0.8, 10_000, 3),
+        (quadrature_cov(2.0, 0.125), 2.0, 257, 4),
+        (quadrature_cov(0.6, 0.6, 0.3), 1e3, 5_000, 2**63 + 5),
+    ])
+    def test_equals_the_records_statistics(self, atomic, kappa2, n_shots, seed):
+        stats = simulated_statistics(atomic, kappa2, n_shots, seed)
+        of_record = simulate_records(atomic, kappa2, n_shots, seed).statistics
+        assert (stats.n_shots, stats.kappa2) == (of_record.n_shots, of_record.kappa2)
+        assert_allclose(stats.mean, of_record.mean, rtol=1e-13, atol=0)
+        assert_allclose(stats.cov, of_record.cov, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("atomic, kappa2, n_shots", [
+        (quadrature_cov(0.0, 0.5), 0.8, 100),
+        (quadrature_cov(-0.5, 0.5), 0.8, 100),
+        (quadrature_cov(0.5, 0.4), 0.8, 100),
+        (VACUUM, 0.8, 0),
+        (VACUUM, 0.8, 1),
+        (VACUUM, -0.1, 100),
+    ])
+    def test_rejects_what_the_record_rejects(self, atomic, kappa2, n_shots):
+        raised = _raised(lambda: simulated_statistics(atomic, kappa2, n_shots, seed=5))
+        of_record = _raised(lambda: simulate_records(atomic, kappa2, n_shots, seed=5).statistics)
+        assert raised == of_record
+
+    def test_zero_coupling_fails_in_the_correction_alike(self):
+        stats = simulated_statistics(VACUUM, 0.0, 100, seed=6)
+        raised = _raised(lambda: correct_covariance(stats))
+        assert raised[0] is ValueError and "not invertible" in raised[1]
+        of_record = simulate_records(VACUUM, 0.0, 100, seed=6).statistics
+        assert raised == _raised(lambda: correct_covariance(of_record))
 
 
 class TestRecordSerialization:

@@ -7,17 +7,20 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh as scipy_eigh
 from scipy.special import ndtr
+from scipy.stats import chi2
 
 from spintomo import (
     MeasurementRecord,
     OscillatorDensityMatrix,
     PhysicalityError,
+    RecordStatistics,
     canonical_moments,
     check_density,
     correct_covariance,
     evolved_state,
     mle_reconstruct,
     simulate_records,
+    simulated_statistics,
     squeezing_report,
 )
 from spintomo import ExperimentConfig, point_record, readout_model, tomography
@@ -85,20 +88,21 @@ def _output_record(var_x, var_p, kappa2=0.8, n_shots=1000):
 
 class TestCorrectedVariance:
     def test_inverts_css_output(self):
-        cc = correct_covariance(_output_record(0.5, 0.5))
+        cc = correct_covariance(_output_record(0.5, 0.5).statistics)
         assert abs(cc.var_x - 0.5) <= 1e-12
         assert abs(cc.var_p - 0.5) <= 1e-12
         assert abs(cc.cov_xp) <= 1e-12
 
     def test_inverts_squeezed_output(self):
-        cc = correct_covariance(_output_record(0.25, 1.0))
+        cc = correct_covariance(_output_record(0.25, 1.0).statistics)
         assert abs(cc.var_x - 0.25) <= 1e-12
         assert abs(cc.var_p - 1.0) <= 1e-12
         assert abs(cc.cov_xp) <= 1e-12
 
     def test_zero_coupling_rejected(self):
+        rec = MeasurementRecord(shots=np.full((4, 2), 0.7), kappa2=0.0, seed=0)
         with pytest.raises(ValueError):
-            correct_covariance(MeasurementRecord(shots=np.full((4, 2), 0.7), kappa2=0.0, seed=0))
+            correct_covariance(rec.statistics)
 
 
 class TestCorrectCovariance:
@@ -110,7 +114,7 @@ class TestCorrectCovariance:
         a = np.sqrt(3.0 * target_total / 4.0)
         shots = np.array([[a, a], [a, -a], [-a, a], [-a, -a]])
         rec = MeasurementRecord(shots=shots, kappa2=kappa2, seed=0)
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         assert abs(cc.var_x - 0.5) <= 1e-12
         assert abs(cc.var_p - 0.5) <= 1e-12
         assert abs(cc.cov_xp) <= 1e-12
@@ -120,7 +124,7 @@ class TestCorrectCovariance:
     def test_statistical_round_trip(self):
         truth = quadrature_cov(1.1, 0.25, 0.1)
         rec = displaced(simulate_records(truth, 0.8, 100_000, seed=51), 0.3, -0.2)
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         sigma_var = cc.statistical_error * (0.5 + 0.4 * 1.1 + 0.8**2 / 24.0) * 2.5
         assert abs(cc.var_x - truth[0, 0]) <= 5 * sigma_var
         assert abs(cc.var_p - truth[1, 1]) <= 5 * sigma_var
@@ -135,9 +139,9 @@ class TestCorrectCovariance:
         kappa2 = 0.8
         rec = displaced(simulate_records(quadrature_cov(1.1, 0.25, 0.1), kappa2, 10_000, seed=65),
                         0.3, -0.2)
-        y_c, y_s = rec.y_c.tolist(), rec.y_s.tolist()
+        y_c, y_s = rec.shots[:, 0].tolist(), rec.shots[:, 1].tolist()
         gain, noise = kappa2 / 2.0, 0.5 + kappa2**2 / 24.0
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         assert cc.var_x == pytest.approx((statistics.variance(y_c) - noise) / gain, rel=1e-12)
         assert cc.var_p == pytest.approx((statistics.variance(y_s) - noise) / gain, rel=1e-12)
         assert cc.cov_xp == pytest.approx(statistics.covariance(y_c, y_s) / gain, rel=1e-12)
@@ -148,16 +152,16 @@ class TestCorrectCovariance:
         rec = MeasurementRecord(shots=np.random.default_rng(0).normal(size=(100, 2)),
                                 kappa2=0.0, seed=0)
         with pytest.raises(ValueError, match="not invertible"):
-            correct_covariance(rec)
+            correct_covariance(rec.statistics)
         # a coupling whose gain kappa2/2 underflows to zero is no coupling either
         tiny = MeasurementRecord(shots=rec.shots, kappa2=5e-324, seed=0)
         with pytest.raises(ValueError, match="kappa2 = 4.94066e-324: the atomic signal is not invertible"):
-            correct_covariance(tiny)
+            correct_covariance(tiny.statistics)
 
     def test_one_shot_rejected(self):
         one = MeasurementRecord(shots=np.array([[0.1, 0.2]]), kappa2=0.8, seed=0)
         with pytest.raises(ValueError, match="need at least 2 shots to estimate variances"):
-            correct_covariance(one)
+            correct_covariance(one.statistics)
 
     def test_unphysical_correction_flagged(self):
         # a record with (numerically) zero variance cannot come from the
@@ -166,12 +170,48 @@ class TestCorrectCovariance:
         shots[0] = (1e-6, 1e-6)
         rec = MeasurementRecord(shots=shots, kappa2=0.8, seed=0)
         with pytest.raises(PhysicalityError, match="unphysical correction"):
-            correct_covariance(rec)
+            correct_covariance(rec.statistics)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 30])
+    def test_small_physical_records_pass_the_floor(self, n):
+        # records from physical states: a 5-standard-error Gaussian floor
+        # rejected 41 % of them at n = 2 and 1.5 % at n = 10
+        squeezed = quadrature_cov(0.27, 1.0 / (4 * 0.27))
+        for atomic in (VACUUM, squeezed):
+            for seed in range(2000):
+                correct_covariance(simulated_statistics(atomic, 0.8, n, seed=10_000 * n + seed))
+
+    @pytest.mark.parametrize("n", [2, 30, 10_000])
+    def test_floor_sits_at_its_level(self, n):
+        # at the largest rejected ratio r = s^2/noise the exact chi-square tail
+        # of the least-variance physical state is below the stated level
+        _, noise = readout_model(0.8)
+
+        def rejected(r):
+            stats = RecordStatistics(n, 0.8, np.zeros(2), np.diag([r * noise, noise]))
+            try:
+                correct_covariance(stats)
+            except PhysicalityError as exc:
+                assert "unphysical correction: var_x = " in str(exc)
+                assert f"probability below {tomography.FLOOR_LEVEL:.3g}" in str(exc)
+                return True
+            return False
+
+        lo, hi = 0.0, 1.0
+        assert rejected(lo) and not rejected(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rejected(mid) else (lo, mid)
+        k = n - 1
+        assert chi2.cdf(k * lo, k) <= tomography.FLOOR_LEVEL
+        assert tomography.FLOOR_LEVEL == pytest.approx(2.8665157e-7, rel=1e-7)
+        if n == 10_000:
+            assert lo == pytest.approx(0.924, abs=5e-4)
 
     def test_heisenberg_floor_propagates(self):
         for seed, atomic in ((61, VACUUM), (62, SQUEEZED), (63, quadrature_cov(2.0, 0.125))):
             rec = simulate_records(atomic, 0.8, 100_000, seed=seed)
-            cc = correct_covariance(rec)
+            cc = correct_covariance(rec.statistics)
             det = cc.var_x * cc.var_p - cc.cov_xp**2
             assert det >= 0.25 - 5 * cc.statistical_error
 
@@ -184,7 +224,8 @@ class TestCorrectCovariance:
         cov = canonical_moments(report.cov, report.length)
         sampled = []
         for seed in range(200):
-            cc = correct_covariance(simulate_records(cov, config.kappa2, config.n_shots, seed))
+            rec = simulate_records(cov, config.kappa2, config.n_shots, seed)
+            cc = correct_covariance(rec.statistics)
             sampled.append((cc.var_x, cc.var_p, cc.cov_xp))
         sampled = np.array(sampled)
         exact = bartlett_corrected_covariances(
@@ -200,7 +241,7 @@ class TestCorrectCovariance:
 
     def test_statistical_error_formula(self):
         rec = simulate_records(VACUUM, 0.8, 1000, seed=64)
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         assert abs(cc.statistical_error - np.sqrt(2.0 / 999.0)) <= 1e-15
 
 
@@ -292,7 +333,8 @@ class TestQuadratureRotation:
         # U = exp(-i pi n / 2) maps (x, p) to (p, -x): U^dag x U = p and U^dag p U = -x,
         # so the shots (y_s, -y_c) come from U rho U^dag
         rec = point_record(ExperimentConfig(), 0.8)
-        turned = MeasurementRecord(np.column_stack([rec.y_s, -rec.y_c]), rec.kappa2, rec.seed)
+        y_c, y_s = rec.shots.T
+        turned = MeasurementRecord(np.column_stack([y_s, -y_c]), rec.kappa2, rec.seed)
         odm, odm_turned = mle_reconstruct(rec), mle_reconstruct(turned)
         assert odm.converged and odm_turned.converged
         u = np.diag(np.exp(-0.5j * np.pi * np.arange(10)))
@@ -524,7 +566,7 @@ class TestMleReconstruct:
 
     def test_cross_method_variance_agreement(self):
         rec = simulate_records(SQUEEZED, 0.8, 10_000, seed=22)
-        cc = correct_covariance(rec)
+        cc = correct_covariance(rec.statistics)
         odm = mle_reconstruct(rec)
         _, cov = variances_from_rho(odm)
         sigma_p = cc.statistical_error * (0.5 + 0.4 * cc.var_p + 0.8**2 / 24.0) * 2.5
@@ -546,7 +588,8 @@ class TestMleReconstruct:
         for n in (1_000, 100_000):
             errs = []
             for seed in range(6):
-                cc = correct_covariance(simulate_records(SQUEEZED, 0.8, n, seed=500 + seed))
+                rec = simulate_records(SQUEEZED, 0.8, n, seed=500 + seed)
+                cc = correct_covariance(rec.statistics)
                 errs.append((cc.var_x - SQUEEZED[0, 0]) ** 2 + (cc.var_p - SQUEEZED[1, 1]) ** 2)
             errors.append(np.sqrt(np.mean(errs)))
         # two decades of shots should buy roughly one decade of accuracy
@@ -568,7 +611,7 @@ class TestMleReconstruct:
         for kappa2 in (0.0, 5e-324):
             rec = MeasurementRecord(shots=shots, kappa2=kappa2, seed=0)
             with pytest.raises(ValueError) as covariance_route:
-                correct_covariance(rec)
+                correct_covariance(rec.statistics)
             with pytest.raises(ValueError, match="signal is not invertible") as mle_route:
                 mle_reconstruct(rec)
             assert str(mle_route.value) == str(covariance_route.value)
