@@ -50,8 +50,8 @@ DEFAULT_COMPENSATION_RESIDUAL = 0.15  # rad/ms of uncompensated Fx^2
 _WHOLE_NUMBER_KEYS = ("n_shots", "seed")
 
 # size bounds, checked before anything of that size is allocated: a desk run
-# needs 61 durations and 10^4 shots per point, and one point's record at
-# 10^7 shots is already 160 MB
+# needs 61 durations and 10^4 shots per point, and one `records` file's shots
+# at 10^7 are already 160 MB (a sweep point draws its statistics, not shots)
 MAX_DURATIONS = 100_000
 MAX_SHOTS = 10**7
 # bound on |twisting_rate| and |compensation_residual|, rad/ms, and on the two
@@ -251,13 +251,16 @@ def prepare_initial_state(config: ExperimentConfig) -> np.ndarray:
 
 
 def _point_seed(config: ExperimentConfig, t_r: float) -> int:
-    """Per-point record seed derived from (master seed, duration).
+    """Per-point record seed: Cantor's pairing of (master seed, duration in ps).
 
     Keyed on the duration quantized to 1 ps so the same point always gets
-    the same records regardless of which durations accompany it.
+    the same records regardless of which durations accompany it.  The pairing
+    maps pairs of non-negative integers one-to-one onto the non-negative
+    integers, at any size, so two points never share a seed.
     """
-    key = np.random.SeedSequence([int(config.seed), int(round(t_r * 1e9))])
-    return int(key.generate_state(1, dtype=np.uint64)[0])
+    seed, picoseconds = int(config.seed), int(round(t_r * 1e9))
+    total = seed + picoseconds
+    return total * (total + 1) // 2 + picoseconds
 
 
 def _decay_rates(config: ExperimentConfig) -> tuple[float, float]:
@@ -323,12 +326,13 @@ def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
     zeta2_true / chi2_true / xi2_true come from one squeezing report of all
     the evolved density matrices; zeta2_reconstructed applies the covariance
     correction to each point's record statistics, with its propagated 1-sigma
-    sampling error.  Those statistics come straight from the record's draws
-    (:func:`~spintomo.probe.simulated_statistics`), so no shot is formed; the
-    same point's :func:`point_record` gives the same row to round-off.  A
-    failure while probing or reconstructing one point, a collapsed mean spin
-    included, raises :class:`SweepPointError` naming its
-    duration, chained to the original exception.
+    sampling error.  The statistics are drawn first, from their exact law
+    (:func:`~spintomo.probe.simulated_statistics`), so no shot is formed and a
+    point costs the same at any ``n_shots``; the same point's
+    :func:`point_record` draws its shots given those statistics, so it gives
+    the same row to round-off.  A failure while probing or reconstructing one
+    point, a collapsed mean spin included, raises :class:`SweepPointError`
+    naming its duration, chained to the original exception.
     """
     durations = config.raman_durations
     states = _evolved_states(config, durations)

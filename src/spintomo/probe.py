@@ -23,13 +23,16 @@ carries it in its ``kappa2`` header.
 
 The three terms sum to one zero-mean Gaussian pair of covariance
 gain * cov(x, p) + noise * I with (gain, noise) from :func:`readout_model`,
-so a record draws each shot as that one pair.  The covariance correction
-reads a record only through its :class:`RecordStatistics`, and
-:func:`simulated_statistics` gives those of a seeded record without its shots.
+so the shots are iid draws of that one pair.  The covariance correction
+reads a record only through its :class:`RecordStatistics`, so a seeded
+record draws its statistics first, from their exact law (Bartlett's
+decomposition), and then its shots given them: :func:`simulated_statistics`
+stops after the first step and forms no shot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,6 +73,11 @@ class RecordStatistics(NamedTuple):
     cov: np.ndarray  # (2, 2) sample covariance, ddof = 1
 
 
+def _require_two_shots(n_shots: int) -> None:
+    if n_shots < 2:
+        raise ValueError("need at least 2 shots to estimate variances")
+
+
 def _sample_moments(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mean (2,), ddof=1 covariance (2, 2)) of an (n, 2) array of pairs.
 
@@ -78,8 +86,7 @@ def _sample_moments(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     spread.  Fewer than 2 pairs raise ``ValueError``.
     """
     n = len(pairs)
-    if n < 2:
-        raise ValueError("need at least 2 shots to estimate variances")
+    _require_two_shots(n)
     a, b = pairs[:, 0], pairs[:, 1]
     mean_a, mean_b = a.sum() / n, b.sum() / n
     da, db = a - mean_a, b - mean_b
@@ -165,9 +172,58 @@ def _output_factor(cov, kappa2: float, n_shots: int) -> np.ndarray:
     return np.linalg.cholesky(gain * cov + noise * np.eye(2))
 
 
-def _standard_draws(n_shots: int, seed: int) -> np.ndarray:
-    """The (n_shots, 2) standard normals that a record of ``seed`` colours into its shots."""
-    return np.random.default_rng(seed).standard_normal((n_shots, 2))
+def _standard_statistics(n_shots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean m_z and Bartlett factor A of ``n_shots`` standard normal pairs, from their law.
+
+    m_z ~ N(0, I / n), and independently (n - 1) S_z = A A^T ~ W_2(I, n - 1)
+    with A lower triangular, A_11^2 ~ chi2(n - 1), A_22^2 ~ chi2(n - 2) and
+    A_21 ~ N(0, 1) (Bartlett's decomposition: Anderson, *An Introduction to
+    Multivariate Statistical Analysis*, 3rd ed., 2003, section 7.2).  Drawn
+    from ``rng`` in this order: m_z, A_11^2, A_22^2, A_21, each chi-square as
+    a gamma of scale 2, which gives 0 at 0 degrees of freedom (n = 2).  One
+    shot has no spread, so A = 0 and only m_z is drawn.
+    """
+    mean = rng.standard_normal(2) / math.sqrt(n_shots)
+    if n_shots < 2:
+        return mean, np.zeros((2, 2))
+    a11 = math.sqrt(rng.gamma((n_shots - 1) / 2.0, 2.0))
+    a22 = math.sqrt(rng.gamma((n_shots - 2) / 2.0, 2.0))
+    return mean, np.array([[a11, 0.0], [rng.standard_normal(), a22]])
+
+
+def _shot_frame(n_shots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, whitening) of a uniformly random orthonormal frame F orthogonal to the all-ones vector.
+
+    ``rows`` (3, n_shots) holds n standard normal pairs, drawn as two
+    contiguous rows and centred, then the all-ones vector.  ``whitening`` is
+    the inverse of the lower Cholesky factor of the two centred rows' 2x2
+    Gram matrix, so F = whitening @ rows[:2] has orthonormal rows.  Where the
+    centred space has fewer than two dimensions (n < 3) the missing rows of
+    ``whitening`` are zero, as are the Bartlett factor's matching columns.
+    """
+    rows = np.empty((3, n_shots))
+    rows[2] = 1.0
+    normals = rows[:2]
+    rng.standard_normal(out=normals)
+    normals -= normals.mean(axis=1, keepdims=True)
+    whitening = np.zeros((2, 2))
+    if n_shots > 1:
+        (g11, g21), (_, g22) = (normals @ normals.T).tolist()
+        c11 = math.sqrt(g11)
+        whitening[0, 0] = 1.0 / c11
+        if n_shots > 2:
+            c21 = g21 / c11
+            c22 = math.sqrt(g22 - c21 * c21)
+            whitening[1] = -c21 / (c11 * c22), 1.0 / c22
+    return rows, whitening
+
+
+def _draw_shots(chol: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """(n_shots, 2) shots of output Cholesky factor ``chol``: statistics first, then the frame."""
+    mean, factor = _standard_statistics(n_shots, rng)
+    rows, whitening = _shot_frame(n_shots, rng)
+    # [F^T 1] [A^T L^T; (L m_z)^T], with F^T = rows[:2]^T whitening^T
+    return rows.T @ np.vstack([(chol @ factor @ whitening).T, chol @ mean])
 
 
 def simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> MeasurementRecord:
@@ -175,31 +231,40 @@ def simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> Measurement
 
     ``cov`` is the symmetric 2x2 (x, p) covariance of :func:`canonical_moments`;
     variances that are not positive or a determinant below the Heisenberg floor
-    1/4 (to 1e-9) raise :class:`PhysicalityError`.  Each shot is one zero-mean
-    normal pair, the sum of the three terms of the module docstring: a standard
-    normal pair z times the transposed Cholesky factor L of the output
-    covariance of :func:`readout_model`.  A given seed always produces
-    bit-identical records; :func:`simulated_statistics` gives their sample
-    moments without the shots.
+    1/4 (to 1e-9) raise :class:`PhysicalityError`.  The shots are iid
+    zero-mean normal pairs z L^T, the sum of the three terms of the module
+    docstring, with L the Cholesky factor of the output covariance of
+    :func:`readout_model`.  They are drawn in two steps from one generator of
+    ``seed``.  The statistics come first: the standard normals' sample mean
+    m_z and Bartlett factor A, as :func:`simulated_statistics` draws them.
+    The shots are then drawn given them, as 1 (L m_z)^T + F^T A^T L^T with F a
+    uniformly random orthonormal frame orthogonal to the all-ones vector.
+    Since the orthonormal factor of a Gaussian matrix is Haar-distributed and
+    independent of its Bartlett-distributed triangular factor, these are iid
+    N(0, L L^T) in law.  A given seed always produces bit-identical records.
     """
     chol = _output_factor(cov, kappa2, n_shots)
-    shots = _standard_draws(n_shots, seed) @ chol.T
+    shots = _draw_shots(chol, n_shots, np.random.default_rng(seed))
     return MeasurementRecord(shots=shots, kappa2=kappa2, seed=int(seed))
 
 
 def simulated_statistics(cov, kappa2: float, n_shots: int, seed: int) -> RecordStatistics:
     """The :class:`RecordStatistics` of ``simulate_records(cov, kappa2, n_shots, seed)``, shotless.
 
-    The sample moments of the shots z L^T are exactly (L m_z, L S_z L^T) for
-    the sample mean m_z and covariance S_z of the same normals z (Anderson,
-    *An Introduction to Multivariate Statistical Analysis*, 3rd ed., 2003,
-    section 7.2), so this equals the record's statistics to round-off.  An
-    input that :func:`simulate_records` rejects raises the same error here, and
-    fewer than 2 shots raise the ``ValueError`` of ``MeasurementRecord.statistics``.
+    The record's statistics are drawn first, from the exact law of the sample
+    moments of Gaussian shots: for the standard normals' sample mean m_z and
+    Bartlett factor A, its shots z L^T have sample mean L m_z and covariance
+    L A A^T L^T / (n - 1).  Only the shots are left undrawn, so this equals
+    the record's statistics to round-off, at a cost that does not grow with
+    ``n_shots``.  An input that :func:`simulate_records` rejects raises the
+    same error here, and fewer than 2 shots raise the ``ValueError`` of
+    ``MeasurementRecord.statistics``.
     """
     chol = _output_factor(cov, kappa2, n_shots)
-    mean, moments = _sample_moments(_standard_draws(n_shots, seed))
-    return RecordStatistics(int(n_shots), kappa2, chol @ mean, chol @ moments @ chol.T)
+    _require_two_shots(n_shots)
+    mean, factor = _standard_statistics(n_shots, np.random.default_rng(seed))
+    root = chol @ factor
+    return RecordStatistics(int(n_shots), kappa2, chol @ mean, root @ root.T / (n_shots - 1))
 
 
 def record_to_csv(record: MeasurementRecord, stream, header_comments: dict | None = None) -> None:

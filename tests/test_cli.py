@@ -330,7 +330,8 @@ class TestRecordsAndReconstruct:
         assert a.read_bytes() == b.read_bytes()
 
     def test_records_file_reads_back_its_point_seed(self, config_path, tmp_path):
-        # per-point seeds are uint64, mostly above 2^53, where float would round them
+        # a per-point seed pairs the master seed with the duration in ps, so at 0.8 ms
+        # it is above 2^53, where float would round it
         out = tmp_path / "rec.csv"
         assert run_cli("records", "--config", config_path, "--tr", "0.8", "--out", str(out)) == 0
         seed = experiment._point_seed(ExperimentConfig.from_file(config_path), 0.8)

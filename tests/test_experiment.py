@@ -1,6 +1,7 @@
 import pickle
 import random
 import re
+import tracemalloc
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -372,6 +373,29 @@ class TestPointRecord:
         assert _point_seed(cfg, 0.4) != _point_seed(cfg, 0.8)
         assert _point_seed(cfg, 0.4) == _point_seed(cfg, 0.4)
 
+    def test_distinct_points_get_distinct_seeds(self):
+        # every (seed, duration) pair of a grid that holds neighbours in both keys,
+        # where a sum or a fixed-width packing of the two would collide, and master
+        # seeds beyond 2^64
+        seeds = [*range(40), 2**53 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**64 + 40, 3**80]
+        durations = [k * 1e-9 for k in range(40)] + [0.1, 0.8, 6.0, 1e3, 2**64 * 1e-9]
+        keys = [_point_seed(short_config(seed=seed), t_r) for seed in seeds for t_r in durations]
+        assert len(set(keys)) == len(seeds) * len(durations)
+        assert all(isinstance(key, int) and key >= 0 for key in keys)
+
+    def test_sweep_memory_does_not_grow_with_the_shot_count(self):
+        # a sweep point draws its statistics, not its shots: at MAX_SHOTS one
+        # point's shots alone would take 160 MB
+        cfg = ExperimentConfig(n_shots=experiment.MAX_SHOTS)
+        tracemalloc.start()
+        try:
+            rows = run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 61 and all(np.isfinite(row.zeta2_reconstructed) for row in rows)
+        assert peak < 4 * 2**20
+
     def test_collapsed_mean_spin_rejected(self):
         cfg = short_config(pump_fraction=1e-12)  # <F> = 4e-12 before the drive
         with pytest.raises(PhysicalityError, match="mean spin collapsed"):
@@ -384,12 +408,27 @@ class TestReconstructSweep:
         vacuum_like = mle_reconstruct(point_record(cfg, 0.0))
         assert vacuum_like.converged
         assert vacuum_like.populations[0] > 0.9
-        # at 0.8 ms this record's maximum puts about 2.5e-3 in the top level, so the
-        # 10-level basis is too small for it
-        with pytest.raises(PhysicalityError, match=r"population 0\.002\d* of the highest level"):
-            mle_reconstruct(point_record(cfg, 0.8))
+        # the 10-level basis is too small for the state at 2.4 ms: every record's
+        # maximum puts more than the 1e-3 bound in the top level
+        seeds = range(8)
+        truncation = r"population \S+ of the highest level breaks the truncation validity bound"
+        for seed in seeds:
+            with pytest.raises(PhysicalityError, match=truncation):
+                mle_reconstruct(point_record(short_config(n_shots=8000, seed=seed), 2.4))
+        # at 0.8 ms it is marginal: over the same seeds some records fail the check and
+        # the others converge to a valid state
+        failed = 0
+        for seed in seeds:
+            try:
+                result = mle_reconstruct(point_record(short_config(n_shots=8000, seed=seed), 0.8))
+            except PhysicalityError as exc:
+                assert re.search(truncation, str(exc))
+                failed += 1
+            else:
+                assert result.converged and result.populations[-1] <= 1e-3
+        assert 0 < failed < len(seeds)
         # variance agreement between the two reconstruction routes where the basis holds:
-        # the default config at 0.8 ms, top population 4.5e-4
+        # the default config at 0.8 ms, top population 1.1e-4
         rec = point_record(ExperimentConfig(), 0.8)
         squeezed = mle_reconstruct(rec)
         assert squeezed.converged

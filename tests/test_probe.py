@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import chi2 as chi2_dist
+from scipy.stats import chi2 as chi2_dist, ks_2samp, kstest
 
 from spintomo import (
     MeasurementRecord,
@@ -23,7 +23,7 @@ from spintomo import (
     tact_hamiltonian,
     variance_extrema,
 )
-from spintomo.probe import _sample_moments
+from spintomo.probe import _draw_shots, _sample_moments
 from conftest import (
     covariance,
     displaced,
@@ -298,6 +298,89 @@ class TestSimulatedStatistics:
         assert raised[0] is ValueError and "not invertible" in raised[1]
         of_record = simulate_records(VACUUM, 0.0, 100, seed=6).statistics
         assert raised == _raised(lambda: correct_covariance(of_record))
+
+
+SQUEEZED = quadrature_cov(1.1, 0.25, 0.1)
+
+
+def _output_cov(atomic, kappa2):
+    """The output covariance gain * atomic + noise * I, written out from the module docstring."""
+    return kappa2 / 2.0 * atomic + (0.5 + kappa2**2 / 24.0) * np.eye(2)
+
+
+class TestDrawnLaw:
+    """The drawn statistics and shots against iid normals drawn here, an independent oracle."""
+
+    @pytest.mark.parametrize("n_shots, n_draws", [(2, 2000), (3, 2000), (50, 2000), (10_000, 1000)])
+    def test_statistics_match_iid_normals(self, n_shots, n_draws):
+        # two-sample KS tests of each mean and covariance entry, over n_draws seeds,
+        # against the sample moments of coloured iid standard normal pairs
+        kappa2 = 0.8
+        drawn = [simulated_statistics(SQUEEZED, kappa2, n_shots, seed) for seed in range(n_draws)]
+        chol = np.linalg.cholesky(_output_cov(SQUEEZED, kappa2))
+        rng = np.random.default_rng(1000 + n_shots)
+        chunk = max(1, 500_000 // n_shots)
+        oracle = []
+        for start in range(0, n_draws, chunk):
+            normals = rng.standard_normal((min(chunk, n_draws - start), 2, n_shots))
+            shots = chol @ normals  # (draws, 2, n): each column a coloured pair
+            centred = shots - shots.mean(axis=2, keepdims=True)
+            cov = centred @ centred.transpose(0, 2, 1) / (n_shots - 1)
+            oracle.append(np.column_stack([shots.mean(axis=2), cov[:, 0, 0], cov[:, 1, 1],
+                                           cov[:, 0, 1]]))
+        oracle = np.concatenate(oracle)
+        ours = np.array([[*d.mean, d.cov[0, 0], d.cov[1, 1], d.cov[0, 1]] for d in drawn])
+        for column in range(5):  # mean_c, mean_s, var_c, var_s, cov_cs
+            assert ks_2samp(ours[:, column], oracle[:, column]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n_shots, n_draws", [(1, 10_000), (2, 10_000), (3, 100_000)])
+    def test_shots_are_iid_normal(self, n_shots, n_draws):
+        # every shot is N(0, Sigma), the shots are exchangeable and uncorrelated, and
+        # their fourth moments are Gaussian: checked on the standardized shots
+        # z = L^-1 y, within 5 standard errors, over draws of the record's own helper
+        cov = _output_cov(SQUEEZED, 0.8)
+        chol = np.linalg.cholesky(cov)
+        rng = np.random.default_rng(90 + n_shots)
+        shots = np.array([_draw_shots(chol, n_shots, rng) for _ in range(n_draws)])
+        z = shots @ np.linalg.inv(chol).T  # (n_draws, n_shots, 2)
+        se = 5.0 / np.sqrt(n_draws)
+        for i in range(n_shots):
+            zi = z[:, i]
+            assert np.all(np.abs(zi.mean(axis=0)) <= se)
+            second = zi.T @ zi / n_draws
+            assert abs(second[0, 0] - 1.0) <= se * np.sqrt(2.0)
+            assert abs(second[1, 1] - 1.0) <= se * np.sqrt(2.0)
+            assert abs(second[0, 1]) <= se
+            for column in zi.T:
+                assert kstest(column, "norm").pvalue > 1e-3
+            x, p = zi.T
+            assert abs(np.mean(x**4) - 3.0) <= se * np.sqrt(96.0)
+            assert abs(np.mean(p**4) - 3.0) <= se * np.sqrt(96.0)
+            assert abs(np.mean(x**2 * p**2) - 1.0) <= se * np.sqrt(8.0)
+            assert abs(np.mean(x**3 * p)) <= se * np.sqrt(15.0)
+            assert abs(np.mean(x * p**3)) <= se * np.sqrt(15.0)
+            for j in range(i + 1, n_shots):
+                cross = zi.T @ z[:, j] / n_draws
+                assert np.all(np.abs(cross) <= se)
+
+    def test_one_shot_is_the_mean(self):
+        rec = simulate_records(SQUEEZED, 0.8, 1, seed=7)
+        chol = np.linalg.cholesky(_output_cov(SQUEEZED, 0.8))
+        first_two = np.random.default_rng(7).standard_normal(2)
+        assert rec.n_shots == 1
+        assert_allclose(rec.shots[0], chol @ first_two, rtol=1e-14, atol=0)
+        with pytest.raises(ValueError, match="^need at least 2 shots to estimate variances$"):
+            rec.statistics
+
+    def test_two_shots_span_one_direction(self):
+        # at n = 2 the sample covariance has rank one, and its record matches it
+        for seed in range(50):
+            rec = simulate_records(SQUEEZED, 0.8, 2, seed)
+            stats = simulated_statistics(SQUEEZED, 0.8, 2, seed)
+            assert np.isfinite(rec.shots).all()
+            assert abs(np.linalg.det(stats.cov)) <= 1e-14 * np.trace(stats.cov) ** 2
+            assert_allclose(rec.statistics.cov, stats.cov, rtol=1e-12, atol=0)
+            assert_allclose(rec.statistics.mean, stats.mean, rtol=1e-12, atol=1e-15)
 
 
 class TestRecordSerialization:

@@ -331,14 +331,19 @@ class TestQuadratureRotation:
 
     def test_rotated_shots_reconstruct_the_rotated_state(self):
         # U = exp(-i pi n / 2) maps (x, p) to (p, -x): U^dag x U = p and U^dag p U = -x,
-        # so the shots (y_s, -y_c) come from U rho U^dag
+        # so the shots (y_s, -y_c) come from U rho U^dag.  The two binnings differ at
+        # round-off, which the solver's few hundred accelerated steps amplify by a
+        # realisation-dependent factor (3e-14 to 6e-10 on the converged 0.8 ms records
+        # of seeds 0-7); a wrong rotation would show at the size of the off-diagonal
+        # elements, about 1e-2
         rec = point_record(ExperimentConfig(), 0.8)
         y_c, y_s = rec.shots.T
         turned = MeasurementRecord(np.column_stack([y_s, -y_c]), rec.kappa2, rec.seed)
         odm, odm_turned = mle_reconstruct(rec), mle_reconstruct(turned)
         assert odm.converged and odm_turned.converged
+        assert odm_turned.n_iterations == odm.n_iterations
         u = np.diag(np.exp(-0.5j * np.pi * np.arange(10)))
-        assert np.abs(odm_turned.rho - u @ odm.rho @ u.conj().T).max() <= 1e-12
+        assert np.abs(odm_turned.rho - u @ odm.rho @ u.conj().T).max() <= 1e-8
 
 
 SOLVER_POINTS_MS = [0.0, 0.3, 0.8, 2.0, 6.0]
