@@ -192,19 +192,16 @@ def _standard_statistics(n_shots: int, rng: np.random.Generator) -> tuple[np.nda
 
 
 def _shot_frame(n_shots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, whitening) of a uniformly random orthonormal frame F orthogonal to the all-ones vector.
+    """(normals, whitening) of a uniformly random orthonormal frame F orthogonal to the all-ones vector.
 
-    ``rows`` (3, n_shots) holds n standard normal pairs, drawn as two
-    contiguous rows and centred, then the all-ones vector.  ``whitening`` is
-    the inverse of the lower Cholesky factor of the two centred rows' 2x2
-    Gram matrix, so F = whitening @ rows[:2] has orthonormal rows.  Where the
-    centred space has fewer than two dimensions (n < 3) the missing rows of
-    ``whitening`` are zero, as are the Bartlett factor's matching columns.
+    ``normals`` (2, n_shots) holds n standard normal pairs, drawn as two
+    contiguous rows and centred.  ``whitening`` is the inverse of the lower
+    Cholesky factor of their 2x2 Gram matrix, so F = whitening @ normals has
+    orthonormal rows.  Where the centred space has fewer than two dimensions
+    (n < 3) the missing rows of ``whitening`` are zero, as are the Bartlett
+    factor's matching columns.
     """
-    rows = np.empty((3, n_shots))
-    rows[2] = 1.0
-    normals = rows[:2]
-    rng.standard_normal(out=normals)
+    normals = rng.standard_normal((2, n_shots))
     normals -= normals.mean(axis=1, keepdims=True)
     whitening = np.zeros((2, 2))
     if n_shots > 1:
@@ -215,15 +212,18 @@ def _shot_frame(n_shots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.
             c21 = g21 / c11
             c22 = math.sqrt(g22 - c21 * c21)
             whitening[1] = -c21 / (c11 * c22), 1.0 / c22
-    return rows, whitening
+    return normals, whitening
 
 
 def _draw_shots(chol: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
     """(n_shots, 2) shots of output Cholesky factor ``chol``: statistics first, then the frame."""
     mean, factor = _standard_statistics(n_shots, rng)
-    rows, whitening = _shot_frame(n_shots, rng)
-    # [F^T 1] [A^T L^T; (L m_z)^T], with F^T = rows[:2]^T whitening^T
-    return rows.T @ np.vstack([(chol @ factor @ whitening).T, chol @ mean])
+    normals, whitening = _shot_frame(n_shots, rng)
+    # F^T A^T L^T + 1 (L m_z)^T, with F = whitening @ normals; the mean is added in
+    # place, so the normals and the shots are the only arrays of n_shots rows
+    shots = normals.T @ (chol @ factor @ whitening).T
+    shots += chol @ mean
+    return shots
 
 
 def simulate_records(cov, kappa2: float, n_shots: int, seed: int) -> MeasurementRecord:

@@ -308,6 +308,39 @@ def _output_cov(atomic, kappa2):
     return kappa2 / 2.0 * atomic + (0.5 + kappa2**2 / 24.0) * np.eye(2)
 
 
+def _replayed_draws(rng, n_shots):
+    """The raw numbers that ``_draw_shots`` takes from ``rng``, in its documented order."""
+    mean_normals = rng.standard_normal(2)
+    chi_a, chi_b = rng.gamma((n_shots - 1) / 2.0, 2.0), rng.gamma((n_shots - 2) / 2.0, 2.0)
+    return mean_normals, chi_a, chi_b, rng.standard_normal(), rng.standard_normal((2, n_shots))
+
+
+def _law_draws(rng, n_shots, n_draws):
+    """A batch of those raw numbers drawn from their law: normals and chi-squares."""
+    return (rng.standard_normal((n_draws, 2)), rng.chisquare(n_shots - 1, n_draws),
+            rng.chisquare(n_shots - 2, n_draws), rng.standard_normal(n_draws),
+            rng.standard_normal((n_draws, 2, n_shots)))
+
+
+def _batched_shots(chol, raw):
+    """(n_draws, n_shots, 2) shots 1 (L m_z)^T + F^T A^T L^T of a batch of raw numbers.
+
+    Written from the formulas of ``simulate_records``: m_z the normals over
+    sqrt(n), A the Bartlett factor, and F the centred frame normals turned
+    orthonormal by solving with the Cholesky factor of their Gram matrix.
+    Needs n_shots >= 3, where that Gram matrix is positive definite.
+    """
+    mean_normals, chi_a, chi_b, a21, frame_normals = raw
+    n_shots = frame_normals.shape[2]
+    factor = np.zeros((len(a21), 2, 2))
+    factor[:, 0, 0], factor[:, 1, 0], factor[:, 1, 1] = np.sqrt(chi_a), a21, np.sqrt(chi_b)
+    centred = frame_normals - frame_normals.mean(axis=2, keepdims=True)
+    gram = centred @ centred.transpose(0, 2, 1)
+    frame = np.linalg.solve(np.linalg.cholesky(gram), centred)
+    return ((mean_normals / np.sqrt(n_shots)) @ chol.T)[:, None, :] + frame.transpose(0, 2, 1) @ (
+        chol @ factor).transpose(0, 2, 1)
+
+
 class TestDrawnLaw:
     """The drawn statistics and shots against iid normals drawn here, an independent oracle."""
 
@@ -338,10 +371,14 @@ class TestDrawnLaw:
         # every shot is N(0, Sigma), the shots are exchangeable and uncorrelated, and
         # their fourth moments are Gaussian: checked on the standardized shots
         # z = L^-1 y, within 5 standard errors, over draws of the record's own helper
+        # or, at n = 3, of its formulas batched (test_batched_formulas_are_draw_shots)
         cov = _output_cov(SQUEEZED, 0.8)
         chol = np.linalg.cholesky(cov)
         rng = np.random.default_rng(90 + n_shots)
-        shots = np.array([_draw_shots(chol, n_shots, rng) for _ in range(n_draws)])
+        if n_shots < 3:
+            shots = np.array([_draw_shots(chol, n_shots, rng) for _ in range(n_draws)])
+        else:
+            shots = _batched_shots(chol, _law_draws(rng, n_shots, n_draws))
         z = shots @ np.linalg.inv(chol).T  # (n_draws, n_shots, 2)
         se = 5.0 / np.sqrt(n_draws)
         for i in range(n_shots):
@@ -362,6 +399,20 @@ class TestDrawnLaw:
             for j in range(i + 1, n_shots):
                 cross = zi.T @ z[:, j] / n_draws
                 assert np.all(np.abs(cross) <= se)
+
+    @pytest.mark.parametrize("n_shots", [3, 50])
+    def test_batched_formulas_are_draw_shots(self, n_shots):
+        # the record's helper, fed by its own generator, against the batched formulas
+        # fed by the numbers it draws; at n = 3 a nearly singular Gram matrix of the
+        # frame costs both routes digits (each within 5e-13 of 40-digit arithmetic
+        # over these seeds), while a wrong formula would differ at order one
+        chol = np.linalg.cholesky(_output_cov(SQUEEZED, 0.8))
+        seeds = range(300)
+        raw = zip(*(_replayed_draws(np.random.default_rng(seed), n_shots) for seed in seeds))
+        expected = _batched_shots(chol, [np.array(column) for column in raw])
+        for seed, shots in zip(seeds, expected):
+            drawn = _draw_shots(chol, n_shots, np.random.default_rng(seed))
+            assert_allclose(drawn, shots, rtol=0, atol=1e-11 * np.abs(shots).max())
 
     def test_one_shot_is_the_mean(self):
         rec = simulate_records(SQUEEZED, 0.8, 1, seed=7)
