@@ -2,8 +2,9 @@
 
 Subcommands: limits, sweep, records, reconstruct, qpd.  Exit codes: 0 on
 success, 1 on numerical failure, 2 on usage or I/O errors; failures print a
-single machine-readable line to stderr.  Output files are written atomically
-(temp file + rename), so no partial files are left behind.
+single machine-readable line to stderr.  An output streams into a new file
+beside the target (mode 0o666 less the umask), renamed onto it once
+complete, so no partial file is left behind.
 
 The ``limits`` and ``sweep`` tables are written by one function: as CSV, a
 table is ``# key=value`` comment lines, a ``# units:`` line, a header and
@@ -14,13 +15,12 @@ rows; as JSON, it is an object with the same keys plus ``columns``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import fields
 from operator import attrgetter
 
@@ -81,26 +81,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_write(path: str):
+    """The text stream an output is written into: stdout for ``-``, else a new file beside
+    ``path``, created 0o666 for the umask to apply, that replaces ``path`` once the writer
+    has returned and it is closed; if anything raises, it is removed and ``path`` is kept."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spintomo-", suffix=".tmp")
+    tmp = os.path.join(directory, f".spintomo-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
-def _table_text(fmt: str, meta: dict, rows) -> str:
-    """``rows`` of one frozen dataclass as a CSV or JSON table headed by ``meta``.
+def _write_rows(stream, fmt: str, meta: dict, rows) -> None:
+    """Write ``rows`` of one frozen dataclass as a CSV or JSON table headed by ``meta``.
 
     The columns are the row type's fields, read from each row without a
     copy, and the units its ``UNITS``.
@@ -111,11 +114,11 @@ def _table_text(fmt: str, meta: dict, rows) -> str:
     if fmt == "json":
         table = {**meta, "columns": columns, "units": units,
                  "rows": [dict(zip(columns, row)) for row in values]}
-        return json.dumps(table, indent=2) + "\n"
+        # one dumps, one write: json.dump with an indent is the pure-Python encoder
+        stream.write(json.dumps(table, indent=2) + "\n")
+        return
     comments = [f"{key}={value}" for key, value in meta.items()] + ["units: " + ",".join(units)]
-    buf = io.StringIO()
-    write_table(buf, comments, columns, np.array(values))
-    return buf.getvalue()
+    write_table(stream, comments, columns, np.array(values))
 
 
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
@@ -139,25 +142,23 @@ def _cmd_limits(args) -> None:
     optima = [tact_optimum(f) for f in spins]
     params_hash = hashlib.sha256(f"limits f={args.f:.17g} scan={SCAN_POINTS}".encode()).hexdigest()
     meta = {"params_sha256": params_hash, "scan_points": SCAN_POINTS}
-    _atomic_write(args.out, _table_text(args.format, meta, optima))
+    with _atomic_write(args.out) as stream:
+        _write_rows(stream, args.format, meta, optima)
 
 
 def _cmd_sweep(args) -> None:
     config = _load_config(args.config, args.seed)
     rows = run_sweep(config)
-    _atomic_write(args.out, _table_text(args.format, {"config_sha256": config.config_hash}, rows))
+    with _atomic_write(args.out) as stream:
+        _write_rows(stream, args.format, {"config_sha256": config.config_hash}, rows)
 
 
 def _cmd_records(args) -> None:
     config = _load_config(args.config, args.seed)
     record = point_record(config, args.tr)
-    buf = io.StringIO()
-    record_to_csv(
-        record,
-        buf,
-        header_comments={"config_sha256": config.config_hash, "t_r_ms": f"{args.tr:.17g}"},
-    )
-    _atomic_write(args.out, buf.getvalue())
+    header = {"config_sha256": config.config_hash, "t_r_ms": f"{args.tr:.17g}"}
+    with _atomic_write(args.out) as stream:
+        record_to_csv(record, stream, header_comments=header)
 
 
 def _read_lines(path: str):
@@ -187,7 +188,8 @@ def _cmd_reconstruct(args) -> None:
     }
     if args.mle:
         payload["mle"] = mle_reconstruct(record).to_dict()
-    _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    with _atomic_write(args.out) as stream:
+        stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_qpd(args) -> None:
@@ -199,10 +201,9 @@ def _cmd_qpd(args) -> None:
         raise _UsageError(f"--grid must look like 64x128, got {args.grid!r}")
     state = evolved_state(config, args.tr)
     grid = husimi(state, n_theta, n_phi)
-    text = grid.to_csv_text(
-        header_comments={"config_sha256": config.config_hash, "t_r_ms": f"{args.tr:.17g}"}
-    )
-    _atomic_write(args.out, text)
+    header = {"config_sha256": config.config_hash, "t_r_ms": f"{args.tr:.17g}"}
+    with _atomic_write(args.out) as stream:
+        grid.to_csv_text(stream, header_comments=header)
 
 
 _COMMANDS = {

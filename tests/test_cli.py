@@ -2,14 +2,16 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spintomo import (ExperimentConfig, PhysicalityError, cli, evolved_state, experiment, husimi,
-                      record_from_csv, squeezing)
+                      record_from_csv, squeezing, tables)
 from spintomo.cli import main
 from spintomo.tables import read_table
 from conftest import csv_module_write_table, fail_at_call, meshgrid_rows
@@ -560,6 +562,77 @@ class TestInputBounds:
                 f"usage error: |{key}| must be <= 1e+100 rad/ms, got {float(rate)!r}\n"
             )
             assert not out.exists()
+
+
+class TestOutputFile:
+    def test_new_output_takes_the_umask(self, tmp_path):
+        out = tmp_path / "limits.csv"
+        umask = os.umask(0o027)
+        try:
+            assert run_cli("limits", "2", "--out", str(out)) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["limits", "2"],
+            ["sweep", "--config", "{config}"],
+            ["sweep", "--config", "{config}", "--format", "json"],
+            ["records", "--config", "{config}", "--tr", "0.8"],
+            ["reconstruct", "{record}"],
+            ["reconstruct", "{record}", "--mle"],
+            ["qpd", "--config", "{config}", "--tr", "0.8", "--grid", "6x10"],
+        ],
+        ids=["limits", "sweep-csv", "sweep-json", "records", "reconstruct", "reconstruct-mle",
+             "qpd"],
+    )
+    def test_stdout_gives_the_file_bytes(self, config_path, tmp_path, capsys, argv):
+        record = tmp_path / "rec.csv"
+        assert run_cli("records", "--config", config_path, "--tr", "0", "--out", str(record)) == 0
+        argv = [arg.format(config=config_path, record=record) for arg in argv]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", "-") == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new-target", "old-target"])
+    def test_failure_while_writing_leaves_nothing_behind(self, config_path, tmp_path, capsys,
+                                                         monkeypatch, old):
+        def write_half_then_fail(stream, *args):
+            whole = io.StringIO()
+            tables.write_grid_table(whole, *args)
+            text = whole.getvalue()
+            stream.write(text[: len(text) // 2])
+            stream.flush()
+            assert len(list(tmp_path.glob(".spintomo-*"))) == 1  # the half is in the file
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(squeezing, "write_grid_table", write_half_then_fail)
+        out = tmp_path / "qpd.csv"
+        if old is not None:
+            out.write_bytes(old)
+        assert run_cli("qpd", "--config", config_path, "--tr", "0.8", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "usage error: [Errno 28] No space left on device\n"
+        assert (out.read_bytes() if out.exists() else None) == old
+        assert not list(tmp_path.glob(".spintomo-*"))
+
+    def test_grid_text_is_not_held_whole(self, config_path, tmp_path, monkeypatch):
+        # in blocks of 1024 values, the peak is a fraction of the 20000-row file
+        monkeypatch.setattr(tables, "GRID_BLOCK_CELLS", 1024)
+        out = tmp_path / "qpd.csv"
+        argv = ["qpd", "--config", config_path, "--tr", "0.8", "--grid", "100x200",
+                "--out", str(out)]
+        assert run_cli(*argv) == 0  # warm: imports and caches are not counted
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
 
 
 class TestParser:

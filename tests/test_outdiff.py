@@ -77,6 +77,15 @@ def test_command_set_covers_every_subcommand(outdiff):
     assert {argv[0] for _, argv in outdiff.COMMANDS} == set(subcommands)
     for _, argv in outdiff.COMMANDS:
         build_parser().parse_args(argv)  # every command line parses
+    assert any(argv[argv.index("--out") + 1] == "-" for _, argv in outdiff.COMMANDS)  # stdout
+
+
+def test_stdout_is_saved_as_the_output_file(outdiff, monkeypatch, tmp_path):
+    commands = (("file.csv", ["limits", "1", "--out", "file.csv"]),
+                ("stdout.csv", ["limits", "1", "--out", "-"]))
+    monkeypatch.setattr(outdiff, "COMMANDS", commands)
+    assert outdiff.run_commands(str(Path(outdiff.ROOT) / "src"), str(tmp_path)) == [(0, "")] * 2
+    assert (tmp_path / "stdout.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
 
 def test_unknown_revision_is_a_usage_error(outdiff, capsys):

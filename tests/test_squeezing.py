@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -334,8 +336,9 @@ class TestHusimi:
 
     def test_csv_round_trip_text(self, css_x4):
         grid = husimi(css_x4, 4, 6)
-        text = grid.to_csv_text(header_comments={"tag": "x"})
-        lines = text.strip().splitlines()
+        stream = io.StringIO()
+        grid.to_csv_text(stream, header_comments={"tag": "x"})
+        lines = stream.getvalue().strip().splitlines()
         assert lines[0] == "# tag=x"
         assert lines[1] == "theta_rad,phi_rad,q_value"
         assert len(lines) == 2 + 4 * 6

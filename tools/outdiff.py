@@ -8,12 +8,13 @@ REV's ``src/`` is extracted with ``git archive`` (local, no network) into a
 temporary directory, which is removed afterwards; an interrupted run leaves
 nothing registered in the repository.  The fixed command set ``COMMANDS``
 runs on the default config (an empty config file) once against REV's
-package and once against the working tree's.  For each output file the
-script prints either "byte-identical" or, per column, the count of changed
-cells and the largest absolute and relative change.  Comment lines and
-other text cells, hashes among them, are compared as text.  It prints each
-command's exit code and last stderr line on both sides, so a changed error
-path shows too.  It times nothing.
+package and once against the working tree's; a command that writes to
+``-`` has its standard output saved under its output file's name.  For
+each output file the script prints either "byte-identical" or, per column,
+the count of changed cells and the largest absolute and relative change.
+Comment lines and other text cells, hashes among them, are compared as
+text.  It prints each command's exit code and last stderr line on both
+sides, so a changed error path shows too.  It times nothing.
 
 A CSV output's columns are its header's; a JSON output's are the paths of
 its leaves, with list positions written ``[]`` (so ``rows[].zeta2_true`` is
@@ -50,6 +51,7 @@ COMMANDS = (
     *((f"qpd_{t}.csv", ["qpd", "--config", CONFIG, "--tr", t, "--out", f"qpd_{t}.csv"])
       for t in ("0", "0.8", "3")),
     ("limits_4.csv", ["limits", "4", "--out", "limits_4.csv"]),
+    ("limits_4_stdout.csv", ["limits", "4", "--out", "-"]),
 )
 
 
@@ -70,10 +72,13 @@ def run_commands(src: str, directory: str) -> list[tuple[int, str]]:
         pass
     env = {**os.environ, "PYTHONPATH": src}
     results = []
-    for _, argv in COMMANDS:
+    for name, argv in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "spintomo.cli", *argv], cwd=directory,
-                              env=env, capture_output=True, text=True)
-        lines = done.stderr.strip().splitlines()
+                              env=env, capture_output=True)
+        if argv[argv.index("--out") + 1] == "-":
+            with open(os.path.join(directory, name), "wb") as fh:
+                fh.write(done.stdout)
+        lines = done.stderr.decode(errors="replace").strip().splitlines()
         results.append((done.returncode, lines[-1] if lines else ""))
     return results
 
