@@ -182,12 +182,17 @@ def _cmd_reconstruct(args) -> None:
         raise _UsageError(f"records file not found: {args.records_csv}")
     digest, lines = _read_lines(args.records_csv)
     record = record_from_csv(lines)
-    payload = {
-        "source_sha256": digest,
-        "corrected_covariance": correct_covariance(record.statistics).to_dict(),
-    }
-    if args.mle:
-        payload["mle"] = mle_reconstruct(record).to_dict()
+    try:
+        payload = {
+            "source_sha256": digest,
+            "corrected_covariance": correct_covariance(record.statistics).to_dict(),
+        }
+        if args.mle:
+            payload["mle"] = mle_reconstruct(record).to_dict()
+    except Exception as exc:  # named by its sweep point, where the file gives one
+        if record.t_r_ms is None:
+            raise
+        raise SweepPointError(record.t_r_ms, exc) from exc
     with _atomic_write(args.out) as stream:
         stream.write(json.dumps(payload, indent=2) + "\n")
 

@@ -3,7 +3,9 @@
 Usage errors (bad arguments, malformed files) raise plain ``ValueError`` /
 ``OSError``; ``PhysicalityError`` marks failures of physics or numerics
 that can only be detected from the data itself.
-``SweepPointError`` wraps either kind with the sweep point it came from.
+``SweepPointError`` wraps either kind with the sweep point it came from:
+a failure of one point of a sweep, or a ``reconstruct`` failure of a
+record whose ``t_r_ms`` header names its point.
 """
 
 
@@ -17,7 +19,7 @@ class PhysicalityError(Exception):
 
 
 class SweepPointError(Exception):
-    """One point of a drive-duration sweep failed.
+    """One point of a drive-duration sweep failed, in the sweep or in ``reconstruct``.
 
     ``t_r`` is the drive duration in ms; the original exception is chained
     as ``__cause__`` and decides whether the failure is a usage or a

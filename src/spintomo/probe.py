@@ -103,6 +103,7 @@ class MeasurementRecord:
     shots: np.ndarray
     kappa2: float
     seed: int
+    t_r_ms: float | None = None  # the sweep point's drive duration, where a file names it
 
     def __post_init__(self) -> None:
         shots = np.asarray(self.shots, dtype=float)
@@ -278,10 +279,10 @@ def record_from_csv(stream) -> MeasurementRecord:
     """Parse a record written by :func:`record_to_csv`.
 
     The ``kappa2`` header is required; an ``n_shots`` header, when present,
-    must equal the number of rows, so a truncated file is an error.  A
-    header key set twice, a header value that is not a number, or an
-    ``n_shots`` or seed that is not a whole number raises ``ValueError``
-    naming its key.
+    must equal the number of rows, so a truncated file is an error; a
+    ``t_r_ms`` header, when present, is the record's ``t_r_ms``.  A header
+    key set twice, a header value that is not a number, or an ``n_shots`` or
+    seed that is not a whole number raises ``ValueError`` naming its key.
     """
     comments, columns, shots = read_table(stream)
     if columns != ["y_c", "y_s"]:
@@ -305,4 +306,5 @@ def record_from_csv(stream) -> MeasurementRecord:
         )
     seed = parse_whole_number("seed", header.get("seed", "0"))
     kappa2 = parse_number("kappa2", header["kappa2"])
-    return MeasurementRecord(shots=shots, kappa2=kappa2, seed=seed)
+    t_r_ms = parse_number("t_r_ms", header["t_r_ms"]) if "t_r_ms" in header else None
+    return MeasurementRecord(shots=shots, kappa2=kappa2, seed=seed, t_r_ms=t_r_ms)

@@ -4,14 +4,15 @@ A table is ``# `` comment lines, a header row of column names, then
 comma-separated rows of numbers with 17 significant digits, so reading a
 table back gives bit-identical floats.
 
-Two writers write this one format by ``%`` operations.
-:func:`write_table` fills a ``%.17g`` row repeated n times with every value
-of an (n, k) array, in one operation.  :func:`write_grid_table` writes a
-function sampled on a grid as rows (row node, column node, value): its
-template holds each column node's text, formatted once, and it is filled
-with each row node's text, also formatted once, and the values, one
-operation per block of rows.  Its bytes equal those of :func:`write_table`
-on the meshgrid rows.  ``"%.17g" % x`` is the same CPython conversion as
+Two writers write this one format by ``%`` operations, one per block of
+at most ``GRID_BLOCK_CELLS`` values, so the memory a write takes does not
+grow with the number of rows.  :func:`write_table` fills a ``%.17g`` row,
+repeated once per row of a block, with that block's values of an (n, k)
+array.  :func:`write_grid_table` writes a function sampled on a grid as
+rows (row node, column node, value): its template holds each column node's
+text, formatted once, and it is filled with each row node's text, also
+formatted once, and the values.  Its bytes equal those of
+:func:`write_table` on the meshgrid rows.  ``"%.17g" % x`` is the same CPython conversion as
 ``f"{x:.17g}"``, so every byte is too, ``-0``, subnormals, ``inf`` and
 ``nan`` included.
 
@@ -30,7 +31,7 @@ import numpy as np
 __all__ = ["write_table", "write_grid_table", "read_table", "parse_number", "parse_whole_number"]
 
 
-# values per formatted block of write_grid_table; a 64x128 Husimi grid is one block
+# values per formatted block of either writer; a 64x128 Husimi grid is one block
 GRID_BLOCK_CELLS = 2**16
 
 
@@ -40,10 +41,18 @@ def _head(comments, columns) -> str:
 
 
 def write_table(stream, comments, columns, rows) -> None:
-    """Write ``comments`` as ``# `` lines, the header ``columns``, then the (n, k) array ``rows``."""
+    """Write ``comments`` as ``# `` lines, the header ``columns``, then the (n, k) array ``rows``.
+
+    Rows go out in blocks of at most ``GRID_BLOCK_CELLS`` values (one row, if
+    a row holds more), one ``%`` operation each.
+    """
     rows = np.asarray(rows, dtype=float)
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    stream.write(_head(comments, columns) + row * len(rows) % tuple(rows.ravel().tolist()))
+    stream.write(_head(comments, columns))
+    block_rows = max(1, GRID_BLOCK_CELLS // max(1, len(columns)))
+    for start in range(0, len(rows), block_rows):
+        block = rows[start : start + block_rows]
+        stream.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_grid_table(stream, comments, columns, row_axis, col_axis, values) -> None:
@@ -53,9 +62,7 @@ def write_grid_table(stream, comments, columns, row_axis, col_axis, values) -> N
     but each node of either axis is formatted once: the template of one grid
     row holds every ``col_axis`` text (none contains a ``%``) and is filled
     once per row node, its text interleaved with that row's values.  Rows go
-    out in blocks of at most ``GRID_BLOCK_CELLS`` values (one row, if a row
-    holds more), one ``%`` operation each, so the memory a block takes does
-    not grow with the number of rows.
+    out in blocks, as :func:`write_table` writes them.
     """
     row_axis = np.asarray(row_axis, dtype=float)
     col_axis = np.asarray(col_axis, dtype=float)

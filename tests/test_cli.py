@@ -6,12 +6,13 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from spintomo import (ExperimentConfig, PhysicalityError, cli, evolved_state, experiment, husimi,
-                      record_from_csv, squeezing, tables)
+                      record_from_csv, squeezing, tables, tomography)
 from spintomo.cli import main
 from spintomo.tables import read_table
 from conftest import csv_module_write_table, fail_at_call, meshgrid_rows
@@ -31,6 +32,14 @@ def config_path(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def default_record(tmp_path, t_r):
+    """Path of the default config's ``records`` file at ``t_r`` ms."""
+    cfg, rec = tmp_path / "default.cfg", tmp_path / f"rec_{t_r}.csv"
+    cfg.write_text("")
+    assert run_cli("records", "--config", str(cfg), "--tr", t_r, "--out", str(rec)) == 0
+    return str(rec)
 
 
 class TestLimits:
@@ -316,6 +325,44 @@ class TestRecordsAndReconstruct:
         p0 = flat[0, 0]
         assert p0 > 0.8  # undriven point reconstructs to near-vacuum
 
+    def test_unconverged_mle_fails_on_one_line(self, tmp_path, capsys, monkeypatch):
+        # a gap bound still open at MAX_ITER is an error naming the point, not a flagged result
+        rec = default_record(tmp_path, "0.8")
+        monkeypatch.setattr(tomography, "MAX_ITER", 20)
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("reconstruct", rec, "--mle", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: sweep point t_r=0.8 ms: likelihood iteration stopped at "
+            "max_iter=20 with likelihood-gap bound 30.9 (tol 0.1)\n"
+        )
+        assert not caught
+        assert not out.exists()
+
+    def test_mle_failure_names_the_records_point(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert run_cli("reconstruct", default_record(tmp_path, "3"), "--mle", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: sweep point t_r=3 ms: population 0.0771 of the highest level "
+            "breaks the truncation validity bound 1e-3\n"
+        )
+        assert not out.exists()
+
+    def test_covariance_failure_names_the_records_point(self, tmp_path, capsys):
+        # shots far narrower than the readout noise are unphysical on the covariance route
+        shots = 0.1 * np.random.default_rng(5).standard_normal((200, 2))
+        rec = tmp_path / "rec.csv"
+        rec.write_text("# kappa2=0.8\n# t_r_ms=0.5\ny_c,y_s\n"
+                       + "".join(f"{a:.17g},{b:.17g}\n" for a, b in shots))
+        out = tmp_path / "o.json"
+        assert run_cli("reconstruct", str(rec), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: sweep point t_r=0.5 ms: unphysical correction: "
+                              "var_x = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_source_hash_is_of_the_text_read(self, tmp_path):
         # text mode reads CRLF line ends as LF, so both files hash as the LF bytes
         lf = b"# kappa2=0.8\ny_c,y_s\n2.5,-1.5\n-1.75,2\n0.5,1.25\n-2,-0.5\n"
@@ -411,10 +458,11 @@ class TestRecordsAndReconstruct:
             ("# kappa2=0.8\n# n_shots=199.5\n", 200, "n_shots must be an integer, got 199.5"),
             ("# kappa2=0.8\n# n_shots=200\n# kappa2=0.5\n", 200,
              "record file sets its kappa2 header twice"),
+            ("# kappa2=0.8\n# n_shots=200\n# t_r_ms=abc\n", 200, "t_r_ms: 'abc' is not a number"),
         ],
         ids=["nan-kappa2", "inf-kappa2", "overflowing-kappa2", "truncated", "abc-kappa2",
              "fractional-seed", "short-n_shots", "abc-n_shots", "fractional-n_shots",
-             "kappa2-twice"],
+             "kappa2-twice", "abc-t_r_ms"],
     )
     def test_malformed_records_header(self, tmp_path, capsys, header, n_rows, message):
         rows = np.random.default_rng(3).standard_normal((n_rows, 2))
@@ -625,6 +673,21 @@ class TestOutputFile:
         out = tmp_path / "qpd.csv"
         argv = ["qpd", "--config", config_path, "--tr", "0.8", "--grid", "100x200",
                 "--out", str(out)]
+        assert run_cli(*argv) == 0  # warm: imports and caches are not counted
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
+
+    def test_record_text_is_not_held_whole(self, tmp_path, monkeypatch):
+        # in blocks of 1024 values, the peak is below the size of the 10^5-shot file
+        monkeypatch.setattr(tables, "GRID_BLOCK_CELLS", 1024)
+        cfg, out = tmp_path / "big.cfg", tmp_path / "rec.csv"
+        cfg.write_text("n_shots = 100000\n")
+        argv = ["records", "--config", str(cfg), "--tr", "0.8", "--out", str(out)]
         assert run_cli(*argv) == 0  # warm: imports and caches are not counted
         tracemalloc.start()
         try:

@@ -461,6 +461,42 @@ class TestLindblad:
             lindblad_trajectory(css_x4, h, *DARK, [0.5, 2.0])
 
 
+# configs whose evolved states the parity tests check: two spins, a half-integer spin
+# without decay, and a large spin pumped halfway
+PARITY_CONFIGS = {
+    "F=4": ExperimentConfig(),
+    "F=1": ExperimentConfig(f=1.0),
+    "F=3.5-no-decay": ExperimentConfig(f=3.5, t1=np.inf, t2=np.inf, extra_scatter_rate=0.0),
+    "F=7-half-pumped": ExperimentConfig(f=7.0, pump_fraction=0.5),
+}
+
+
+class TestParitySymmetry:
+    # every term of the master equation commutes with R = exp(i pi Fx): Fz^2 - Fy^2 and
+    # Fx^2 are even under the pi rotation about x, the depolarizer is isotropic and the
+    # dephasing jump operator is Fx; so does the prepared +x coherent state plus I/d
+    @pytest.mark.parametrize("config", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS)
+    def test_states_commute_with_the_pi_rotation_about_x(self, config):
+        states = experiment._evolved_states(config, config.raman_durations)
+        r = expm(1j * np.pi * spin_operators(config.f)[0])
+        assert np.abs(r @ states @ r.conj().T - states).max() <= 1e-13
+
+    @pytest.mark.parametrize("config", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS)
+    def test_opposite_parity_block_is_a_decaying_multiple_of_the_identity(self, config):
+        # on the d - s levels with F - m_x odd, H and the dephasing leave I unchanged and
+        # the depolarizer pulls toward I/d, so the block is c I with c = (1 - tau) / (d - s)
+        # and tau = s/d + (1 - s/d) p exp(-gamma t) the trace of the m_x = F, F - 2, ... block
+        states = experiment._evolved_states(config, config.raman_durations)
+        m, v = np.linalg.eigh(spin_operators(config.f)[0])
+        odd = v[:, np.round(config.f - m).astype(int) % 2 == 1]
+        d, s = len(m), len(m) - odd.shape[1]
+        gamma = 1.0 / config.t1 + config.extra_scatter_rate
+        decay = config.pump_fraction * np.exp(-gamma * np.array(config.raman_durations))
+        c = (1.0 - (s / d + (1.0 - s / d) * decay)) / (d - s)
+        block = odd.conj().T @ states @ odd
+        assert np.abs(block - c[:, None, None] * np.eye(d - s)).max() <= 1e-13
+
+
 class TestHamiltonianContainer:
     def test_rejects_non_hermitian(self, ops4, css_x4):
         # lindblad_trajectory takes a Hamiltonian only if it is the state's (d, d) Hermitian matrix

@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from spintomo import (
+    ExperimentConfig,
     PhysicalityError,
     canonical_moments,
     coherent_spin_state,
+    evolved_state,
     lindblad_trajectory,
     husimi,
     spin_operators,
@@ -17,6 +19,7 @@ from spintomo import (
     tact_optimum,
 )
 from spintomo import squeezing
+from spintomo.spin_algebra import moments
 from conftest import evolve_unitary, oat_hamiltonian, random_density_matrix, rotate
 
 
@@ -158,6 +161,26 @@ class TestSqueezingReport:
             report = squeezing_report(lindblad_trajectory(css_x4, h, *rates, [t])[0])
             floor = report.length**2 / 4.0
             assert np.linalg.det(report.cov) >= floor - 1e-9
+
+    @pytest.mark.parametrize("t_r", [0.0, 0.8, 6.0])
+    def test_two_uncorrelated_atoms_give_the_single_atom_parameters(self, t_r):
+        # the module docstring's N-independence: for rho (x) rho the collective spin
+        # Fa (x) I + I (x) Fa doubles both v_min and the mean spin, so zeta2 is the single
+        # atom's, and chi2 and xi2 are too with their references taken at N F = 2 F
+        config = ExperimentConfig()
+        rho = evolved_state(config, t_r)
+        single = squeezing_report(rho)
+        eye = np.eye(len(rho))
+        collective = np.array([np.kron(op, eye) + np.kron(eye, op)
+                               for op in spin_operators(config.f)])
+        mean, cov = moments(np.kron(rho, rho), collective)
+        length = np.linalg.norm(mean)
+        transverse = np.linalg.svd(mean[None, :])[2][1:]  # an orthonormal pair orthogonal to it
+        v_min = np.linalg.eigvalsh(transverse @ cov @ transverse.T)[0]
+        n_f = 2 * config.f
+        assert abs(2.0 * v_min / length - single.zeta2) <= 1e-13
+        assert abs(2.0 * v_min / n_f - single.chi2) <= 1e-13
+        assert abs(2.0 * n_f * v_min / length**2 - single.xi2) <= 1e-13
 
 
 class TestTactOptimum:

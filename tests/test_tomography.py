@@ -1,4 +1,3 @@
-import contextlib
 import math
 import statistics
 
@@ -382,7 +381,8 @@ class TestLikelihoodKernel:
     )
     def test_iteration_matches_einsum_kernel(self, t_r, dim, max_iter, converges, monkeypatch):
         # the reported likelihood and gap bound recomputed with per-element einsum products,
-        # and mle_reconstruct reporting the solver's result
+        # and mle_reconstruct reporting the solver's result, or refusing it while its bound
+        # is open
         if t_r is None:  # test_thermal_round_trip's record
             rec = simulate_records(quadrature_cov(1.0, 1.0), 0.8, 10_000, seed=21)
         else:
@@ -397,10 +397,13 @@ class TestLikelihoodKernel:
         assert abs(gap - counts.sum() * (lambda_max - 1.0)) <= 1e-8
         assert (gap < tomography.GAP_TOL) == converges
         monkeypatch.setattr(tomography, "BASIS_DIM", dim)
-        warns = contextlib.nullcontext() if converges else pytest.warns(RuntimeWarning, match="max_iter")
-        with warns:
-            odm = mle_reconstruct(rec)
-        assert (odm.n_iterations, odm.converged, odm.gap_bound) == (iterations, converges, gap)
+        if not converges:
+            with pytest.raises(ArithmeticError, match=f"max_iter={max_iter} with likelihood-gap "
+                                                      f"bound {gap:.3g} "):
+                mle_reconstruct(rec)
+            return
+        odm = mle_reconstruct(rec)
+        assert (odm.n_iterations, odm.converged, odm.gap_bound) == (iterations, True, gap)
         assert np.abs(odm.rho - rho).max() <= 1e-12
 
 
@@ -601,13 +604,17 @@ class TestMleReconstruct:
         ratio = errors[0] / errors[1]
         assert 3.0 <= ratio <= 33.0
 
-    def test_non_convergence_warns(self, monkeypatch):
+    def test_non_convergence_raises(self, monkeypatch):
+        # an open gap bound at MAX_ITER is an error that names the cap and the bound
         rec = simulate_records(VACUUM, 0.8, 2_000, seed=45)
+        _, povms, counts = tomography._binned_povm(rec, tomography.BASIS_DIM)
         monkeypatch.setattr(tomography, "MAX_ITER", 3)
-        with pytest.warns(RuntimeWarning, match="max_iter=3"):
-            odm = mle_reconstruct(rec)
-        assert not odm.converged
-        assert odm.n_iterations == 3
+        gap = tomography._apg_mle(povms, counts)[2]
+        assert gap >= tomography.GAP_TOL
+        with pytest.raises(ArithmeticError) as error:
+            mle_reconstruct(rec)
+        assert str(error.value) == (f"likelihood iteration stopped at max_iter=3 with "
+                                    f"likelihood-gap bound {gap:.3g} (tol 0.1)")
 
     def test_validation(self):
         # a record without gain fails as the covariance route fails on it; at
@@ -676,8 +683,13 @@ class TestOscillatorDensityMatrix:
         bad_top[3, 3] = 0.1
         with pytest.raises(PhysicalityError, match="truncation validity bound 1e-3$"):
             OscillatorDensityMatrix(rho=bad_top)
-        # an unconverged iterate is flagged, not rejected
-        assert not OscillatorDensityMatrix(rho=bad_top, converged=False).converged
+
+    def test_every_state_is_converged(self):
+        # no constructor argument makes a flagged iterate
+        rho = np.diag([0.75, 0.25, 0.0])
+        with pytest.raises(TypeError, match="converged"):
+            OscillatorDensityMatrix(rho=rho, converged=False)
+        assert OscillatorDensityMatrix(rho=rho).to_dict()["converged"] is True
 
     def test_dim_is_the_size_of_rho(self):
         d = OscillatorDensityMatrix(rho=np.diag([0.75, 0.25, 0.0])).to_dict()

@@ -39,7 +39,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = "default.cfg"
 
 # (output file, CLI arguments); each command runs in one directory per side,
-# so reconstruct reads that side's own 0.8 ms record
+# so reconstruct reads that side's own records; the MLE of the 3 ms record
+# fails its truncation check, so the error path is diffed too
 COMMANDS = (
     ("sweep.csv", ["sweep", "--config", CONFIG, "--out", "sweep.csv"]),
     ("sweep.json", ["sweep", "--config", CONFIG, "--format", "json", "--out", "sweep.json"]),
@@ -48,6 +49,8 @@ COMMANDS = (
     ("reconstruct.json", ["reconstruct", "records_0.8.csv", "--out", "reconstruct.json"]),
     ("reconstruct_mle.json",
      ["reconstruct", "records_0.8.csv", "--mle", "--out", "reconstruct_mle.json"]),
+    ("reconstruct_mle_3.json",
+     ["reconstruct", "records_3.csv", "--mle", "--out", "reconstruct_mle_3.json"]),
     *((f"qpd_{t}.csv", ["qpd", "--config", CONFIG, "--tr", t, "--out", f"qpd_{t}.csv"])
       for t in ("0", "0.8", "3")),
     ("limits_4.csv", ["limits", "4", "--out", "limits_4.csv"]),
